@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import statistics
 import sys
 import time
@@ -150,6 +151,11 @@ def run_benchmark(args) -> int:
         "samples_per_batch": int(args.samples),
         "rounds": int(args.rounds),
         "workers": int(args.workers),
+        "host": {
+            "nproc": len(os.sched_getaffinity(0)),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
         "modes": {
             name: {
                 "best_s": float(best),

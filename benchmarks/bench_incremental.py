@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import statistics
 import sys
 import time
@@ -126,12 +127,12 @@ def run(args) -> int:
     for devices in moves:
         placement = Placement(devices, graph, cluster)
         incremental = resume_schedule(baseline, devices, config)
-        full = scheduler.run_step(placement, op_times)
+        full = scheduler.run_step(placement, tables=tables)
         if incremental is None:
             continue
         check_identical(incremental, full)
         hits += 1
-        t_full = best_of(lambda: scheduler.run_step(placement, op_times), args.rounds)
+        t_full = best_of(lambda: scheduler.run_step(placement, tables=tables), args.rounds)
         t_inc = best_of(lambda: resume_schedule(baseline, devices, config), args.rounds)
         full_times.append(t_full)
         inc_times.append(t_inc)
@@ -201,6 +202,11 @@ def run(args) -> int:
         "env_ab_off_s": float(ab_off),
         "env_ab_on_s": float(ab_on),
         "env_ab_speedup": float(ab_off / ab_on),
+        "host": {
+            "nproc": len(os.sched_getaffinity(0)),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
     }
     with open(args.json, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

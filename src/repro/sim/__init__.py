@@ -13,7 +13,12 @@ from repro.sim.cluster import ClusterSpec
 from repro.sim.placement import Placement, resolve_placement
 from repro.sim.costmodel import CostModel
 from repro.sim.memory import MemoryModel, MemoryReport
-from repro.sim.scheduler import Scheduler, ScheduleResult, TransferRecord
+from repro.sim.scheduler import (
+    Scheduler,
+    ScheduleResult,
+    ScheduleTables,
+    TransferRecord,
+)
 from repro.sim.attribution import (
     PathSegment,
     PlacementAttribution,
@@ -26,7 +31,6 @@ from repro.sim.incremental import (
     IncrementalEvalConfig,
     IncrementalEvaluator,
     ScheduleBaseline,
-    ScheduleTables,
     build_baseline,
     resume_schedule,
 )

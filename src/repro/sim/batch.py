@@ -13,8 +13,8 @@ time. This module supplies the pieces behind
   any order, and produce bit-identical results.
 * :class:`BatchEvaluator` — fans unique placements out across a
   persistent ``concurrent.futures`` pool. Workers are initialized once
-  with the precomputed graph invariants (op-time table, topological
-  order, per-op memory, device capacities) so per-call traffic is one
+  with the precomputed graph invariants (op-time table, schedule
+  tables, per-op memory, device capacities) so per-call traffic is one
   small device array in and one :class:`EvalOutcome` out.
 * :class:`BatchEvalConfig` — lives on ``MarsConfig.eval_batch``; the
   default is ``os.cpu_count()``-aware with a deterministic serial
@@ -46,7 +46,7 @@ from repro.sim.costmodel import CostModel
 from repro.sim.measurement import MeasurementProtocol, MeasurementResult
 from repro.sim.memory import MemoryModel
 from repro.sim.placement import Placement
-from repro.sim.scheduler import Scheduler
+from repro.sim.scheduler import Scheduler, ScheduleTables
 from repro.utils.logging import get_logger
 
 logger = get_logger("repro.sim.batch")
@@ -130,7 +130,7 @@ class PureEvaluator:
         cost_model: CostModel,
         protocol: MeasurementProtocol,
         op_times: np.ndarray,
-        order: np.ndarray,
+        tables: ScheduleTables,
         mem_per_op: np.ndarray,
         capacity: np.ndarray,
     ):
@@ -139,7 +139,7 @@ class PureEvaluator:
         self.protocol = protocol
         self.scheduler = Scheduler(cost_model)
         self.op_times = op_times
-        self.order = order
+        self.tables = tables
         self.mem_per_op = mem_per_op
         self.capacity = capacity
 
@@ -153,14 +153,10 @@ class PureEvaluator:
         protocol: MeasurementProtocol,
     ) -> "PureEvaluator":
         op_times = cost_model.op_time_matrix(graph, cluster)
-        order = (
-            np.arange(graph.num_nodes)
-            if graph.is_topologically_indexed()
-            else np.asarray(graph.topological_order())
-        )
+        tables = ScheduleTables(graph, cluster, cost_model, op_times)
         mem_per_op = memory_model.op_bytes_vector(graph)
         capacity = np.array([d.memory for d in cluster.devices])
-        return cls(graph, cluster, cost_model, protocol, op_times, order, mem_per_op, capacity)
+        return cls(graph, cluster, cost_model, protocol, op_times, tables, mem_per_op, capacity)
 
     def memory_usage(self, placement: Placement) -> Tuple[np.ndarray, np.ndarray]:
         usage = np.zeros(self.cluster.num_devices)
@@ -192,7 +188,7 @@ class PureEvaluator:
                 schedule = incremental.reschedule(placement.devices)
                 used_incremental = schedule is not None
             if schedule is None:
-                schedule = self.scheduler.run_step(placement, self.op_times, self.order)
+                schedule = self.scheduler.run_step(placement, tables=self.tables)
             makespan = schedule.makespan
             utilization = (
                 float(np.mean(schedule.device_busy) / schedule.makespan)

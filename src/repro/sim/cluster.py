@@ -94,14 +94,6 @@ class ClusterSpec:
                 return bw
         return self.link_bandwidth
 
-    def transfer_time(self, nbytes: float, src: int = None, dst: int = None) -> float:
-        bw = (
-            self.bandwidth_between(src, dst)
-            if src is not None and dst is not None
-            else self.link_bandwidth
-        )
-        return self.link_latency + nbytes / bw
-
     @classmethod
     def default(cls, num_gpus: int = 4, gpu_memory_gb: float = 12.0) -> "ClusterSpec":
         """The paper's machine: 4x P100 12GB + Xeon host."""

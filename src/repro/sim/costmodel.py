@@ -79,13 +79,33 @@ class CostModel:
         return out
 
     def transfer_time(
-        self, nbytes: float, cluster: ClusterSpec, src: int = None, dst: int = None
+        self, nbytes: float, cluster: ClusterSpec, src: int, dst: int
     ) -> float:
         # Gradient of the tensor flows back across the same edge during the
         # backward pass, so a cut edge pays the transfer twice per step.
-        bw = (
-            cluster.bandwidth_between(src, dst)
-            if src is not None and dst is not None
-            else cluster.link_bandwidth
-        )
-        return cluster.link_latency + 2.0 * nbytes / bw
+        return cluster.link_latency + 2.0 * nbytes / cluster.bandwidth_between(src, dst)
+
+    def transfer_time_table(self, nbytes: np.ndarray, cluster: ClusterSpec) -> np.ndarray:
+        """Precomputed ``(num_devices, num_devices, len(nbytes))`` table:
+        entry ``[src, dst, i]`` is :meth:`transfer_time` of ``nbytes[i]``
+        on the ``src``->``dst`` link (zero on the diagonal: nothing ships).
+
+        One vectorized call per device pair — elementwise the same
+        IEEE-754 operations as the scalar formula, so the table is
+        bit-identical to it. A subclass that overrides ``transfer_time``
+        gets one scalar call per entry, as for :meth:`op_time_matrix`.
+        """
+        d = cluster.num_devices
+        out = np.zeros((d, d, len(nbytes)))
+        vectorized = type(self).transfer_time is CostModel.transfer_time
+        for src in range(d):
+            for dst in range(d):
+                if src == dst:
+                    continue
+                if vectorized:
+                    out[src, dst] = self.transfer_time(nbytes, cluster, src, dst)
+                else:
+                    out[src, dst] = [
+                        self.transfer_time(b, cluster, src, dst) for b in nbytes.tolist()
+                    ]
+        return out

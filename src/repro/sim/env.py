@@ -92,7 +92,7 @@ class PlacementEnv:
         )
         self.scheduler = self._evaluator.scheduler
         self._op_times = self._evaluator.op_times
-        self._order = self._evaluator.order
+        self._tables = self._evaluator.tables
         self._mem_per_op = self._evaluator.mem_per_op
         self._capacity = self._evaluator.capacity
         self._batcher = BatchEvaluator(self._evaluator, self.batch_config)
@@ -108,6 +108,7 @@ class PlacementEnv:
             self.cost_model,
             self._op_times,
             self.incremental_config,
+            tables=self._tables,
         )
         # Bounded LRU result cache: one entry per unique placement, capped
         # so long searches hold constant memory (<=0 means unbounded).
@@ -137,7 +138,7 @@ class PlacementEnv:
 
     def makespan(self, placement: Placement) -> float:
         """Noise-free step time of a placement (no wall-clock charge)."""
-        return self.scheduler.run_step(placement, self._op_times, self._order).makespan
+        return self.scheduler.run_step(placement, tables=self._tables).makespan
 
     def check_memory(self, placement: Placement):
         return self._evaluator.memory_usage(placement)
@@ -152,9 +153,7 @@ class PlacementEnv:
         cache interaction. Runs one traced scheduler pass.
         """
         placement = self.resolve(actions)
-        schedule = self.scheduler.run_step(
-            placement, self._op_times, self._order, trace=True
-        )
+        schedule = self.scheduler.run_step(placement, trace=True, tables=self._tables)
         return attribute_schedule(placement, schedule)
 
     def record_attribution(

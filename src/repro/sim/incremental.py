@@ -9,7 +9,7 @@ discrete-event re-simulation. This module removes that waste with a
 
 1. **Baseline.** When the environment anchors a placement (its current
    best, or an explicit anchor from a refinement loop), the schedule is
-   simulated once by an instrumented event loop that records (a) the
+   simulated once by the scheduler's event loop, which also records (a) the
    processed-event index of every op completion and (b) periodic full
    snapshots of the simulator state (device queues, link clocks, the
    pending event heap, partial finish times).
@@ -33,13 +33,12 @@ baseline's events (or a *source* op moved, making ``t=0`` dirty), the
 caller falls back to the full simulator — correctness never depends on
 the delta being small, only speed does.
 
-The resume loop mirrors ``Scheduler.run_step`` statement for statement
-but runs on pre-lowered Python-native tables (:class:`ScheduleTables`:
-nested lists instead of per-element ndarray indexing, a precomputed
-link-bandwidth matrix instead of per-transfer ``ClusterSpec`` lookups).
-Same IEEE-754 operations in the same order — just without the per-event
-ndarray scalar-boxing overhead. ``tests/property/test_incremental_properties.py``
-holds the two loops equal over randomized (graph, delta, seed) cases;
+Baselines and resumes run the simulator's one event loop
+(``sim/scheduler.py``'s ``_drain`` over the environment's shared
+:class:`~repro.sim.scheduler.ScheduleTables`); this module adds only the
+baseline snapshots, the divergence bound and the resume.
+``tests/property/test_incremental_properties.py`` holds resume ≡ full
+simulation over randomized (graph, delta, seed) cases;
 ``benchmarks/bench_incremental.py`` publishes the speedup curve
 (``BENCH_incremental.json``) and ``docs/performance.md`` documents the
 contract, the fallback semantics and how to profile the fast path.
@@ -47,21 +46,26 @@ contract, the fallback semantics and how to profile the fast path.
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from repro.graph import CompGraph
 from repro.sim.cluster import ClusterSpec
 from repro.sim.costmodel import CostModel
-from repro.sim.scheduler import ScheduleResult
+from repro.sim.scheduler import (
+    ScheduleResult,
+    ScheduleTables,
+    _drain,
+    _initial_state,
+    _result_from_state,
+    _SimState,
+)
 
 __all__ = [
     "IncrementalEvalConfig",
-    "ScheduleTables",
     "ScheduleBaseline",
     "IncrementalEvaluator",
     "build_baseline",
@@ -100,87 +104,6 @@ class IncrementalEvalConfig:
             raise ValueError("checkpoints must be >= 1")
 
 
-class ScheduleTables:
-    """Graph/cluster/cost invariants lowered to Python-native structures.
-
-    Built once per (graph, cluster, op-time table) and shared by every
-    baseline and resume on that environment. Nested lists beat per-element
-    ndarray indexing by a large constant factor in the event loop, and the
-    values are the *same* float64 objects ``.tolist()`` produces — the
-    arithmetic is bit-identical to the ndarray path.
-    """
-
-    __slots__ = (
-        "n",
-        "num_devices",
-        "op_times",
-        "succ",
-        "pred",
-        "in_degree",
-        "out_bytes",
-        "link_latency",
-        "bandwidth",
-        "step_overhead",
-        "stock_transfer_time",
-    )
-
-    def __init__(
-        self,
-        graph: CompGraph,
-        cluster: ClusterSpec,
-        cost_model: CostModel,
-        op_times: np.ndarray,
-    ):
-        n = graph.num_nodes
-        self.n = n
-        self.num_devices = cluster.num_devices
-        self.op_times: List[List[float]] = np.asarray(op_times, dtype=np.float64).tolist()
-        self.succ: List[List[int]] = [list(graph.successors(i)) for i in range(n)]
-        self.pred: List[List[int]] = [list(graph.predecessors(i)) for i in range(n)]
-        self.in_degree: List[int] = [len(p) for p in self.pred]
-        self.out_bytes: List[float] = [float(node.output_bytes) for node in graph.nodes]
-        self.link_latency = cluster.link_latency
-        # Symmetric effective-bandwidth matrix; resolving link overrides
-        # here keeps per-transfer cost at two list lookups.
-        d = cluster.num_devices
-        self.bandwidth: List[List[float]] = [
-            [cluster.bandwidth_between(a, b) if a != b else 0.0 for b in range(d)]
-            for a in range(d)
-        ]
-        self.step_overhead = cluster.step_overhead
-        #: ``transfer_time`` must match :meth:`CostModel.transfer_time`
-        #: bit for bit; a subclass overriding it invalidates the tables.
-        self.stock_transfer_time = (
-            type(cost_model).transfer_time is CostModel.transfer_time
-        )
-
-    def transfer_time(self, nbytes: float, src: int, dst: int) -> float:
-        # Exactly CostModel.transfer_time's expression (same operation
-        # order, so the same IEEE-754 result).
-        return self.link_latency + 2.0 * nbytes / self.bandwidth[src][dst]
-
-
-@dataclass
-class _Snapshot:
-    """Full simulator state between two processed events (copy-on-resume)."""
-
-    events_done: int
-    finish: List[float]
-    starts: List[float]
-    device_free: List[float]
-    device_busy: List[float]
-    device_ready: List[List[int]]
-    device_running: List[bool]
-    link_free: Dict[Tuple[int, int], float]
-    shipped: Set[Tuple[int, int]]
-    remaining: List[int]
-    comm_time: float
-    comm_bytes: float
-    heap: List[tuple]
-    seq: int
-    consumers_waiting: Dict[Tuple[int, int], List[int]]
-
-
 @dataclass
 class ScheduleBaseline:
     """One anchored placement's traced schedule + resume machinery."""
@@ -189,220 +112,8 @@ class ScheduleBaseline:
     result: ScheduleResult  # what run_step would have returned
     completion_index: List[int]  # op -> processed-event index of completion
     total_events: int
-    snapshots: List[_Snapshot]  # ascending events_done; [0] is initial state
+    snapshots: List[_SimState]  # ascending events_done; [0] is initial state
     tables: ScheduleTables
-
-
-def _drain(
-    state: _Snapshot,
-    tables: ScheduleTables,
-    devices: List[int],
-    snapshot_every: int = 0,
-    completion_index: Optional[List[int]] = None,
-    snapshots: Optional[List[_Snapshot]] = None,
-) -> _Snapshot:
-    """Run the event loop to exhaustion, mutating ``state`` in place.
-
-    This mirrors ``Scheduler.run_step``'s loop statement for statement —
-    same event ordering, same tie-breaking, same float operations in the
-    same order — so a drained state is bit-identical to the full
-    simulator's. With ``snapshot_every > 0`` it also records periodic
-    state snapshots and per-op completion indices (baseline mode).
-    """
-    op_times = tables.op_times
-    succ = tables.succ
-    out_bytes = tables.out_bytes
-    link_latency = tables.link_latency
-    bandwidth = tables.bandwidth
-    finish = state.finish
-    starts = state.starts
-    device_free = state.device_free
-    device_busy = state.device_busy
-    device_ready = state.device_ready
-    device_running = state.device_running
-    link_free = state.link_free
-    shipped = state.shipped
-    remaining = state.remaining
-    events = state.heap
-    seq = state.seq
-    consumers_waiting = state.consumers_waiting
-    comm_time = state.comm_time
-    comm_bytes = state.comm_bytes
-    events_done = state.events_done
-    heappush, heappop = heapq.heappush, heapq.heappop
-
-    while events:
-        if (
-            snapshot_every
-            and events_done
-            and events_done % snapshot_every == 0
-            and snapshots is not None
-        ):
-            state.seq = seq
-            state.comm_time = comm_time
-            state.comm_bytes = comm_bytes
-            state.events_done = events_done
-            snapshots.append(_copy_snapshot(state))
-        now, _, kind, payload = heappop(events)
-        if kind == 0:  # op completed
-            op, dev = payload
-            if completion_index is not None:
-                completion_index[op] = events_done
-            device_running[dev] = False
-            for s in succ[op]:
-                dst = devices[s]
-                if dst == dev:
-                    remaining[s] -= 1
-                    if remaining[s] == 0:
-                        # mark_ready + try_start (inlined)
-                        heappush(device_ready[dst], s)
-                        if not device_running[dst]:
-                            ready_op = heappop(device_ready[dst])
-                            duration = op_times[ready_op][dst]
-                            start = now if now > device_free[dst] else device_free[dst]
-                            end = start + duration
-                            starts[ready_op] = start
-                            finish[ready_op] = end
-                            device_free[dst] = end
-                            device_busy[dst] += duration
-                            device_running[dst] = True
-                            heappush(events, (end, seq, 0, (ready_op, dst)))
-                            seq += 1
-                else:
-                    key = (op, dst)
-                    if key in shipped:
-                        consumers_waiting[key].append(s)
-                    else:
-                        shipped.add(key)
-                        consumers_waiting[key] = [s]
-                        nbytes = out_bytes[op]
-                        link = (dev, dst) if dev < dst else (dst, dev)
-                        duration = link_latency + 2.0 * nbytes / bandwidth[dev][dst]
-                        queued = link_free.get(link, 0.0)
-                        start = now if now > queued else queued
-                        link_free[link] = start + duration
-                        comm_time += duration
-                        comm_bytes += nbytes
-                        heappush(events, (start + duration, seq, 1, key))
-                        seq += 1
-            # try_start on the freed device (inlined). A same-device
-            # successor may have restarted the device inside the loop
-            # above, so the running check is load-bearing.
-            if not device_running[dev] and device_ready[dev]:
-                ready_op = heappop(device_ready[dev])
-                duration = op_times[ready_op][dev]
-                start = now if now > device_free[dev] else device_free[dev]
-                end = start + duration
-                starts[ready_op] = start
-                finish[ready_op] = end
-                device_free[dev] = end
-                device_busy[dev] += duration
-                device_running[dev] = True
-                heappush(events, (end, seq, 0, (ready_op, dev)))
-                seq += 1
-        else:  # tensor arrived on a device
-            for s in consumers_waiting.pop(payload, ()):
-                remaining[s] -= 1
-                if remaining[s] == 0:
-                    dst = devices[s]
-                    heappush(device_ready[dst], s)
-                    if not device_running[dst]:
-                        ready_op = heappop(device_ready[dst])
-                        duration = op_times[ready_op][dst]
-                        start = now if now > device_free[dst] else device_free[dst]
-                        end = start + duration
-                        starts[ready_op] = start
-                        finish[ready_op] = end
-                        device_free[dst] = end
-                        device_busy[dst] += duration
-                        device_running[dst] = True
-                        heappush(events, (end, seq, 0, (ready_op, dst)))
-                        seq += 1
-        events_done += 1
-
-    state.seq = seq
-    state.comm_time = comm_time
-    state.comm_bytes = comm_bytes
-    state.events_done = events_done
-    return state
-
-
-def _initial_state(tables: ScheduleTables, devices: List[int]) -> _Snapshot:
-    """Simulator state after marking source ops ready (pre-event-loop)."""
-    n = tables.n
-    state = _Snapshot(
-        events_done=0,
-        finish=[0.0] * n,
-        starts=[0.0] * n,
-        device_free=[0.0] * tables.num_devices,
-        device_busy=[0.0] * tables.num_devices,
-        device_ready=[[] for _ in range(tables.num_devices)],
-        device_running=[False] * tables.num_devices,
-        link_free={},
-        shipped=set(),
-        remaining=list(tables.in_degree),
-        comm_time=0.0,
-        comm_bytes=0.0,
-        heap=[],
-        seq=0,
-        consumers_waiting={},
-    )
-    op_times = tables.op_times
-    seq = 0
-    for op in range(n):
-        if state.remaining[op] == 0:
-            dev = devices[op]
-            heapq.heappush(state.device_ready[dev], op)
-            if not state.device_running[dev]:
-                ready_op = heapq.heappop(state.device_ready[dev])
-                duration = op_times[ready_op][dev]
-                start = state.device_free[dev]  # now == 0.0
-                if start < 0.0:  # pragma: no cover - times are non-negative
-                    start = 0.0
-                end = start + duration
-                state.starts[ready_op] = start
-                state.finish[ready_op] = end
-                state.device_free[dev] = end
-                state.device_busy[dev] += duration
-                state.device_running[dev] = True
-                heapq.heappush(state.heap, (end, seq, 0, (ready_op, dev)))
-                seq += 1
-    state.seq = seq
-    return state
-
-
-def _copy_snapshot(state: _Snapshot) -> _Snapshot:
-    return _Snapshot(
-        events_done=state.events_done,
-        finish=list(state.finish),
-        starts=list(state.starts),
-        device_free=list(state.device_free),
-        device_busy=list(state.device_busy),
-        device_ready=[list(q) for q in state.device_ready],
-        device_running=list(state.device_running),
-        link_free=dict(state.link_free),
-        shipped=set(state.shipped),
-        remaining=list(state.remaining),
-        comm_time=state.comm_time,
-        comm_bytes=state.comm_bytes,
-        heap=list(state.heap),  # tuples are immutable; a shallow copy suffices
-        seq=state.seq,
-        consumers_waiting={k: list(v) for k, v in state.consumers_waiting.items()},
-    )
-
-
-def _result_from_state(state: _Snapshot, tables: ScheduleTables) -> ScheduleResult:
-    finish = np.array(state.finish, dtype=np.float64)
-    makespan = float(finish.max()) + tables.step_overhead if tables.n else 0.0
-    return ScheduleResult(
-        makespan=makespan,
-        finish_times=finish,
-        device_busy=np.array(state.device_busy, dtype=np.float64),
-        comm_time=float(state.comm_time),
-        comm_bytes=float(state.comm_bytes),
-        start_times=np.array(state.starts, dtype=np.float64),
-        transfers=None,
-    )
 
 
 def _expected_events(tables: ScheduleTables, devices: List[int]) -> int:
@@ -431,7 +142,7 @@ def build_baseline(
     snapshot_every = max(1, -(-total // config.checkpoints))  # ceil division
     completion_index = [0] * tables.n
     state = _initial_state(tables, devices_list)
-    snapshots = [_copy_snapshot(state)]
+    snapshots = [state.copy()]
     _drain(
         state,
         tables,
@@ -514,7 +225,7 @@ def resume_schedule(
     # state *before* processing event index snapshots[k].events_done).
     positions = [s.events_done for s in baseline.snapshots]
     idx = bisect_right(positions, first_div) - 1
-    state = _copy_snapshot(baseline.snapshots[idx])
+    state = baseline.snapshots[idx].copy()
     _drain(state, baseline.tables, new_devices.tolist())
     return _result_from_state(state, baseline.tables)
 
@@ -537,20 +248,20 @@ class IncrementalEvaluator:
         cost_model: CostModel,
         op_times: np.ndarray,
         config: Optional[IncrementalEvalConfig] = None,
+        tables: Optional[ScheduleTables] = None,
     ):
         self.config = config if config is not None else IncrementalEvalConfig()
-        self.tables = ScheduleTables(graph, cluster, cost_model, op_times)
+        # The environment passes the tables its full simulations run on,
+        # so both paths share one lowering of the graph and cost model.
+        self.tables = (
+            tables
+            if tables is not None
+            else ScheduleTables(graph, cluster, cost_model, op_times)
+        )
         self.baseline: Optional[ScheduleBaseline] = None
         self.anchor_makespan: float = float("inf")
         self._pending_anchor: Optional[np.ndarray] = None
-        # Tables are only valid for the stock transfer-time formula; a
-        # custom cost model silently disables the fast path (full
-        # simulation remains correct for it).
-        self._usable = (
-            self.config.enabled
-            and graph.num_nodes >= self.config.min_ops
-            and self.tables.stock_transfer_time
-        )
+        self._usable = self.config.enabled and graph.num_nodes >= self.config.min_ops
 
     @property
     def ready(self) -> bool:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import critical_path
 from repro.graph import CompGraph, OpNode
 from repro.sim import ClusterSpec, Placement, Scheduler, attribute_schedule
 
@@ -99,7 +100,7 @@ def test_attributed_path_dominates_lower_bound(case):
     """The realized critical path (plus overhead) never beats the graph's
     placement-independent critical-path lower bound."""
     g, _, _, attr = attributed(case)
-    lb = SCHED.lower_bound(g, CLUSTER)
+    lb = critical_path(g, CLUSTER)[0] + CLUSTER.step_overhead
     assert attr.critical_path_time + CLUSTER.step_overhead >= lb - 1e-9
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import critical_path
 from repro.graph import CompGraph, OpNode
 from repro.sim import ClusterSpec, MemoryModel, Placement, Scheduler
 from repro.sim.placement import resolve_placement
@@ -57,7 +58,7 @@ def test_makespan_lower_bounds(case):
     res = SCHED.run_step(placement)
     # Makespan dominates the busiest device and the critical-path bound.
     assert res.makespan >= res.device_busy.max() - 1e-12
-    assert res.makespan >= SCHED.lower_bound(g, CLUSTER) - 1e-9
+    assert res.makespan >= critical_path(g, CLUSTER)[0] + CLUSTER.step_overhead - 1e-9
     assert np.all(res.finish_times > 0)
 
 
@@ -123,7 +124,7 @@ def test_run_step_deterministic_and_lower_bounded(case):
     op_times = SCHED.cost_model.op_time_matrix(g, CLUSTER)
     b = SCHED.run_step(Placement(devices.copy(), g, CLUSTER), op_times)
     assert a.makespan == b.makespan
-    assert a.makespan >= SCHED.lower_bound(g, CLUSTER) - 1e-9
+    assert a.makespan >= critical_path(g, CLUSTER)[0] + CLUSTER.step_overhead - 1e-9
 
 
 @given(dag_and_placement(), st.integers(2, 8))
@@ -168,3 +169,40 @@ def test_trace_does_not_change_results(case, num_gpus):
     assert plain.transfers is None
     assert traced.transfers is not None
     assert sum(t.nbytes for t in traced.transfers) == traced.comm_bytes
+
+
+@st.composite
+def chain_and_placement(draw):
+    """A random chain of 1..12 ops, a cluster shape and a placement on it."""
+    cluster = draw(st.sampled_from([ClusterSpec.default(), ClusterSpec.nvlink()]))
+    n = draw(st.integers(1, 12))
+    g = CompGraph("chain")
+    for i in range(n):
+        g.add_node(
+            OpNode(
+                f"op{i}",
+                draw(st.sampled_from(["MatMul", "Conv2D", "ReLU"])),
+                output_shape=(draw(st.integers(1, 512)), draw(st.integers(1, 512))),
+                flops=draw(st.floats(0, 1e10)),
+                activation_bytes=draw(st.floats(0, 1e7)),
+            ),
+            inputs=[f"op{i - 1}"] if i else [],
+        )
+    devices = draw(
+        st.lists(
+            st.integers(0, cluster.num_devices - 1), min_size=n, max_size=n
+        )
+    )
+    return g, cluster, Placement(np.array(devices), g, cluster)
+
+
+@given(chain_and_placement())
+@settings(max_examples=80, deadline=None)
+def test_chain_critical_path_equals_makespan(case):
+    """A chain has no parallelism and no link contention, so its placed
+    critical path *is* the schedule: the longest-path routine and the
+    event loop must charge the same op and transfer times, bit for bit,
+    on every link topology (NVLink overrides included)."""
+    g, cluster, placement = case
+    total, _ = critical_path(g, cluster, placement)
+    assert total + cluster.step_overhead == SCHED.run_step(placement).makespan

@@ -161,7 +161,7 @@ class TestEnvAttribution:
         placement = env.resolve(actions)
         assert attr.makespan == pytest.approx(env.makespan(placement))
         # Utilization definition matches the evaluator's.
-        schedule = env.scheduler.run_step(placement, env._op_times, env._order)
+        schedule = env.scheduler.run_step(placement, env._op_times)
         expected = float(np.mean(schedule.device_busy) / schedule.makespan)
         assert attr.utilization == pytest.approx(expected)
 

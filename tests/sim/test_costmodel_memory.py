@@ -51,8 +51,21 @@ class TestCostModel:
     def test_transfer_counts_both_directions(self):
         cm = CostModel()
         c = ClusterSpec.default()
-        t = cm.transfer_time(c.link_bandwidth, c)  # 1 second of payload
+        t = cm.transfer_time(c.link_bandwidth, c, 0, 1)  # 1 second of payload
         assert t == pytest.approx(c.link_latency + 2.0)
+
+    def test_transfer_table_bitwise_equals_scalar_formula(self):
+        cm = CostModel()
+        c = ClusterSpec.nvlink()
+        nbytes = np.array([n.output_bytes for n in tiny_graph().nodes], dtype=np.float64)
+        table = cm.transfer_time_table(nbytes, c)
+        assert table.shape == (c.num_devices, c.num_devices, len(nbytes))
+        for src in range(c.num_devices):
+            assert not table[src, src].any()
+            for dst in range(c.num_devices):
+                if src != dst:
+                    scalar = [cm.transfer_time(b, c, src, dst) for b in nbytes.tolist()]
+                    assert table[src, dst].tolist() == scalar
 
 
 class TestMemoryModel:

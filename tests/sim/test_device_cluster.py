@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import ClusterSpec, DeviceSpec
+from repro.sim import ClusterSpec, CostModel, DeviceSpec
 from repro.sim.device import GB
 
 
@@ -56,8 +56,9 @@ class TestClusterSpec:
 
     def test_transfer_time_monotone_in_bytes(self):
         c = ClusterSpec.default()
-        assert c.transfer_time(2**20) < c.transfer_time(2**24)
-        assert c.transfer_time(0) == pytest.approx(c.link_latency)
+        cm = CostModel()
+        assert cm.transfer_time(2**20, c, 0, 1) < cm.transfer_time(2**24, c, 0, 1)
+        assert cm.transfer_time(0, c, 0, 1) == pytest.approx(c.link_latency)
 
     def test_custom_gpu_count(self):
         c = ClusterSpec.default(num_gpus=2)

@@ -156,18 +156,43 @@ class TestEvaluator:
         ev.anchor(np.zeros(GRAPH.num_nodes, dtype=np.int64))
         assert not ev.ready
 
-    def test_custom_transfer_time_disables_fast_path(self):
-        """Tables bake in the stock transfer formula; a subclass that
-        overrides it must silently fall back to full simulation."""
+    def test_custom_transfer_time_honoured_by_full_and_incremental(self):
+        """A ``transfer_time`` override reaches both paths through the
+        shared tables: it moves the makespan, and resumes stay
+        bit-identical to full simulation under it."""
 
-        class WeirdCostModel(CostModel):
-            def transfer_time(self, nbytes, cluster, src=None, dst=None):
-                return 42.0
+        class SlowLinkCostModel(CostModel):
+            # Scalar-only on purpose (``max`` of an array raises), so the
+            # transfer table must call it once per entry.
+            def transfer_time(self, nbytes, cluster, src, dst):
+                return max(1e-3, 3.0 * super().transfer_time(nbytes, cluster, src, dst))
 
-        cm = WeirdCostModel()
-        ev = IncrementalEvaluator(GRAPH, CLUSTER, cm, cm.op_time_matrix(GRAPH, CLUSTER))
-        ev.anchor(np.zeros(GRAPH.num_nodes, dtype=np.int64))
-        assert not ev.ready
+        cm = SlowLinkCostModel()
+        op_times = cm.op_time_matrix(GRAPH, CLUSTER)
+        ev = IncrementalEvaluator(GRAPH, CLUSTER, cm, op_times)
+        rng = np.random.default_rng(9)
+        anchor = rng.integers(0, CLUSTER.num_devices, GRAPH.num_nodes)
+        ev.anchor(anchor)
+        assert ev.ready
+        custom = Scheduler(cm)
+        stock = Scheduler().run_step(Placement(anchor, GRAPH, CLUSTER))
+        assert custom.run_step(Placement(anchor, GRAPH, CLUSTER)).makespan > stock.makespan
+        hits = 0
+        for _ in range(20):
+            devices = anchor.copy()
+            devices[rng.integers(1, GRAPH.num_nodes)] = rng.integers(0, CLUSTER.num_devices)
+            res = ev.reschedule(devices)
+            if res is None:
+                continue
+            hits += 1
+            full = custom.run_step(Placement(devices, GRAPH, CLUSTER), op_times)
+            assert res.makespan == full.makespan
+            assert np.array_equal(res.finish_times, full.finish_times)
+            assert np.array_equal(res.start_times, full.start_times)
+            assert np.array_equal(res.device_busy, full.device_busy)
+            assert res.comm_time == full.comm_time
+            assert res.comm_bytes == full.comm_bytes
+        assert hits > 0
 
     def test_maybe_anchor_tracks_improvement(self):
         cm = CostModel()

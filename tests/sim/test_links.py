@@ -46,7 +46,9 @@ class TestLinkOverrides:
         assert nv.makespan < pcie.makespan
 
     def test_transfer_time_without_endpoints_uses_default(self):
+        """A pair with no override pays the default link bandwidth."""
         c = ClusterSpec.nvlink(num_gpus=2)
-        assert c.transfer_time(c.link_bandwidth) == pytest.approx(
-            c.link_latency + 1.0
+        cm = CostModel()
+        assert cm.transfer_time(c.link_bandwidth, c, 0, c.cpu_index) == pytest.approx(
+            c.link_latency + 2.0
         )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graph import CompGraph, OpNode
+from repro.analysis import critical_path
 from repro.sim import ClusterSpec, CostModel, Placement, Scheduler
 from tests.helpers import tiny_graph
 
@@ -77,7 +78,7 @@ class TestScheduler:
     def test_makespan_at_least_critical_path(self, cluster):
         g = tiny_graph()
         sched = Scheduler()
-        lb = sched.lower_bound(g, cluster)
+        lb = critical_path(g, cluster)[0] + cluster.step_overhead
         rng = np.random.default_rng(0)
         for _ in range(20):
             placement = Placement(rng.integers(0, 5, g.num_nodes), g, cluster)
