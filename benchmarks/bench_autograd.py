@@ -1,0 +1,115 @@
+"""Microbenchmark: cost of the Mars agent's autograd passes.
+
+Times the three passes a PPO search runs on the neural side, on full
+Inception-V3 (302 ops) with the ``fast_profile`` agent:
+
+* **forward** — one teacher-forced ``evaluate`` of a 10-sample rollout
+  plus a scalar loss (the tape the update builds);
+* **backward** — ``loss.backward()`` over that tape;
+* **sample** — ``sample(10)`` under ``no_grad`` (a rollout).
+
+It also counts the tape nodes (``Tensor._make`` calls) one ``evaluate``
+builds: the update's cost is interpreter overhead per node, so the count
+is the deterministic proxy the timings follow (docs/performance.md,
+"Autograd cost").
+
+Run it directly; results land in ``benchmarks/BENCH_autograd.json``::
+
+    PYTHONPATH=src python benchmarks/bench_autograd.py
+    PYTHONPATH=src python benchmarks/bench_autograd.py --rounds 3 --json /tmp/a.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+
+import numpy as np
+
+from repro.config import fast_profile
+from repro.core import build_mars_agent
+from repro.nn import Tensor
+from repro.sim import ClusterSpec
+from repro.workloads import get_workload
+
+JSON_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_autograd.json")
+
+
+def count_nodes(agent, internal) -> int:
+    make = Tensor._make
+    count = 0
+
+    def counting_make(*args):
+        nonlocal count
+        count += 1
+        return make(*args)
+
+    Tensor._make = staticmethod(counting_make)
+    try:
+        agent.evaluate(internal)
+    finally:
+        Tensor._make = staticmethod(make)
+    return count
+
+
+def run(args) -> int:
+    graph = get_workload("inception_v3")
+    agent = build_mars_agent(graph, ClusterSpec.default(), fast_profile(seed=0))
+    rollout = agent.sample(10, np.random.default_rng(0))
+    nodes = count_nodes(agent, rollout.internal)
+
+    forward, backward, sample = [], [], []
+    for r in range(args.rounds):
+        t0 = time.perf_counter()
+        logp, entropy = agent.evaluate(rollout.internal)
+        loss = -(logp.mean()) - 0.01 * entropy.mean()
+        t1 = time.perf_counter()
+        agent.zero_grad()
+        loss.backward()
+        t2 = time.perf_counter()
+        agent.sample(10, np.random.default_rng(r))
+        t3 = time.perf_counter()
+        forward.append(t1 - t0)
+        backward.append(t2 - t1)
+        sample.append(t3 - t2)
+
+    doc = {
+        "benchmark": "autograd",
+        "workload": "inception_v3",
+        "ops": graph.num_nodes,
+        "rounds": args.rounds,
+        "nodes_per_pass": nodes,
+        "nodes_per_op": nodes / graph.num_nodes,
+        "forward_median_s": statistics.median(forward),
+        "backward_median_s": statistics.median(backward),
+        "sample10_median_s": statistics.median(sample),
+        "host": {
+            "nproc": len(os.sched_getaffinity(0)),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
+    }
+    for key in ("nodes_per_pass", "nodes_per_op", "forward_median_s",
+                "backward_median_s", "sample10_median_s"):
+        print(f"{key:>20}: {doc[key]:.4g}")
+    with open(args.json, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {args.json}")
+    return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--rounds", type=int, default=11, help="timing repetitions (median)")
+    parser.add_argument("--json", default=JSON_PATH, help="output path for the JSON record")
+    return run(parser.parse_args(argv))
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,11 +11,18 @@ Only the features required by the Mars agent are implemented, but they are
 implemented completely: broadcasting-aware binary ops, matmul (2-D and
 batched), reductions with axis/keepdims, indexing/slicing/gather, shape
 manipulation, and the nonlinearities used by the encoder and placers.
+
+Every tensor takes a creation sequence number. A node's parents exist
+before it does, so creation order is a topological order of the tape:
+:meth:`Tensor.backward` collects the nodes reachable from its root and
+runs their backward closures in reverse creation order.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+import itertools
+from operator import attrgetter
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -24,6 +31,11 @@ ArrayLike = Union[np.ndarray, float, int, "Tensor"]
 _DEFAULT_DTYPE = np.float64
 
 _GRAD_ENABLED = True
+
+# Creation sequence numbers. Only a counter is global: the tape itself is
+# the graph of ``_parents`` links, alive exactly as long as its nodes.
+_next_seq = itertools.count().__next__
+_by_seq = attrgetter("_seq")
 
 
 class no_grad:
@@ -64,6 +76,18 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function without overflow.
+
+    ``1 / (1 + exp(-x))`` where ``x >= 0`` and ``exp(x) / (1 + exp(x))``
+    elsewhere: both branches share ``z = exp(-|x|)``, so the value is
+    computed elementwise, without masked gathers and scatters.
+    """
+    z = np.exp(-np.abs(x))
+    d = 1.0 + z
+    return np.where(x >= 0, 1.0 / d, z / d)
+
+
 class Tensor:
     """A node in the autodiff tape.
 
@@ -77,7 +101,7 @@ class Tensor:
         Whether gradients should flow to this tensor.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "_seq", "name")
 
     def __init__(
         self,
@@ -94,6 +118,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents: Tuple[Tensor, ...] = tuple(_parents)
         self._backward = _backward
+        self._seq = _next_seq()
         self.name = name
 
     # ------------------------------------------------------------------
@@ -153,10 +178,11 @@ class Tensor:
         if grad.shape != self.shape:
             raise ValueError(f"gradient shape {grad.shape} != tensor shape {self.shape}")
 
-        order = _toposort(self)
+        order = _reachable_ops(self)
+        order.sort(key=_by_seq, reverse=True)
         self._accumulate(grad)
         for node in order:
-            if node._backward is not None and node.grad is not None:
+            if node.grad is not None:
                 node._backward(node.grad)
 
     # ------------------------------------------------------------------
@@ -168,11 +194,11 @@ class Tensor:
         parents: Sequence["Tensor"],
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
-        requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
-        if not requires:
-            return Tensor(data)
-        live = tuple(p for p in parents if p.requires_grad or p._parents)
-        return Tensor(data, requires_grad=True, _parents=live, _backward=backward)
+        if _GRAD_ENABLED:
+            live = tuple([p for p in parents if p.requires_grad])
+            if live:
+                return Tensor(data, requires_grad=True, _parents=live, _backward=backward)
+        return Tensor(data)
 
     # ------------------------------------------------------------------
     # Arithmetic
@@ -266,6 +292,11 @@ class Tensor:
                     )
                 elif self.data.ndim == 1:
                     gb = np.multiply.outer(self.data, g)
+                elif other.data.ndim == 2:
+                    # Fold the leading axes into one contraction instead of
+                    # a batched product summed over the batch afterwards.
+                    k = self.data.shape[-1]
+                    gb = self.data.reshape(-1, k).T @ g.reshape(-1, g.shape[-1])
                 else:
                     gb = np.swapaxes(self.data, -1, -2) @ g
                 other._accumulate(_unbroadcast(np.asarray(gb), other.shape))
@@ -306,12 +337,7 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward)
 
     def sigmoid(self) -> "Tensor":
-        # Numerically stable logistic.
-        out_data = np.empty_like(self.data)
-        pos = self.data >= 0
-        out_data[pos] = 1.0 / (1.0 + np.exp(-self.data[pos]))
-        ex = np.exp(self.data[~pos])
-        out_data[~pos] = ex / (1.0 + ex)
+        out_data = stable_sigmoid(self.data)
 
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
@@ -436,11 +462,19 @@ class Tensor:
     def __getitem__(self, index) -> "Tensor":
         out_data = self.data[index]
 
+        basic = _is_basic_index(index)
+
         def backward(g: np.ndarray) -> None:
+            # Scatter straight into this tensor's gradient buffer: no
+            # full-size temporary per slice (a time loop slicing one step
+            # at a time would otherwise cost O(T^2)).
             if self.requires_grad:
-                full = np.zeros_like(self.data)
-                np.add.at(full, index, g)
-                self._accumulate(full)
+                if self.grad is None:
+                    self.grad = np.zeros_like(self.data)
+                if basic:
+                    self.grad[index] += g
+                else:
+                    np.add.at(self.grad, index, g)
 
         return Tensor._make(np.asarray(out_data), (self,), backward)
 
@@ -477,6 +511,12 @@ class Tensor:
         return self.data <= _raw(other)
 
 
+def _is_basic_index(index) -> bool:
+    """True for int/slice indexing, which never selects an element twice."""
+    parts = index if isinstance(index, tuple) else (index,)
+    return all(isinstance(i, (int, np.integer, slice)) for i in parts)
+
+
 def _raw(x: ArrayLike) -> np.ndarray:
     return x.data if isinstance(x, Tensor) else np.asarray(x)
 
@@ -485,26 +525,19 @@ def as_tensor(x: ArrayLike) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _toposort(root: Tensor) -> List[Tensor]:
-    """Tensors reachable from ``root`` in reverse topological order."""
-    order: List[Tensor] = []
-    visited = set()
-    stack: List[Tuple[Tensor, int]] = [(root, 0)]
+def _reachable_ops(root: Tensor) -> List[Tensor]:
+    """Every non-leaf tensor reachable from ``root``, in no particular order."""
+    ops = [root] if root._backward is not None else []
+    seen = {root}
+    stack = [root]
     while stack:
-        node, child_idx = stack.pop()
-        if child_idx == 0:
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-        if child_idx < len(node._parents):
-            stack.append((node, child_idx + 1))
-            child = node._parents[child_idx]
-            if id(child) not in visited:
-                stack.append((child, 0))
-        else:
-            order.append(node)
-    order.reverse()
-    return order
+        for parent in stack.pop()._parents:
+            if parent not in seen:
+                seen.add(parent)
+                if parent._backward is not None:
+                    ops.append(parent)
+                    stack.append(parent)
+    return ops
 
 
 # ----------------------------------------------------------------------

@@ -110,13 +110,14 @@ class SegmentSeq2SeqPlacer(Placer):
             w = self.decoder_cell.w_ih
             enc_gates = mem @ w[: self.hidden_size] + self.decoder_cell.bias  # (s,1,4H)
             w_act = w[self.hidden_size :]
+            keys = self.attention.project_memory(mem)  # once per segment
 
             for t in range(seg.stop - seg.start):
                 act_emb = self.action_embed(prev_action)  # (B, a)
                 gates_x = enc_gates[t] + act_emb @ w_act  # (B, 4H) via broadcast
                 dec_state = self.decoder_cell.step(gates_x, dec_state)
                 h = dec_state[0]
-                ctx = self.attention(mem, h)  # (B, H)
+                ctx = self.attention(mem, h, keys=keys)  # (B, H)
                 logits = self.head(concat([h, ctx], axis=1))  # (B, D)
                 all_logits.append(logits)
                 if actions is None:

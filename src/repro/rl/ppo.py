@@ -83,14 +83,15 @@ class PPOUpdater:
                 ratio = (logp - Tensor(sub.old_logp)).exp()
                 clipped = ratio.clip(1.0 - cfg.clip_ratio, 1.0 + cfg.clip_ratio)
                 surrogate = minimum(ratio * adv, clipped * adv)
-                loss = -(surrogate.mean()) - cfg.entropy_coef * entropy.mean()
+                surrogate_mean = surrogate.mean()
+                loss = -surrogate_mean - cfg.entropy_coef * entropy.mean()
 
                 self.optimizer.zero_grad()
                 loss.backward()
                 norm = clip_grad_norm(self.agent.parameters(), cfg.grad_clip_norm)
                 self.optimizer.step()
 
-                stats.policy_loss += float(-surrogate.mean().item())
+                stats.policy_loss += -float(surrogate_mean.data)
                 stats.entropy += float(entropy.data.mean())
                 stats.clip_fraction += float(
                     np.mean(np.abs(ratio.data - 1.0) > cfg.clip_ratio)

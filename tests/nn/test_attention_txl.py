@@ -44,6 +44,42 @@ class TestBahdanauAttention:
         assert ctx.shape == (9, 6)
 
 
+def composed_attention(att, memory, query):
+    """``BahdanauAttention.forward`` written as a composition of tensor ops."""
+    from repro.nn.functional import softmax
+
+    keys = att.w_memory(memory)
+    scores = (keys + att.w_query(query)).tanh() @ att.v
+    weights = softmax(scores, axis=0)
+    return (memory * weights.reshape(weights.shape[0], weights.shape[1], 1)).sum(axis=0)
+
+
+class TestFusedAttention:
+    """The fused step against the composed reference: the same forward
+    bits, gradients equal up to summation order."""
+
+    @pytest.mark.parametrize("mem_batch,query_batch", [(1, 6), (6, 6), (6, 1), (1, 1)])
+    def test_matches_composed_reference(self, mem_batch, query_batch):
+        att = BahdanauAttention(5, 4, 3, rng=5)
+        mem0 = rng.standard_normal((7, mem_batch, 5))
+        q0 = rng.standard_normal((query_batch, 4)) * 3.0
+        r = rng.standard_normal((max(mem_batch, query_batch), 5))
+        results = []
+        for attend in (lambda m, q: att(m, q), lambda m, q: composed_attention(att, m, q)):
+            memory = Tensor(mem0, requires_grad=True)
+            query = Tensor(q0, requires_grad=True)
+            att.zero_grad()
+            ctx = attend(memory, query)
+            (ctx * r).sum().backward()
+            grads = [memory.grad, query.grad] + [p.grad for p in att.parameters()]
+            results.append((ctx.data, grads))
+        (ctx_a, grads_a), (ctx_b, grads_b) = results
+        assert np.array_equal(ctx_a, ctx_b)
+        for a, b in zip(grads_a, grads_b):
+            assert a.shape == b.shape
+            assert np.allclose(a, b, rtol=1e-10, atol=1e-14)
+
+
 class TestEmbedding:
     def test_lookup(self):
         emb = Embedding(10, 4, rng=0)

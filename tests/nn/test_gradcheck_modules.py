@@ -122,6 +122,76 @@ class TestRecurrent:
         check_gradient(f, rng.standard_normal((3, 1, 2)), tol=1e-4)
 
 
+def check_input_gradients(loss_fn, arrays, tol=1e-5):
+    """Numerical-vs-autodiff gradient of ``loss_fn(*tensors)`` w.r.t. every input."""
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    loss_fn(*leaves).backward()
+    for k, (leaf, a) in enumerate(zip(leaves, arrays)):
+        assert leaf.grad is not None, f"no gradient reached input {k}"
+
+        def f(x, k=k):
+            args = [Tensor(b) for b in arrays]
+            args[k] = x
+            return loss_fn(*args)
+
+        err = np.abs(numerical_gradient(f, a) - leaf.grad).max()
+        assert err < tol, f"input {k} gradient mismatch: {err}"
+
+
+class TestFusedLSTMStep:
+    """``LSTMCell.step`` on the shapes the placer feeds it: a batch-1
+    state against batch-B gates (the first decoder step fans one encoder
+    state out to B samples), and losses on ``h`` only, ``c`` only, or both."""
+
+    B, H = 3, 2
+    LOSSES = {
+        "h": lambda h, c, rh, rc: (h * rh).sum(),
+        "c": lambda h, c, rh, rc: (c * rc).sum(),
+        "both": lambda h, c, rh, rc: (h * rh).sum() + (c * c * rc).sum(),
+    }
+
+    def _case(self, state_batch):
+        cell = LSTMCell(1, self.H, rng=20)
+        gates = rng.standard_normal((self.B, 4 * self.H))
+        h = rng.standard_normal((state_batch, self.H))
+        c = rng.standard_normal((state_batch, self.H))
+        rh, rc = rng.standard_normal((2, self.B, self.H))
+        return cell, gates, h, c, rh, rc
+
+    @pytest.mark.parametrize("target", list(LOSSES))
+    @pytest.mark.parametrize("state_batch", [1, B])
+    def test_input_and_state_grads(self, target, state_batch):
+        cell, gates, h, c, rh, rc = self._case(state_batch)
+        loss = self.LOSSES[target]
+        check_input_gradients(
+            lambda gx, h0, c0: loss(*cell.step(gx, (h0, c0)), rh, rc), [gates, h, c]
+        )
+
+    @pytest.mark.parametrize("target", list(LOSSES))
+    @pytest.mark.parametrize("state_batch", [1, B])
+    def test_w_hh_grad(self, target, state_batch):
+        cell, gates, h, c, rh, rc = self._case(state_batch)
+        loss = self.LOSSES[target]
+        state = (Tensor(h), Tensor(c))
+        check_param_gradient(
+            cell, cell.w_hh, lambda: loss(*cell.step(Tensor(gates), state), rh, rc)
+        )
+
+    def test_two_steps_chain_h_and_c(self):
+        """The second step consumes both outputs of the first."""
+        cell = LSTMCell(2, 3, rng=21)
+        x = rng.standard_normal((2, 3, 2))
+        h = rng.standard_normal((1, 3))
+        c = rng.standard_normal((1, 3))
+
+        def loss(x, h0, c0):
+            state = cell(x[0], (h0, c0))
+            h2, c2 = cell(x[1], state)
+            return (h2 * h2).sum() + c2.sum()
+
+        check_input_gradients(loss, [x, h, c])
+
+
 class TestAttention:
     def test_attention_memory_grad(self):
         att = BahdanauAttention(3, 2, 4, rng=7)
@@ -138,6 +208,56 @@ class TestAttention:
         mem = Tensor(rng.standard_normal((4, 1, 3)))
         q = Tensor(rng.standard_normal((1, 2)))
         check_param_gradient(att, att.v, lambda: (att(mem, q) ** 2).sum())
+
+
+    def _batched_case(self):
+        """Batch-1 memory against a batch-B query, as in the placer decoder."""
+        att = BahdanauAttention(3, 2, 4, rng=17)
+        mem = rng.standard_normal((4, 1, 3))
+        q = rng.standard_normal((5, 2))
+        r = rng.standard_normal((5, 3))
+        return att, mem, q, r
+
+    def test_batch1_memory_batched_query_input_grads(self):
+        att, mem, q, r = self._batched_case()
+        check_input_gradients(lambda m, q: (att(m, q) * r).sum(), [mem, q])
+
+    def test_precomputed_keys_input_grads(self):
+        att, mem, q, r = self._batched_case()
+        check_input_gradients(
+            lambda m, q: (att(m, q, keys=att.project_memory(m)) * r).sum(), [mem, q]
+        )
+
+    @pytest.mark.parametrize("param", ["w_query.weight", "w_query.bias", "v", "w_memory.weight"])
+    @pytest.mark.parametrize("precomputed", [False, True])
+    def test_batched_param_grads(self, param, precomputed):
+        att, mem, q, r = self._batched_case()
+        mem, q = Tensor(mem), Tensor(q)
+        p = dict(att.named_parameters())[param]
+
+        def loss():
+            keys = att.project_memory(mem) if precomputed else None
+            return (att(mem, q, keys=keys) * r).sum()
+
+        check_param_gradient(att, p, loss)
+
+    def test_precomputed_keys_match_computed(self):
+        """Same context bits and same gradients, keys given or not."""
+        att, mem, q, r = self._batched_case()
+        results = []
+        for precomputed in (False, True):
+            m = Tensor(mem, requires_grad=True)
+            query = Tensor(q, requires_grad=True)
+            att.zero_grad()
+            keys = att.project_memory(m) if precomputed else None
+            ctx = att(m, query, keys=keys)
+            (ctx * r).sum().backward()
+            grads = [m.grad, query.grad] + [p.grad for p in att.parameters()]
+            results.append((ctx.data, grads))
+        (ctx_a, grads_a), (ctx_b, grads_b) = results
+        assert np.array_equal(ctx_a, ctx_b)
+        for ga, gb in zip(grads_a, grads_b):
+            assert np.array_equal(ga, gb)
 
 
 class TestGraphEncoders:

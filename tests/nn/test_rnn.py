@@ -46,6 +46,88 @@ class TestLSTMCell:
         assert h.shape == (5, 4)
 
 
+def composed_step(cell, gates_x, state):
+    """``LSTMCell.step`` written as a composition of tensor ops."""
+    h, c = state
+    gates = gates_x + h @ cell.w_hh
+    hs = cell.hidden_size
+    i = gates[:, 0 * hs : 1 * hs].sigmoid()
+    f = gates[:, 1 * hs : 2 * hs].sigmoid()
+    g = gates[:, 2 * hs : 3 * hs].tanh()
+    o = gates[:, 3 * hs : 4 * hs].sigmoid()
+    c_new = f * c + i * g
+    return o * c_new.tanh(), c_new
+
+
+class TestFusedStep:
+    """The fused step against the composed reference: the same forward bits,
+    gradients equal up to summation order."""
+
+    B, H = 4, 5
+
+    def _run(self, step, cell, arrays, target):
+        gates, h0, c0, rh, rc = arrays
+        leaves = [Tensor(a, requires_grad=True) for a in (gates, h0, c0)]
+        cell.zero_grad()
+        h, c = step(cell, leaves[0], (leaves[1], leaves[2]))
+        loss = {
+            "h": lambda: (h * rh).sum(),
+            "c": lambda: (c * rc).sum(),
+            "both": lambda: (h * rh).sum() + (c * rc).sum(),
+        }[target]()
+        loss.backward()
+        grads = [t.grad for t in leaves] + [cell.w_hh.grad]
+        return (h.data, c.data), grads
+
+    @pytest.mark.parametrize("target", ["h", "c", "both"])
+    @pytest.mark.parametrize("state_batch", [1, B])
+    def test_matches_composed_reference(self, target, state_batch):
+        cell = LSTMCell(3, self.H, rng=7)
+        arrays = (
+            rng.standard_normal((self.B, 4 * self.H)) * 3.0,  # both sigmoid branches
+            rng.standard_normal((state_batch, self.H)),
+            rng.standard_normal((state_batch, self.H)),
+            rng.standard_normal((self.B, self.H)),
+            rng.standard_normal((self.B, self.H)),
+        )
+        fused_out, fused_grads = self._run(LSTMCell.step, cell, arrays, target)
+        ref_out, ref_grads = self._run(composed_step, cell, arrays, target)
+        for a, b in zip(fused_out, ref_out):
+            assert np.array_equal(a, b)
+        for a, b in zip(fused_grads, ref_grads):
+            assert a.shape == b.shape
+            assert np.allclose(a, b, rtol=1e-10, atol=1e-14)
+
+    def test_two_nodes_per_step(self):
+        cell = LSTMCell(3, self.H, rng=8)
+        gx = Tensor(rng.standard_normal((2, 4 * self.H)), requires_grad=True)
+        h, c = cell.step(gx, cell.init_state(2))
+        assert h._parents == (c,)
+        assert c._parents == (gx, cell.w_hh)
+
+    def test_sequence_matches_composed_reference(self):
+        """A whole LSTM over time, both outputs feeding the next step."""
+        lstm = LSTM(3, 4, rng=9)
+        x0 = rng.standard_normal((6, 2, 3))
+        results = []
+        for step in (LSTMCell.step, composed_step):
+            x = Tensor(x0, requires_grad=True)
+            lstm.zero_grad()
+            gates_x = x @ lstm.cell.w_ih + lstm.cell.bias
+            state = lstm.cell.init_state(2)
+            outs = []
+            for t in range(x0.shape[0]):
+                state = step(lstm.cell, gates_x[t], state)
+                outs.append(state[0])
+            loss = sum((o * o).sum() for o in outs) + state[1].sum()
+            loss.backward()
+            results.append((loss.data, [x.grad] + [p.grad for p in lstm.parameters()]))
+        (loss_a, grads_a), (loss_b, grads_b) = results
+        assert loss_a == loss_b
+        for a, b in zip(grads_a, grads_b):
+            assert np.allclose(a, b, rtol=1e-10, atol=1e-14)
+
+
 class TestLSTM:
     def test_output_shapes(self):
         lstm = LSTM(4, 6, rng=0)

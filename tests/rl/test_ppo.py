@@ -96,6 +96,36 @@ class TestPPOUpdater:
         assert stats.grad_norm > 1e-9
 
 
+    def test_policy_loss_stat_builds_no_nodes_after_backward(self, monkeypatch):
+        """The reported loss reads the surrogate's value; nothing is added
+        to the tape once ``backward`` has run."""
+        agent = BanditAgent(3)
+        updater = PPOUpdater(agent, PPOConfig(epochs=1, minibatches=1), seed=0)
+        rollout, adv = make_batch(agent, np.random.default_rng(5), lambda a: float(a))
+        events = []
+        make, backward = Tensor._make, Tensor.backward
+
+        def counting_make(*args):
+            events.append("make")
+            return make(*args)
+
+        def logging_backward(self, *args):
+            events.append("backward")
+            return backward(self, *args)
+
+        monkeypatch.setattr(Tensor, "_make", staticmethod(counting_make))
+        monkeypatch.setattr(Tensor, "backward", logging_backward)
+        logp, _ = agent.evaluate(rollout.internal)
+        ratio = np.exp(logp.data - rollout.old_logp)
+        clipped = np.clip(ratio, 0.8, 1.2)
+        expected = -np.minimum(ratio * adv[:, None], clipped * adv[:, None]).mean()
+        events.clear()
+        stats = updater.update(rollout, adv)
+        assert events.count("backward") == 1
+        assert events[-1] == "backward"
+        assert stats.policy_loss == pytest.approx(expected, rel=1e-12)
+
+
 class TestReinforce:
     def test_policy_improves(self):
         agent = BanditAgent(4)

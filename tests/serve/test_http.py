@@ -1,6 +1,9 @@
 """End-to-end tests over the HTTP endpoint (real sockets, loopback)."""
 
+import http.client
 import json
+import socket
+import time
 import urllib.error
 import urllib.request
 
@@ -8,6 +11,7 @@ import pytest
 
 from repro.graph import graph_to_dict
 from repro.serve import PlacementServer, PlacementService, PolicyRegistry
+from repro.serve.http import _Handler
 from tests.helpers import tiny_graph
 
 
@@ -37,6 +41,37 @@ def post(server, path, doc):
             return resp.status, json.loads(resp.read())
     except urllib.error.HTTPError as exc:
         return exc.code, json.loads(exc.read())
+
+
+class TestKeepAlive:
+    def test_served_connection_sets_tcp_nodelay(self, server, monkeypatch):
+        seen = []
+        setup = _Handler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            seen.append(handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+        monkeypatch.setattr(_Handler, "setup", recording_setup)
+        get(server, "/healthz")
+        assert seen and all(seen)
+
+    def test_sequential_requests_on_one_connection_do_not_stall(self, server):
+        """Nagle plus the client's delayed ACK would hold every response
+        after the first on a keep-alive connection for ~40 ms."""
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+        try:
+            times = []
+            for _ in range(5):
+                t0 = time.perf_counter()
+                conn.request("GET", "/healthz")
+                resp = conn.getresponse()
+                resp.read()
+                times.append(time.perf_counter() - t0)
+                assert resp.status == 200
+        finally:
+            conn.close()
+        assert min(times[1:]) < 0.030, times
 
 
 class TestRoutes:
