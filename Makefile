@@ -1,9 +1,9 @@
-.PHONY: install test lint-docs lint-defaults bench bench-smoke report-smoke serve-smoke resume-smoke distrib-smoke experiments examples clean
+.PHONY: install test lint-docs lint-defaults bench bench-smoke report-smoke serve-smoke resume-smoke distrib-smoke e2e-smoke experiments examples clean
 
 install:
 	pip install -e .
 
-test: lint-docs lint-defaults bench-smoke report-smoke serve-smoke resume-smoke distrib-smoke
+test: lint-docs lint-defaults bench-smoke report-smoke serve-smoke resume-smoke distrib-smoke e2e-smoke
 	pytest tests/
 
 lint-docs:
@@ -18,12 +18,10 @@ lint-defaults:
 bench:
 	pytest benchmarks/ --benchmark-only
 
-# Exercise the parallel evaluate_batch path on a tiny graph (no timings)
-# and the incremental resume path on a real workload: proves pool ==
-# serial and resume == full simulation on every `make test`
-# (docs/performance.md).
+# Exercise the incremental resume path on a real workload (proves
+# resume == full simulation) and the other benches' code paths, with
+# no timings, on every `make test` (docs/performance.md).
 bench-smoke:
-	PYTHONPATH=src python benchmarks/bench_batch_eval.py --smoke
 	PYTHONPATH=src python benchmarks/bench_incremental.py --smoke
 	PYTHONPATH=src python benchmarks/bench_telemetry.py --smoke
 	PYTHONPATH=src python benchmarks/bench_distributed.py --smoke
@@ -53,6 +51,12 @@ serve-smoke:
 # `make test` (docs/architecture.md, "Distributed training").
 distrib-smoke:
 	PYTHONPATH=src python tools/distrib_smoke.py
+
+# The end-to-end benchmark's own tests: tiny runs of every workload
+# through the env/config surface it calls, so a change to that surface
+# fails `make test` rather than the benchmark run (~60 s).
+e2e-smoke:
+	PYTHONPATH=src python -m pytest benchmarks/e2e/test_e2e.py -q
 
 experiments:
 	python -m repro.experiments.runner all --cache-dir benchmarks/.mars_cache

@@ -22,12 +22,14 @@ claim in docs/serving.md §4. Two entry points:
 
 import json
 import os
+import platform
 import statistics
 import sys
 import tempfile
 import threading
 import time
 
+import numpy as np
 import pytest
 
 JSON_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_serve.json")
@@ -332,6 +334,11 @@ def main(argv=None) -> int:
         "budget": int(args.budget),
         "paths": results,
         "duplicate_heavy": duplicate_heavy,
+        "host": {
+            "nproc": len(os.sched_getaffinity(0)),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
     }
     with open(args.json, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

@@ -157,11 +157,8 @@ class MarsConfig:
     # placement-rate spike). ``action`` picks log/warn/halt; the runner
     # exposes it as ``--health``/``--no-health``.
     health: HealthConfig = field(default_factory=HealthConfig)
-    # Batched placement evaluation (docs/architecture.md §2): how
-    # ``PlacementEnv.evaluate_batch`` spreads a rollout's measurements
-    # over workers, and the bound on the environment's result cache.
-    # The default is cpu-count-aware with a deterministic serial
-    # fallback, so seeded runs reproduce on any machine.
+    # Placement evaluation (docs/architecture.md §2): the bound on the
+    # environment's result cache.
     eval_batch: BatchEvalConfig = field(default_factory=BatchEvalConfig)
     # Incremental makespan re-evaluation (docs/performance.md): resume
     # near-anchor placements from the anchored baseline's snapshots

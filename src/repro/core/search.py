@@ -285,8 +285,6 @@ def optimize_placement(
                 else:
                     final = env.final_run(history.best_placement)
     finally:
-        if env is not None:
-            env.close_pool()  # evaluation workers; restarts lazily if reused
         if owned is not None:
             owned.close()
     return OptimizationResult(

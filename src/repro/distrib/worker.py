@@ -37,7 +37,6 @@ import numpy as np
 from repro.config import MarsConfig
 from repro.distrib.messages import SampleBatch
 from repro.graph import CompGraph
-from repro.sim.batch import BatchEvalConfig
 from repro.sim.cluster import ClusterSpec
 from repro.sim.env import PlacementEnv
 from repro.sim.measurement import MeasurementProtocol
@@ -81,12 +80,6 @@ class WorkerSpec:
     #: file-backed telemetry session under ``<run_dir>/workers/``.
     run_dir: Optional[str] = None
 
-    def worker_env_config(self) -> BatchEvalConfig:
-        """The worker's env always evaluates serially: workers are
-        daemonic (so they cannot fork a nested pool), and the
-        parallelism budget already went to the workers themselves."""
-        return replace(self.config.eval_batch, mode="serial")
-
 
 def _build_worker(spec: WorkerSpec):
     """Build the worker's (agent, env, rng) triple."""
@@ -99,7 +92,7 @@ def _build_worker(spec: WorkerSpec):
         spec.graph,
         spec.cluster,
         protocol=spec.protocol,
-        batch=spec.worker_env_config(),
+        batch=spec.config.eval_batch,
         incremental=spec.config.incremental,
     )
     seed_seq = spawn_seeds(
@@ -168,7 +161,7 @@ def worker_main(spec: WorkerSpec, store, sample_queue, shutdown, heartbeat) -> N
                 rollout = agent.sample(spec.samples_per_batch, rng)
                 env_clock0 = env.stats.wall_clock
                 # Placement by placement (identical results to
-                # evaluate_batch on the serial path) so shutdown is
+                # evaluate_batch) so shutdown is
                 # noticed within one measurement, not one rollout — on a
                 # real testbed a rollout is minutes of measurement
                 # latency, and stop() must not wait it out.

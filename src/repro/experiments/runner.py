@@ -128,19 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
         "RUN_DIR (implies --snapshot-dir RUN_DIR)",
     )
     parser.add_argument(
-        "--eval-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="placement-evaluation pool size (default: cpu-count-aware; "
-        "results are identical at any worker count)",
-    )
-    parser.add_argument(
-        "--serial-eval",
-        action="store_true",
-        help="force the deterministic serial evaluation path (no pool)",
-    )
-    parser.add_argument(
         "--workers",
         type=int,
         default=None,
@@ -185,17 +172,6 @@ def main(argv=None) -> int:
         config = replace(config, distrib=replace(config.distrib, workers=0))
     elif args.workers is not None:
         config = replace(config, distrib=replace(config.distrib, workers=args.workers))
-    if args.serial_eval:
-        config = replace(config, eval_batch=replace(config.eval_batch, mode="serial"))
-    elif args.eval_workers is not None:
-        config = replace(
-            config,
-            eval_batch=replace(
-                config.eval_batch,
-                max_workers=args.eval_workers,
-                mode="process" if args.eval_workers > 1 else "serial",
-            ),
-        )
     snapshot_dir = args.resume or args.snapshot_dir
     if args.snapshot_every is not None:
         config = replace(

@@ -273,14 +273,12 @@ class JointTrainer:
             it_index = len(history.records)
             iter_wall_start = time.perf_counter()
             # One span per policy iteration: inside a traced run (the
-            # search.optimize root), env.evaluate_batch and its worker spans
-            # nest under it; otherwise this is the shared no-op.
+            # search.optimize root), the env.evaluate_batch span nests
+            # under it; otherwise this is the shared no-op.
             with span("trainer.iteration", telemetry=tel, iteration=it_index):
                 with tel.profile_section("train.sample"):
                     rollout = self.agent.sample(cfg.samples_per_policy, self.rng)
                 with tel.profile_section("train.evaluate"):
-                    # Batched: dedupe against the result cache, then fan unique
-                    # placements across the evaluation pool (sim/batch.py).
                     results = self.env.evaluate_batch(rollout.placements)
                 runtimes = [res.per_step_time for res in results]
                 _, advantages = self.tracker.compute(runtimes)

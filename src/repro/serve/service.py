@@ -43,7 +43,6 @@ from repro.graph import CompGraph, graph_from_dict
 from repro.serve.cache import FingerprintCache
 from repro.serve.coalesce import Flight, SingleFlight
 from repro.serve.registry import LoadedPolicy, PolicyRegistry, PolicySpec
-from repro.sim.batch import BatchEvalConfig
 from repro.sim.cluster import ClusterSpec
 from repro.sim.env import PlacementEnv
 from repro.sim.incremental import IncrementalEvalConfig
@@ -217,15 +216,11 @@ class PlacementService:
         config: Optional[ServeConfig] = None,
         telemetry: Optional[Telemetry] = None,
         health: Optional[HealthConfig] = None,
-        eval_batch: Optional[BatchEvalConfig] = None,
         incremental: Optional[IncrementalEvalConfig] = None,
     ):
         self.registry = registry
         self.config = config or ServeConfig()
         self._telemetry = telemetry
-        # Serving envs default to the serial evaluator: refinement batches
-        # are small and a process pool per cached env would dominate cost.
-        self.eval_batch = eval_batch or BatchEvalConfig(mode="serial")
         # Incremental re-evaluation for the refinement batches: each
         # request anchors its greedy decode, so sampled candidates that
         # stay near it resume instead of resimulating (docs/performance.md).
@@ -243,8 +238,8 @@ class PlacementService:
         self._envs: Dict[str, PlacementEnv] = {}
         self._env_order: List[str] = []
         # Per-key build locks so two threads missing the same env key never
-        # both construct a PlacementEnv (the loser's env — and its eval
-        # pool — would be dropped without close_pool()).
+        # both construct a PlacementEnv (the loser's would be built for
+        # nothing).
         self._env_builds: Dict[str, threading.Lock] = {}
         # In-flight table: identical concurrent requests coalesce to one
         # computation (docs/serving.md §4). Keyed like the result cache.
@@ -373,8 +368,7 @@ class PlacementService:
                 return env
             build_lock = self._env_builds.setdefault(key, threading.Lock())
         # Serialize construction per key: concurrent requests missing the
-        # same env wait for one build instead of each building their own
-        # (and leaking the losers' eval pools).
+        # same env wait for one build instead of each building their own.
         with build_lock:
             with self._lock:
                 env = self._envs.get(key)
@@ -388,7 +382,6 @@ class PlacementService:
             env = PlacementEnv(
                 graph,
                 cluster,
-                batch=self.eval_batch,
                 incremental=self.incremental,
                 telemetry=self._telemetry,
             )
@@ -714,7 +707,7 @@ class PlacementService:
         return warmed
 
     def close(self) -> None:
-        """Release cached environments' worker pools."""
+        """Drop the cached environments, calling each one's release hook."""
         with self._lock:
             envs, self._envs, self._env_order = self._envs, {}, []
         for env in envs.values():

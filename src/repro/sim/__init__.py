@@ -26,7 +26,7 @@ from repro.sim.attribution import (
     coalesce_intervals,
 )
 from repro.sim.measurement import MeasurementProtocol, MeasurementResult
-from repro.sim.batch import BatchEvalConfig, BatchEvaluator, EvalOutcome, PureEvaluator
+from repro.sim.batch import BatchEvalConfig, EvalOutcome, PureEvaluator
 from repro.sim.incremental import (
     IncrementalEvalConfig,
     IncrementalEvaluator,
@@ -43,7 +43,6 @@ __all__ = [
     "coalesce_intervals",
     "TransferRecord",
     "BatchEvalConfig",
-    "BatchEvaluator",
     "EvalOutcome",
     "PureEvaluator",
     "IncrementalEvalConfig",

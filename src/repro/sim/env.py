@@ -5,11 +5,10 @@ measurement protocol behind the calls an agent needs:
 
 * :meth:`PlacementEnv.evaluate` — measure a proposed placement (with
   caching, OOM handling and wall-clock accounting),
-* :meth:`PlacementEnv.evaluate_batch` — measure a whole rollout at once:
-  the batch is deduped against the result cache first, and the remaining
-  unique placements fan out across a worker pool (``sim/batch.py``) with
-  a deterministic serial fallback — results are bit-identical to a
-  sequential loop of ``evaluate`` calls in every mode, and
+* :meth:`PlacementEnv.evaluate_batch` — measure a whole rollout: an
+  ordered loop over the same per-placement body as ``evaluate``, under
+  one span and with batch-level metrics, so it equals a sequential loop
+  of ``evaluate`` calls by construction, and
 * :meth:`PlacementEnv.final_run` — the 1000-step evaluation of the best
   placement reported in the paper's tables.
 
@@ -21,14 +20,14 @@ real machine), so long searches hold a fixed amount of memory.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.graph import CompGraph
 from repro.sim.attribution import PlacementAttribution, attribute_schedule
-from repro.sim.batch import BatchEvalConfig, BatchEvaluator, EvalOutcome, PureEvaluator
+from repro.sim.batch import BatchEvalConfig, EvalOutcome, PureEvaluator
 from repro.sim.cluster import ClusterSpec
 from repro.sim.costmodel import CostModel
 from repro.sim.incremental import IncrementalEvalConfig, IncrementalEvaluator
@@ -36,7 +35,7 @@ from repro.sim.measurement import MeasurementProtocol, MeasurementResult
 from repro.sim.memory import MemoryModel
 from repro.sim.placement import Placement, resolve_placement
 from repro.telemetry import Telemetry, get_telemetry
-from repro.telemetry.tracing import record_span, span
+from repro.telemetry.tracing import span
 
 
 @dataclass
@@ -55,10 +54,6 @@ class EnvStats:
     #: path pays off.
     incremental_hits: int = 0
     incremental_fallbacks: int = 0
-    #: Batches whose evaluation pool broke mid-compute (a worker died)
-    #: and were finished on the serial path — results are identical, this
-    #: only measures pool robustness events (sim/batch.py).
-    eval_pool_failures: int = 0
 
 
 class PlacementEnv:
@@ -73,7 +68,6 @@ class PlacementEnv:
         protocol: Optional[MeasurementProtocol] = None,
         telemetry: Optional[Telemetry] = None,
         batch: Optional[BatchEvalConfig] = None,
-        cache_capacity: Optional[int] = None,
         incremental: Optional[IncrementalEvalConfig] = None,
     ):
         self.graph = graph
@@ -83,10 +77,7 @@ class PlacementEnv:
         self.memory_model = memory_model or MemoryModel()
         self.protocol = protocol or MeasurementProtocol()
         self.stats = EnvStats()
-        self.batch_config = batch or BatchEvalConfig()
         # Precompute invariants; evaluating a placement is then O(V + E).
-        # The pure evaluator owns them so pool workers share the same code
-        # path (and the same precomputed arrays) as the serial one.
         self._evaluator = PureEvaluator.build(
             self.graph, self.cluster, self.cost_model, self.memory_model, self.protocol
         )
@@ -95,10 +86,8 @@ class PlacementEnv:
         self._tables = self._evaluator.tables
         self._mem_per_op = self._evaluator.mem_per_op
         self._capacity = self._evaluator.capacity
-        self._batcher = BatchEvaluator(self._evaluator, self.batch_config)
         # Incremental re-evaluation state: anchored to the best valid
         # placement seen (or an explicit anchor from a refinement loop).
-        # Strictly local — pool workers always run the full simulator.
         self.incremental_config = (
             incremental if incremental is not None else IncrementalEvalConfig()
         )
@@ -112,11 +101,7 @@ class PlacementEnv:
         )
         # Bounded LRU result cache: one entry per unique placement, capped
         # so long searches hold constant memory (<=0 means unbounded).
-        cap = (
-            cache_capacity
-            if cache_capacity is not None
-            else self.batch_config.cache_capacity
-        )
+        cap = (batch or BatchEvalConfig()).cache_capacity
         self._cache_capacity = int(cap) if cap and cap > 0 else 0
         self._cache: "OrderedDict[bytes, MeasurementResult]" = OrderedDict()
 
@@ -178,8 +163,14 @@ class PlacementEnv:
         return attr
 
     def close_pool(self) -> None:
-        """Shut down the evaluation worker pool (it restarts lazily)."""
-        self._batcher.shutdown()
+        """Release hook for an environment that is being dropped.
+
+        Evaluation holds no pool or other external resource, so this does
+        nothing. It stays as the one place owners call when they let go
+        of an env: the serving layer calls it on env-cache eviction and
+        shutdown, and the end-to-end benchmark hooks it there to collect
+        each env's stats.
+        """
 
     # ------------------------------------------------------------------
     # Run-state snapshots (core/runstate.py)
@@ -212,7 +203,6 @@ class PlacementEnv:
                 "wall_clock": float(self.stats.wall_clock),
                 "incremental_hits": int(self.stats.incremental_hits),
                 "incremental_fallbacks": int(self.stats.incremental_fallbacks),
-                "eval_pool_failures": int(self.stats.eval_pool_failures),
             },
             "incremental": self._incremental.state_dict(),
             "cache": {
@@ -238,7 +228,6 @@ class PlacementEnv:
             # existed — they resume with zeroed counters and no anchor.
             incremental_hits=int(stats.get("incremental_hits", 0)),
             incremental_fallbacks=int(stats.get("incremental_fallbacks", 0)),
-            eval_pool_failures=int(stats.get("eval_pool_failures", 0)),
         )
         if "incremental" in state:
             self._incremental.load_state_dict(state["incremental"])
@@ -385,134 +374,48 @@ class PlacementEnv:
         # the shared no-op and this costs two attribute checks.
         with span("env.evaluate", telemetry=tel):
             placement = self.resolve(actions)
-            key = placement.devices.tobytes()
-            cached = self._cache_get(key)
-            if cached is not None:
-                self._record_cache_hit(cached, tel)
-                return cached
-            inc = self._incremental if self._incremental.ready else None
-            outcome = self._evaluator.compute(
-                placement.devices, hash(placement), incremental=inc
-            )
-            self._record_outcome(key, outcome, tel)
-            return outcome.result
-
-    def _apply_compute(
-        self, placement: Placement, pool_outcome: Optional[EvalOutcome]
-    ) -> EvalOutcome:
-        """Outcome for one uncached batch entry, exactly as a sequential
-        ``evaluate`` would have produced it at this point in the apply
-        replay: same incremental hit/fallback decision against the
-        *current* anchor (which earlier entries may have moved). A pool
-        outcome, when available, supplies the numbers — they are
-        bit-identical to the local paths — and only the ``incremental``
-        classification is filled in."""
-        inc = self._incremental if self._incremental.ready else None
-        if pool_outcome is None:
-            return self._evaluator.compute(
-                placement.devices, hash(placement), incremental=inc
-            )
-        if inc is None or not pool_outcome.result.valid:
-            return pool_outcome
-        return replace(pool_outcome, incremental=inc.would_resume(placement.devices))
+            return self._measure(placement, placement.devices.tobytes(), tel)
 
     def evaluate_batch(self, actions_batch: Sequence[Sequence[int]]) -> List[MeasurementResult]:
-        """Measure a batch of placements; equivalent to — but faster than —
-        ``[self.evaluate(a) for a in actions_batch]``.
-
-        Three phases:
-
-        1. **Dedupe.** Resolve every placement and drop batch entries whose
-           key is already cached or duplicates an earlier entry, *before*
-           any scheduling work. Entries predicted to take the incremental
-           fast path stay local too — resuming them here is cheaper than
-           shipping them to a worker that would resimulate from scratch.
-        2. **Compute.** Fan the remaining unique placements out across the
-           worker pool (or the serial fallback) — pure compute, no shared
-           state.
-        3. **Apply.** Replay the batch in its original order against the
-           cache/stats/telemetry, mirroring what a sequential loop of
-           ``evaluate`` calls would have done step by step — including the
-           per-entry incremental hit/fallback decision, which is always
-           made here against the anchor state earlier entries left behind
-           (the phase-1 prediction is only a routing hint).
-        """
+        """Measure a batch of placements: ``[self.evaluate(a) for a in
+        actions_batch]`` under one ``env.evaluate_batch`` span, plus the
+        batch metrics. Entries run in order through the same body as
+        ``evaluate``, so in-batch duplicates hit the cache and each entry
+        sees the incremental anchor that earlier entries left behind."""
         tel = self._telemetry or get_telemetry()
-        batch_span = span("env.evaluate_batch", telemetry=tel, n=len(actions_batch))
-        with batch_span:
+        with span("env.evaluate_batch", telemetry=tel, n=len(actions_batch)):
             placements = [self.resolve(a) for a in actions_batch]
             keys = [p.devices.tobytes() for p in placements]
-
-            inc = self._incremental
-            jobs: List[Tuple[np.ndarray, int]] = []
-            job_index = {}
-            seen = set()
-            for placement, key in zip(placements, keys):
-                if key in self._cache or key in seen:
-                    continue
-                seen.add(key)
-                if inc.ready and inc.would_resume(placement.devices):
-                    continue  # predicted hit: computed locally in the apply loop
-                job_index[key] = len(jobs)
-                jobs.append((placement.devices, hash(placement)))
-
-            pool_failures_before = self._batcher.pool_failures
-            # When this batch is traced, have the pool measure each job
-            # where it runs and record the workers' sections here — pool
-            # workers cannot emit into this process's event log.
-            if batch_span.context is not None:
-                outcomes, pool_workers, timings = self._batcher.compute_many(
-                    jobs, timed=True
-                )
-                for start_unix, duration_s in timings:
-                    record_span(
-                        "env.eval_worker",
-                        duration_s,
-                        telemetry=tel,
-                        parent=batch_span.context,
-                        start_unix=start_unix,
-                        pool=bool(pool_workers),
-                    )
-            else:
-                outcomes, pool_workers = self._batcher.compute_many(jobs)
-            failed = self._batcher.pool_failures - pool_failures_before
-            if failed:
-                # Worker death mid-batch (sim/batch.py): the batch was
-                # finished serially with identical results; count it.
-                self.stats.eval_pool_failures += failed
-                tel.counter("env.eval_pool_failures").inc(failed)
-
-            results: List[MeasurementResult] = []
-            for placement, key in zip(placements, keys):
-                cached = self._cache_get(key)
-                if cached is not None:
-                    self._record_cache_hit(cached, tel)
-                    results.append(cached)
-                    continue
-                # Uncached: either predicted-incremental (computed here), pool
-                # computed (classified here), or cached-then-evicted during
-                # this very apply loop (recomputed, exactly as the sequential
-                # path would have after the same eviction).
-                index = job_index.get(key)
-                pool_outcome = outcomes[index] if index is not None else None
-                outcome = self._apply_compute(placement, pool_outcome)
-                self._record_outcome(key, outcome, tel)
-                results.append(outcome.result)
-
+            # Placements this batch has to measure: neither cached when it
+            # starts nor repeated within it.
+            unique = len(set(keys).difference(self._cache))
+            results = [
+                self._measure(placement, key, tel)
+                for placement, key in zip(placements, keys)
+            ]
             n = len(placements)
             if n:
-                unique = len(seen)
                 tel.counter("env.batches").inc()
                 tel.histogram("env.batch_size").observe(n)
                 tel.histogram("env.batch_dedupe_rate").observe(1.0 - unique / n)
-                tel.gauge("env.eval_pool_workers").set(pool_workers)
-                if pool_workers and jobs:
-                    # Fraction of pool slots busy across the batch's waves.
-                    waves = -(-len(jobs) // pool_workers)  # ceil division
-                    tel.histogram("env.batch_pool_utilization").observe(
-                        len(jobs) / (waves * pool_workers)
-                    )
             return results
+
+    def _measure(
+        self, placement: Placement, key: bytes, tel: Telemetry
+    ) -> MeasurementResult:
+        """The per-placement body of ``evaluate`` and ``evaluate_batch``:
+        cache lookup, else compute (resuming from the incremental anchor
+        when one is ready) and record."""
+        cached = self._cache_get(key)
+        if cached is not None:
+            self._record_cache_hit(cached, tel)
+            return cached
+        inc = self._incremental if self._incremental.ready else None
+        outcome = self._evaluator.compute(
+            placement.devices, hash(placement), incremental=inc
+        )
+        self._record_outcome(key, outcome, tel)
+        return outcome.result
 
     def final_run(self, actions: Sequence[int], steps: int = 1000) -> float:
         """Per-step runtime of the final placement over a long run."""

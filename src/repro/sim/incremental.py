@@ -181,28 +181,6 @@ def first_divergent_event(
     return first
 
 
-def _resume_point(
-    baseline: ScheduleBaseline,
-    new_devices: np.ndarray,
-    config: IncrementalEvalConfig,
-) -> Optional[int]:
-    """The divergence event index a resume would start from, or ``None``
-    when the delta is not worth resuming (source move, dirty region above
-    ``config.max_dirty_fraction``, degenerate baseline). This is the whole
-    hit/fallback decision, separated out so callers holding an
-    already-computed full result (the batch apply loop) can classify an
-    evaluation without paying for the resume itself."""
-    total = baseline.total_events
-    if total <= 0:
-        return None
-    first_div = first_divergent_event(baseline, new_devices)
-    if first_div is None:
-        return None
-    if (total - first_div) > config.max_dirty_fraction * total:
-        return None
-    return first_div
-
-
 def resume_schedule(
     baseline: ScheduleBaseline,
     new_devices: np.ndarray,
@@ -218,8 +196,13 @@ def resume_schedule(
     new_devices = np.ascontiguousarray(new_devices, dtype=np.int64)
     if np.array_equal(new_devices, baseline.devices):
         return baseline.result
-    first_div = _resume_point(baseline, new_devices, config)
+    total = baseline.total_events
+    if total <= 0:
+        return None
+    first_div = first_divergent_event(baseline, new_devices)
     if first_div is None:
+        return None
+    if (total - first_div) > config.max_dirty_fraction * total:
         return None
     # Newest snapshot with events_done <= first_div (snapshot k is the
     # state *before* processing event index snapshots[k].events_done).
@@ -235,10 +218,7 @@ class IncrementalEvaluator:
 
     Owned by :class:`repro.sim.env.PlacementEnv`; the environment anchors
     it to the best valid placement seen so far (and refinement loops may
-    re-anchor explicitly via ``PlacementEnv.anchor_incremental``). Not
-    shared with pool workers — the whole point is avoiding work in the
-    local process, and shipping snapshots over IPC would cost more than it
-    saves.
+    re-anchor explicitly via ``PlacementEnv.anchor_incremental``).
     """
 
     def __init__(
@@ -308,21 +288,6 @@ class IncrementalEvaluator:
         if baseline is None:
             return None
         return resume_schedule(baseline, devices, self.config)
-
-    def would_resume(self, devices: np.ndarray) -> bool:
-        """The hit/fallback decision :meth:`reschedule` would make, without
-        the resume work. The batch apply loop uses this to classify pool-
-        computed outcomes exactly as a sequential ``evaluate`` loop would
-        have (same lazy baseline build, same decision logic)."""
-        if not self._usable:
-            return False
-        baseline = self._ensure_baseline()
-        if baseline is None:
-            return False
-        devices = np.ascontiguousarray(devices, dtype=np.int64)
-        if np.array_equal(devices, baseline.devices):
-            return True
-        return _resume_point(baseline, devices, self.config) is not None
 
     # -- run-state snapshots (core/runstate.py) ------------------------
     def state_dict(self) -> dict:

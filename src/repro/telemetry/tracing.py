@@ -1,7 +1,7 @@
 """Trace/span contexts for end-to-end request and iteration tracing.
 
 A *trace* is one logical unit of work — a ``/place`` request crossing the
-HTTP handler, the request queue, the service and the evaluation pool, or
+HTTP handler, the request queue, the service and its evaluations, or
 one search run crossing trainer iterations and batch evaluations. Each
 trace is a tree of *spans*: named, timed sections with a ``trace_id``
 shared across the tree, a unique ``span_id``, and a ``parent_id`` linking
@@ -21,9 +21,9 @@ Three propagation mechanisms, matching how work moves in this codebase:
   :func:`current_span` yield a :class:`SpanContext` — a serializable
   ``(trace_id, span_id)`` pair. The HTTP handler stores it on the
   request; the queue worker resumes from it with ``span(parent=ctx)``.
-* **After-the-fact records (cross-process).** Pool workers cannot emit
-  into the parent's event log; they measure their own start/duration and
-  the parent emits the finished span with :func:`record_span`.
+* **After-the-fact records.** A section measured before anyone could
+  hold a live span (the time a request waited in the queue) is emitted
+  finished, with its own start and duration, by :func:`record_span`.
 
 Activation rule: spans exist only when the telemetry session writes
 event files (``tel.sample_events``) *and* there is a trace to join — an
@@ -32,7 +32,7 @@ else returns a shared no-op, so default in-memory sessions and
 un-traced hot paths pay one attribute check per call. Because spans are
 gated on an active trace, they are deliberately outside the
 batch-vs-sequential "identical event stream" contract of
-``sim/batch.py`` (span timings are wall-clock and could never be
+``PlacementEnv.evaluate_batch`` (span timings are wall-clock and could never be
 bit-identical anyway).
 """
 
@@ -54,10 +54,7 @@ __all__ = [
 ]
 
 # Process-unique id generation without per-call entropy: one random
-# prefix at import plus an atomic-in-CPython counter. Forked pool
-# workers re-seed the prefix on first use (the fork copies it), but
-# workers never *create* ids — the parent records their spans — so the
-# shared prefix is harmless there.
+# prefix at import plus an atomic-in-CPython counter.
 _PREFIX = os.urandom(6).hex()
 _COUNTER = itertools.count(1)
 
@@ -250,9 +247,8 @@ def record_span(
 ) -> Optional[str]:
     """Record an already-finished span under ``parent``.
 
-    For sections that cannot hold a live :class:`Span` — queue wait time
-    measured between threads, pool-worker compute measured in another
-    process. Returns the new span id, or ``None`` when nothing was
+    For sections that cannot hold a live :class:`Span`, such as queue
+    wait time measured between threads. Returns the new span id, or ``None`` when nothing was
     recorded (no parent, or the session writes no event files).
     """
     if parent is None:

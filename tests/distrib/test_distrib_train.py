@@ -23,7 +23,6 @@ import pytest
 from repro.config import fast_profile
 from repro.core.search import build_agent, optimize_placement
 from repro.distrib import replica_build_args, train_distributed
-from repro.distrib.worker import WorkerSpec
 from repro.rl.trainer import JointTrainer, SearchHistory
 from repro.sim import ClusterSpec, PlacementEnv
 from repro.telemetry import Telemetry
@@ -102,30 +101,6 @@ class TestReplicaBuildArgs:
         replica.load_state_dict(state)
         for key, value in replica.state_dict().items():
             np.testing.assert_array_equal(value, state[key])
-
-
-class TestWorkerSpec:
-    def test_worker_env_is_always_serial(self):
-        cfg = replace(
-            _quick_cfg(),
-            eval_batch=replace(_quick_cfg().eval_batch, mode="process", max_workers=4),
-        )
-        spec = WorkerSpec(
-            worker_id=0,
-            generation=0,
-            num_workers=2,
-            root_seed=0,
-            agent_kind="mars",
-            graph=tiny_graph(),
-            cluster=CLUSTER,
-            config=cfg,
-            protocol=PlacementEnv(tiny_graph(), CLUSTER).protocol,
-            samples_per_batch=4,
-        )
-        env_cfg = spec.worker_env_config()
-        assert env_cfg.mode == "serial"
-        # Everything else is inherited unchanged.
-        assert env_cfg.cache_capacity == cfg.eval_batch.cache_capacity
 
 
 class TestBudgetParity:

@@ -140,7 +140,7 @@ def test_evaluate_batch_matches_sequential(case, n_samples):
     batch.append(batch[0].copy())  # guaranteed duplicate
 
     seq_env = PlacementEnv(g, CLUSTER)
-    batch_env = PlacementEnv(g, CLUSTER, batch=BatchEvalConfig(mode="serial"))
+    batch_env = PlacementEnv(g, CLUSTER, batch=BatchEvalConfig())
     sequential = [seq_env.evaluate(a) for a in batch]
     batched = batch_env.evaluate_batch(batch)
 

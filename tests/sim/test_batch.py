@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.sim import BatchEvalConfig, ClusterSpec, PlacementEnv
-from repro.sim.batch import BatchEvaluator, PureEvaluator
-from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry, read_events, start_run
+from repro.telemetry.tracing import span
 from tests.helpers import tiny_graph
 
 CLUSTER = ClusterSpec.default()
@@ -26,7 +26,7 @@ class TestBatchEquivalence:
         g = tiny_graph()
         batch = random_batch(g, n=10)
         seq_env = PlacementEnv(g, CLUSTER)
-        batch_env = PlacementEnv(g, CLUSTER, batch=BatchEvalConfig(mode="serial"))
+        batch_env = PlacementEnv(g, CLUSTER, batch=BatchEvalConfig())
 
         sequential = [seq_env.evaluate(a) for a in batch]
         batched = batch_env.evaluate_batch(batch)
@@ -35,40 +35,6 @@ class TestBatchEquivalence:
         assert [r.per_step_time for r in batched] == [r.per_step_time for r in sequential]
         assert batch_env.stats == seq_env.stats
         assert list(batch_env._cache.keys()) == list(seq_env._cache.keys())
-
-    def test_thread_pool_matches_serial(self):
-        g = tiny_graph()
-        batch = random_batch(g, n=6)
-        serial_env = PlacementEnv(g, CLUSTER, batch=BatchEvalConfig(mode="serial"))
-        pool_env = PlacementEnv(
-            g,
-            CLUSTER,
-            batch=BatchEvalConfig(mode="thread", max_workers=3, min_parallel=1, min_ops_parallel=0),
-        )
-        try:
-            assert pool_env.evaluate_batch(batch) == serial_env.evaluate_batch(batch)
-            assert pool_env.stats == serial_env.stats
-        finally:
-            pool_env.close_pool()
-
-    def test_process_pool_matches_serial(self):
-        g = tiny_graph()
-        batch = random_batch(g, n=6)
-        serial_env = PlacementEnv(g, CLUSTER, batch=BatchEvalConfig(mode="serial"))
-        pool_env = PlacementEnv(
-            g,
-            CLUSTER,
-            batch=BatchEvalConfig(mode="process", max_workers=2, min_parallel=1, min_ops_parallel=0),
-        )
-        try:
-            assert pool_env.evaluate_batch(batch) == serial_env.evaluate_batch(batch)
-            assert pool_env.stats == serial_env.stats
-            # A second batch reuses the warm pool and the shared cache.
-            batch2 = random_batch(g, n=6, seed=1)
-            assert pool_env.evaluate_batch(batch2) == serial_env.evaluate_batch(batch2)
-            assert pool_env.stats == serial_env.stats
-        finally:
-            pool_env.close_pool()
 
     def test_in_batch_duplicates_hit_cache(self):
         g = tiny_graph()
@@ -121,31 +87,38 @@ class TestBatchTelemetry:
         assert dedupe["max"] == pytest.approx(1 / 8)
         assert snap["gauges"]["env.cache_size"]["value"] == 7.0
 
-    def test_pool_utilization_recorded(self):
-        tel = Telemetry(name="test")
+    def test_traced_batch_is_one_span(self, tmp_path):
         g = tiny_graph()
-        env = PlacementEnv(
-            g,
-            CLUSTER,
-            telemetry=tel,
-            batch=BatchEvalConfig(mode="thread", max_workers=4, min_parallel=1, min_ops_parallel=0),
-        )
+        tel = start_run("test", str(tmp_path))
         try:
-            env.evaluate_batch(random_batch(g, n=9, duplicates=False))
-            snap = tel.metrics.snapshot()
-            assert snap["gauges"]["env.eval_pool_workers"]["value"] == 4.0
-            util = snap["histograms"]["env.batch_pool_utilization"]
-            assert util["count"] == 1
-            # 9 unique jobs over 4 workers -> 3 waves of 4 slots.
-            assert util["max"] == pytest.approx(9 / 12)
+            env = PlacementEnv(g, CLUSTER, telemetry=tel)
+            with span("root", telemetry=tel, new_trace=True):
+                env.evaluate_batch(random_batch(g, n=6))
+                env.evaluate_batch(random_batch(g, n=6, seed=1))
         finally:
-            env.close_pool()
+            tel.close()
+        names = [e["name"] for e in read_events(tel.run_dir, types=("span",))]
+        assert names == ["env.evaluate_batch", "env.evaluate_batch", "root"]
 
+
+class TestSnapshot:
+    def test_state_with_pool_failure_count_loads(self):
+        """Snapshots written while the batch pool existed carry an
+        ``eval_pool_failures`` stat; they still resume."""
+        g = tiny_graph()
+        env = PlacementEnv(g, CLUSTER)
+        env.evaluate_batch(random_batch(g, n=4))
+        state = env.state_dict()
+        state["stats"]["eval_pool_failures"] = 1
+        resumed = PlacementEnv(g, CLUSTER)
+        resumed.load_state_dict(state)
+        assert resumed.stats == env.stats
+        assert list(resumed._cache.keys()) == list(env._cache.keys())
 
 class TestBoundedCache:
     def test_cache_never_exceeds_capacity(self):
         g = tiny_graph()
-        env = PlacementEnv(g, CLUSTER, cache_capacity=4)
+        env = PlacementEnv(g, CLUSTER, batch=BatchEvalConfig(cache_capacity=4))
         rng = np.random.default_rng(0)
         for _ in range(20):
             env.evaluate(rng.integers(0, CLUSTER.num_devices, g.num_nodes))
@@ -154,7 +127,7 @@ class TestBoundedCache:
 
     def test_lru_keeps_recent_entries(self):
         g = tiny_graph()
-        env = PlacementEnv(g, CLUSTER, cache_capacity=2)
+        env = PlacementEnv(g, CLUSTER, batch=BatchEvalConfig(cache_capacity=2))
         a = np.zeros(g.num_nodes, dtype=int)
         b = np.ones(g.num_nodes, dtype=int)
         c = np.full(g.num_nodes, 2)
@@ -170,7 +143,7 @@ class TestBoundedCache:
 
     def test_evicted_entry_remeasures_identically(self):
         g = tiny_graph()
-        env = PlacementEnv(g, CLUSTER, cache_capacity=1)
+        env = PlacementEnv(g, CLUSTER, batch=BatchEvalConfig(cache_capacity=1))
         a = np.zeros(g.num_nodes, dtype=int)
         first = env.evaluate(a)
         env.evaluate(np.ones(g.num_nodes, dtype=int))  # evicts a
@@ -179,7 +152,7 @@ class TestBoundedCache:
 
     def test_zero_capacity_means_unbounded(self):
         g = tiny_graph()
-        env = PlacementEnv(g, CLUSTER, cache_capacity=0)
+        env = PlacementEnv(g, CLUSTER, batch=BatchEvalConfig(cache_capacity=0))
         rng = np.random.default_rng(0)
         for _ in range(10):
             env.evaluate(rng.integers(0, CLUSTER.num_devices, g.num_nodes))
@@ -188,7 +161,9 @@ class TestBoundedCache:
     def test_cache_size_gauge_tracks_evictions(self):
         tel = Telemetry(name="test")
         g = tiny_graph()
-        env = PlacementEnv(g, CLUSTER, telemetry=tel, cache_capacity=3)
+        env = PlacementEnv(
+            g, CLUSTER, telemetry=tel, batch=BatchEvalConfig(cache_capacity=3)
+        )
         rng = np.random.default_rng(0)
         for _ in range(10):
             env.evaluate(rng.integers(0, CLUSTER.num_devices, g.num_nodes))
@@ -201,116 +176,6 @@ class TestBatchEvaluatorInternals:
     def _evaluator(self, g):
         env = PlacementEnv(g, CLUSTER)
         return env._evaluator
-
-    def test_serial_fallback_for_small_batches(self):
-        g = tiny_graph()
-        ev = BatchEvaluator(self._evaluator(g), BatchEvalConfig(mode="auto", max_workers=4))
-        # Below min_parallel and below min_ops_parallel -> serial.
-        assert ev._pick_mode(2) == "serial"
-        assert ev._pick_mode(10) == "serial"  # graph too small for auto
-
-    def test_auto_uses_pool_on_big_graphs(self):
-        g = tiny_graph()
-        cfg = BatchEvalConfig(mode="auto", max_workers=4, min_parallel=4, min_ops_parallel=1)
-        ev = BatchEvaluator(self._evaluator(g), cfg)
-        assert ev._pick_mode(10) == "process"
-        assert ev._pick_mode(2) == "serial"
-
-    def test_single_worker_is_serial(self):
-        g = tiny_graph()
-        ev = BatchEvaluator(self._evaluator(g), BatchEvalConfig(mode="process", max_workers=1))
-        assert ev._pick_mode(10) == "serial"
-
-    def test_broken_pool_degrades_to_serial(self):
-        g = tiny_graph()
-        cfg = BatchEvalConfig(mode="thread", max_workers=2, min_parallel=1, min_ops_parallel=0)
-        ev = BatchEvaluator(self._evaluator(g), cfg)
-
-        def boom(*args, **kwargs):
-            raise RuntimeError("pool refused")
-
-        ev._ensure_executor = boom
-        jobs = [(np.zeros(g.num_nodes, dtype=np.int64), 1)]
-        outcomes, workers = ev.compute_many(jobs + jobs)
-        assert workers == 0 and len(outcomes) == 2
-        assert ev._pool_broken
-        assert ev._pick_mode(10) == "serial"
-
-    def test_broken_pool_mid_batch_rebuilds_then_degrades(self):
-        from concurrent.futures.process import BrokenProcessPool
-
-        g = tiny_graph()
-        cfg = BatchEvalConfig(
-            mode="thread", max_workers=2, min_parallel=1, min_ops_parallel=0,
-            max_pool_rebuilds=1,
-        )
-        ev = BatchEvaluator(self._evaluator(g), cfg)
-        serial = BatchEvaluator(self._evaluator(g), BatchEvalConfig(mode="serial"))
-
-        class DyingExecutor:
-            def map(self, *args, **kwargs):
-                raise BrokenProcessPool("worker killed mid-batch")
-
-        ev._ensure_executor = lambda kind: DyingExecutor()
-        jobs = [(np.full(g.num_nodes, i % 2, dtype=np.int64), i) for i in range(4)]
-
-        # First failure: the batch finishes serially (identical results)
-        # and the pool stays eligible for a rebuild next batch.
-        outcomes, workers = ev.compute_many(jobs)
-        assert workers == 0
-        assert outcomes == serial.compute_many(jobs)[0]
-        assert ev.pool_failures == 1
-        assert not ev._pool_broken
-        assert ev._pick_mode(len(jobs)) == "thread"  # rebuild allowed
-
-        # Second failure exceeds max_pool_rebuilds=1: permanent serial.
-        outcomes, workers = ev.compute_many(jobs)
-        assert workers == 0 and outcomes == serial.compute_many(jobs)[0]
-        assert ev.pool_failures == 2
-        assert ev._pool_broken
-        assert ev._pick_mode(len(jobs)) == "serial"
-
-    def test_env_counts_pool_failures(self):
-        from concurrent.futures.process import BrokenProcessPool
-
-        tel = Telemetry(name="test")
-        g = tiny_graph()
-        env = PlacementEnv(
-            g,
-            CLUSTER,
-            telemetry=tel,
-            batch=BatchEvalConfig(
-                mode="thread", max_workers=2, min_parallel=1, min_ops_parallel=0
-            ),
-        )
-        serial_env = PlacementEnv(g, CLUSTER, batch=BatchEvalConfig(mode="serial"))
-
-        class DyingExecutor:
-            def map(self, *args, **kwargs):
-                raise BrokenProcessPool("worker killed mid-batch")
-
-        env._batcher._ensure_executor = lambda kind: DyingExecutor()
-        batch = random_batch(g, n=6, duplicates=False)
-        results = env.evaluate_batch(batch)
-        # The batch still completes, identical to the serial path.
-        assert results == serial_env.evaluate_batch(batch)
-        assert env.stats.eval_pool_failures == 1
-        snap = tel.metrics.snapshot()
-        assert snap["counters"]["env.eval_pool_failures"]["value"] == 1.0
-        # The failure count survives a snapshot round-trip.
-        state = env.state_dict()
-        env2 = PlacementEnv(g, CLUSTER)
-        env2.load_state_dict(state)
-        assert env2.stats.eval_pool_failures == 1
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            BatchEvalConfig(mode="gpu")
-
-    def test_resolved_workers_cpu_aware(self):
-        assert BatchEvalConfig().resolved_workers() >= 1
-        assert BatchEvalConfig(max_workers=6).resolved_workers() == 6
-        assert BatchEvalConfig(max_workers=0).resolved_workers() == 1
 
     def test_pure_evaluator_is_picklable(self):
         import pickle

@@ -125,19 +125,6 @@ class TestEvaluator:
         assert not ev.ready
         assert ev.reschedule(np.zeros(GRAPH.num_nodes, dtype=np.int64)) is None
 
-    def test_would_resume_matches_reschedule(self):
-        cm = CostModel()
-        op_times = cm.op_time_matrix(GRAPH, CLUSTER)
-        ev = IncrementalEvaluator(GRAPH, CLUSTER, cm, op_times)
-        rng = np.random.default_rng(3)
-        anchor = rng.integers(0, CLUSTER.num_devices, GRAPH.num_nodes)
-        ev.anchor(anchor)
-        for _ in range(15):
-            devices = anchor.copy()
-            for _ in range(int(rng.integers(1, 6))):
-                devices[rng.integers(0, GRAPH.num_nodes)] = rng.integers(0, CLUSTER.num_devices)
-            assert ev.would_resume(devices) == (ev.reschedule(devices) is not None)
-
     def test_min_ops_gate(self):
         small = CompGraph("small")
         small.add_node(OpNode("a", "MatMul", (4, 4), flops=1e6))
