@@ -36,9 +36,12 @@ import argparse
 import json
 import multiprocessing
 import os
+import platform
 import sys
 import time
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from repro.config import fast_profile
 from repro.core.search import optimize_placement
@@ -143,6 +146,11 @@ def run_benchmark(args) -> int:
             for workers, wall, samples, tp, best in rows
         },
         "speedup_vs_single_process": float(speedup),
+        "host": {
+            "nproc": len(os.sched_getaffinity(0)),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
     }
     with open(args.json, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

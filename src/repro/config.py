@@ -113,7 +113,7 @@ class DistribConfig:
     #: the cost of head-of-line blocking; not for production throughput.
     ordered: bool = False
     #: Seconds the learner waits for workers to exit after setting the
-    #: shutdown event before terminating them.
+    #: stop flag before terminating them.
     shutdown_timeout_s: float = 10.0
 
     def __post_init__(self) -> None:

@@ -93,6 +93,26 @@ class _QueueDrainer(threading.Thread):
             pass
 
 
+class StopFlag:
+    """The learner's shutdown signal to its workers, without a lock.
+
+    A ``multiprocessing.Event`` takes a process-shared lock even in
+    ``is_set()``, and workers poll it constantly: a worker SIGKILLed inside
+    that call would keep the lock, and the learner's ``set()`` would block
+    forever. This flag is one byte of shared memory that the learner only
+    writes and workers only read, so it needs no lock.
+    """
+
+    def __init__(self, ctx):
+        self._value = ctx.Value("b", 0, lock=False)
+
+    def set(self) -> None:
+        self._value.value = 1
+
+    def is_set(self) -> bool:
+        return bool(self._value.value)
+
+
 @dataclass
 class WorkerHandle:
     """One worker slot's live state, as the supervisor sees it."""
@@ -392,7 +412,7 @@ def train_distributed(
     ctx = multiprocessing.get_context()
     store_dir = tempfile.mkdtemp(prefix="repro-distrib-")
     store = VariableStore(store_dir, ctx=ctx)
-    shutdown = ctx.Event()
+    shutdown = StopFlag(ctx)
     heartbeat = ctx.Array("d", max(1, cfg.workers), lock=False)
     run_dir = getattr(tel, "run_dir", None)
 

@@ -108,8 +108,8 @@ def worker_main(spec: WorkerSpec, store, sample_queue, shutdown, heartbeat) -> N
 
     ``store`` is the learner's :class:`~repro.distrib.store.VariableStore`,
     ``sample_queue`` this worker's private bounded queue, ``shutdown`` the
-    shared stop event and ``heartbeat`` the shared monotonic-timestamp
-    array the supervisor watches.
+    shared :class:`~repro.distrib.learner.StopFlag` and ``heartbeat`` the
+    shared monotonic-timestamp array the supervisor watches.
     """
     # The parent may have installed graceful SIGTERM/SIGINT handlers
     # (core/runstate.py) — inherited across fork, they would turn the

@@ -14,6 +14,7 @@ The expensive end-to-end contracts from the issue live here:
 import multiprocessing
 import os
 import signal
+import threading
 import time
 from dataclasses import replace
 
@@ -23,6 +24,7 @@ import pytest
 from repro.config import fast_profile
 from repro.core.search import build_agent, optimize_placement
 from repro.distrib import replica_build_args, train_distributed
+from repro.distrib.learner import StopFlag
 from repro.rl.trainer import JointTrainer, SearchHistory
 from repro.sim import ClusterSpec, PlacementEnv
 from repro.telemetry import Telemetry
@@ -137,7 +139,30 @@ class TestBudgetParity:
         assert _no_orphans()
 
 
+def _poll_until_set(flag):
+    while not flag.is_set():
+        pass
+
+
 class TestElasticRobustness:
+    def test_stop_flag_survives_workers_killed_while_polling(self):
+        """Workers SIGKILLed in the middle of polling the stop flag must not
+        block the learner's ``set()``. A ``multiprocessing.Event`` takes a
+        shared lock in ``is_set()``: a worker killed inside that call keeps
+        the lock, and ``stop()`` hangs forever."""
+        ctx = multiprocessing.get_context()
+        flag = StopFlag(ctx)
+        for _ in range(5):
+            proc = ctx.Process(target=_poll_until_set, args=(flag,), daemon=True)
+            proc.start()
+            time.sleep(0.05)
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.join()
+        returned = threading.Event()
+        threading.Thread(target=lambda: (flag.set(), returned.set()), daemon=True).start()
+        assert returned.wait(5.0), "set() blocked on a lock a killed worker held"
+        assert flag.is_set()
+
     def _trainer(self, cfg, graph):
         env = PlacementEnv(graph, CLUSTER)
         agent, pretrain_clock = build_agent("mars", graph, CLUSTER, cfg, None)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn import Tensor
+from repro.nn import Tensor, stack
 
 
 def numerical_gradient(f, x0: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -34,6 +34,47 @@ def check_gradient(f, x0: np.ndarray, tol: float = 1e-5) -> float:
     err = float(np.abs(num - x.grad).max())
     assert err < tol, f"gradient mismatch: max err {err}"
     return err
+
+
+def composed_lstm_step(cell, gates_x, state):
+    """``LSTMCell.step`` written as a composition of tensor ops."""
+    h, c = state
+    gates = gates_x + h @ cell.w_hh
+    hs = cell.hidden_size
+    i = gates[:, 0 * hs : 1 * hs].sigmoid()
+    f = gates[:, 1 * hs : 2 * hs].sigmoid()
+    g = gates[:, 2 * hs : 3 * hs].tanh()
+    o = gates[:, 3 * hs : 4 * hs].sigmoid()
+    c_new = f * c + i * g
+    return o * c_new.tanh(), c_new
+
+
+def composed_lstm(lstm, x, state=None, reverse=False):
+    """``LSTM.forward`` as a loop of :func:`composed_lstm_step` nodes."""
+    cell = lstm.cell
+    if state is None:
+        state = cell.init_state(x.shape[1])
+    flip = np.arange(x.shape[0] - 1, -1, -1)
+    if reverse:
+        x = x[flip]
+    gates_x = x @ cell.w_ih + cell.bias
+    outs = []
+    for t in range(x.shape[0]):
+        state = composed_lstm_step(cell, gates_x[t], state)
+        outs.append(state[0])
+    out = stack(outs, axis=0)
+    return (out[flip] if reverse else out), state
+
+
+def composed_attention(att, memory, query):
+    """``BahdanauAttention.forward`` as a composition of tensor ops."""
+    keys = att.project_memory(memory)
+    s = (keys + att.w_query(query)).tanh()
+    scores = s @ att.v
+    e = (scores - Tensor(scores.data.max(axis=0, keepdims=True))).exp()
+    weights = e / e.sum(axis=0, keepdims=True)
+    T, B = weights.shape
+    return (memory * weights.reshape(T, B, 1)).sum(axis=0)
 
 
 def tiny_graph():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import BiLSTM, LSTM, LSTMCell, Tensor
-from tests.helpers import check_gradient
+from tests.helpers import check_gradient, composed_lstm, composed_lstm_step as composed_step
 
 rng = np.random.default_rng(5)
 
@@ -44,19 +44,6 @@ class TestLSTMCell:
         state = (Tensor(rng.standard_normal((5, 4))), Tensor(np.zeros((5, 4))))
         h, c = cell(x, state)
         assert h.shape == (5, 4)
-
-
-def composed_step(cell, gates_x, state):
-    """``LSTMCell.step`` written as a composition of tensor ops."""
-    h, c = state
-    gates = gates_x + h @ cell.w_hh
-    hs = cell.hidden_size
-    i = gates[:, 0 * hs : 1 * hs].sigmoid()
-    f = gates[:, 1 * hs : 2 * hs].sigmoid()
-    g = gates[:, 2 * hs : 3 * hs].tanh()
-    o = gates[:, 3 * hs : 4 * hs].sigmoid()
-    c_new = f * c + i * g
-    return o * c_new.tanh(), c_new
 
 
 class TestFusedStep:
@@ -126,6 +113,99 @@ class TestFusedStep:
         assert loss_a == loss_b
         for a, b in zip(grads_a, grads_b):
             assert np.allclose(a, b, rtol=1e-10, atol=1e-14)
+
+
+class TestSequenceOp:
+    """``LSTM.forward`` as one op against a loop of composed steps: the
+    same forward bits, gradients equal up to summation order, on the
+    encoder's shapes (forward and reversed, a carried state, a state batch
+    that broadcasts against the input's) and for losses on the outputs,
+    the final ``h`` and the final ``c``."""
+
+    T, B, D, H = 5, 3, 2, 4
+    LOSSES = {
+        "out": lambda out, h, c, r: (out * r[0]).sum(),
+        "h": lambda out, h, c, r: (h * r[1]).sum(),
+        "c": lambda out, h, c, r: (c * r[2]).sum(),
+        "all": lambda out, h, c, r: (out * r[0]).sum() + (h * r[1]).sum() + (c * c * r[2]).sum(),
+    }
+
+    def _arrays(self, x_batch, state_batch):
+        B = max(x_batch, state_batch)
+        return (
+            rng.standard_normal((self.T, x_batch, self.D)) * 2.0,
+            rng.standard_normal((state_batch, self.H)),
+            rng.standard_normal((state_batch, self.H)),
+            (
+                rng.standard_normal((self.T, B, self.H)),
+                rng.standard_normal((B, self.H)),
+                rng.standard_normal((B, self.H)),
+            ),
+        )
+
+    def _run(self, forward, lstm, arrays, target, reverse):
+        x0, h0, c0, r = arrays
+        leaves = [Tensor(a, requires_grad=True) for a in (x0, h0, c0)]
+        lstm.zero_grad()
+        out, (h, c) = forward(lstm, leaves[0], (leaves[1], leaves[2]), reverse=reverse)
+        self.LOSSES[target](out, h, c, r).backward()
+        grads = [t.grad for t in leaves] + [p.grad for p in lstm.parameters()]
+        return (out.data, h.data, c.data), grads
+
+    @pytest.mark.parametrize("target", list(LOSSES))
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("x_batch,state_batch", [(1, 1), (B, B), (B, 1), (1, B)])
+    def test_matches_composed_reference(self, target, reverse, x_batch, state_batch):
+        lstm = LSTM(self.D, self.H, rng=10)
+        arrays = self._arrays(x_batch, state_batch)
+        fused_out, fused_grads = self._run(LSTM.forward, lstm, arrays, target, reverse)
+        ref_out, ref_grads = self._run(composed_lstm, lstm, arrays, target, reverse)
+        for a, b in zip(fused_out, ref_out):
+            assert np.array_equal(a, b)
+        for a, b in zip(fused_grads, ref_grads):
+            assert a.shape == b.shape
+            assert np.allclose(a, b, rtol=1e-10, atol=1e-14)
+
+    def test_three_nodes_per_sequence(self):
+        lstm = LSTM(self.D, self.H, rng=11)
+        x = Tensor(rng.standard_normal((self.T, 2, self.D)), requires_grad=True)
+        out, (h, c) = lstm(x)
+        assert h._parents == (out,) and c._parents == (out,)
+        assert out._parents == (x, lstm.cell.w_ih, lstm.cell.bias, lstm.cell.w_hh)
+
+    def test_final_c_alone_reaches_input(self):
+        """A loss on the final cell state only still runs the sequence's
+        backward (its outputs get no gradient of their own)."""
+        lstm = LSTM(self.D, self.H, rng=12)
+
+        def f(x):
+            _, (_, c) = lstm(x, reverse=True)
+            return (c * c).sum()
+
+        check_gradient(f, rng.standard_normal((self.T, 1, self.D)), tol=1e-4)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_gradcheck_state_inputs(self, reverse):
+        lstm = LSTM(self.D, self.H, rng=13)
+        x = Tensor(rng.standard_normal((self.T, 1, self.D)))
+        c0 = Tensor(rng.standard_normal((1, self.H)))
+        r = rng.standard_normal((self.T, 1, self.H))
+
+        def f(h0):
+            out, (h, c) = lstm(x, (h0, c0), reverse=reverse)
+            return (out * r).sum() + (h * c).sum()
+
+        check_gradient(f, rng.standard_normal((1, self.H)), tol=1e-4)
+
+    def test_no_grad_builds_no_tape(self):
+        from repro.nn import no_grad
+
+        lstm = LSTM(self.D, self.H, rng=14)
+        x = Tensor(rng.standard_normal((self.T, 1, self.D)), requires_grad=True)
+        with no_grad():
+            out, (h, c) = lstm(x)
+        assert not (out.requires_grad or h.requires_grad or c.requires_grad)
+        assert np.array_equal(out.data, lstm(x)[0].data)
 
 
 class TestLSTM:

@@ -3,8 +3,10 @@
 The update's wall time is interpreter overhead per autograd node, not
 FLOPs, so the number of nodes one teacher-forced ``evaluate`` builds is a
 deterministic proxy for its cost. Composed from elementwise tensor ops,
-the placer built ~69 nodes per op; with the fused LSTM and attention
-steps it builds ~17.
+the placer built ~69 nodes per op; with fused LSTM and attention steps,
+~17. With a segment-level tape (one op per encoder direction and segment,
+one op for the whole decoder) the count no longer grows per op: 84 nodes
+for Inception-V3's 140 ops at this scale.
 """
 
 import numpy as np
@@ -15,7 +17,7 @@ from repro.nn import Tensor
 from repro.sim import ClusterSpec
 from repro.workloads import get_workload
 
-MAX_NODES_PER_OP = 20
+MAX_NODES_PER_OP = 1
 
 
 def test_evaluate_nodes_per_op(monkeypatch):
