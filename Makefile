@@ -18,11 +18,9 @@ lint-defaults:
 bench:
 	pytest benchmarks/ --benchmark-only
 
-# Exercise the incremental resume path on a real workload (proves
-# resume == full simulation) and the other benches' code paths, with
-# no timings, on every `make test` (docs/performance.md).
+# Exercise the benches' code paths, with no timings, on every
+# `make test` (docs/performance.md).
 bench-smoke:
-	PYTHONPATH=src python benchmarks/bench_incremental.py --smoke
 	PYTHONPATH=src python benchmarks/bench_telemetry.py --smoke
 	PYTHONPATH=src python benchmarks/bench_distributed.py --smoke
 	PYTHONPATH=src python benchmarks/bench_serve.py --smoke

@@ -1,17 +1,21 @@
 """Microbenchmark: span-tracing overhead on the evaluation hot paths.
 
-Measures what `repro.telemetry.tracing` costs where it matters — the
-incremental `PlacementEnv.evaluate` stream (a refinement loop's inner
-loop) and `PlacementEnv.evaluate_batch` — with tracing **off** (no active
-trace: every `span()` call returns the shared no-op) vs **on** (a live
-root span, so each evaluation emits one schema-versioned ``span`` event
-into a file-backed run directory).
+Measures what `repro.telemetry.tracing` costs where it matters — a
+`PlacementEnv.evaluate` stream of single-op moves (a refinement loop's
+inner loop) and `PlacementEnv.evaluate_batch` — with tracing **off** (no
+active trace: every `span()` call returns the shared no-op) vs **on** (a
+live root span, so each evaluation emits one schema-versioned ``span``
+event into a file-backed run directory).
 
 Both arms run against a file-backed telemetry session with sample events
 enabled, so the *only* delta between them is the tracing machinery
 itself: span object + two clock reads + one extra JSONL event per
-evaluation or batch. The budget is **<3% median overhead** on both the
-incremental evaluate path and the batch path (docs/performance.md).
+evaluation or batch. The budget is **<3% overhead** on both the
+evaluate path and the batch path (docs/performance.md). Each round times
+the untraced stream and then the traced one, so each traced round is
+paired with its untraced neighbour; the overhead is the median of the
+per-round traced/untraced ratios, minus one, which keeps drift on a
+shared host out of the gate.
 
 Run it directly; results land in ``benchmarks/BENCH_telemetry.json``::
 
@@ -35,7 +39,7 @@ import time
 
 import numpy as np
 
-from repro.sim import ClusterSpec, IncrementalEvalConfig, PlacementEnv
+from repro.sim import ClusterSpec, PlacementEnv
 from repro.telemetry import read_events, start_run
 from repro.telemetry.tracing import span
 
@@ -56,26 +60,30 @@ def build_graph(workload: str):
     raise SystemExit(f"unknown workload {workload!r}")
 
 
-def single_op_moves(anchor: np.ndarray, num_devices: int, count: int, seed: int = 0):
+def single_op_moves(base: np.ndarray, num_devices: int, count: int, seed: int = 0):
     rng = np.random.default_rng(seed)
     moves = []
     for _ in range(count):
-        devices = anchor.copy()
-        op = int(rng.integers(0, len(anchor)))
+        devices = base.copy()
+        op = int(rng.integers(0, len(base)))
         devices[op] = (devices[op] + 1 + rng.integers(0, num_devices - 1)) % num_devices
         moves.append(devices)
     return moves
+
+
+def paired_overhead(traced, untraced) -> float:
+    """Median of the per-round traced/untraced ratios, minus one."""
+    return statistics.median(on / off for on, off in zip(traced, untraced)) - 1.0
 
 
 def run(args) -> int:
     graph = build_graph(args.workload)
     cluster = ClusterSpec.default()
     rng = np.random.default_rng(args.seed)
-    anchor_env = PlacementEnv(graph, cluster)
-    anchor = anchor_env.resolve(
+    base = PlacementEnv(graph, cluster).resolve(
         rng.integers(0, cluster.num_devices, graph.num_nodes)
     ).devices
-    moves = single_op_moves(anchor, cluster.num_devices, args.moves, args.seed)
+    moves = single_op_moves(base, cluster.num_devices, args.moves, args.seed)
     batches = [moves[i : i + args.batch] for i in range(0, len(moves), args.batch)]
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -85,10 +93,7 @@ def run(args) -> int:
             def eval_stream(traced: bool) -> float:
                 # Fresh env per round: the LRU result cache would otherwise
                 # absorb every repeat and we'd time dict lookups.
-                env = PlacementEnv(
-                    graph, cluster, telemetry=tel, incremental=IncrementalEvalConfig()
-                )
-                env.anchor_incremental(anchor)
+                env = PlacementEnv(graph, cluster, telemetry=tel)
                 if traced:
                     with span("bench.root", telemetry=tel, new_trace=True):
                         start = time.perf_counter()
@@ -136,8 +141,8 @@ def run(args) -> int:
     eval_on_med = statistics.median(eval_on)
     batch_off_med = statistics.median(batch_off)
     batch_on_med = statistics.median(batch_on)
-    eval_overhead = eval_on_med / eval_off_med - 1.0
-    batch_overhead = batch_on_med / batch_off_med - 1.0
+    eval_overhead = paired_overhead(eval_on, eval_off)
+    batch_overhead = paired_overhead(batch_on, batch_off)
 
     print(
         f"workload={graph.name} ops={graph.num_nodes} moves={n} "
@@ -177,6 +182,7 @@ def run(args) -> int:
         "batch_off_median_s": float(batch_off_med),
         "batch_on_median_s": float(batch_on_med),
         "batch_overhead_frac": float(batch_overhead),
+        "overhead_estimator": "median of per-round traced/untraced ratios - 1",
         "budget_frac": 0.03,
         "budget_ok": bool(budget_ok),
         "host": {

@@ -18,7 +18,6 @@ from repro.rl.ppo import PPOConfig
 from repro.rl.reward import RewardConfig
 from repro.rl.trainer import TrainerConfig
 from repro.sim.batch import BatchEvalConfig
-from repro.sim.incremental import IncrementalEvalConfig
 from repro.telemetry import HealthConfig, TelemetryConfig
 
 
@@ -160,12 +159,7 @@ class MarsConfig:
     # Placement evaluation (docs/architecture.md §2): the bound on the
     # environment's result cache.
     eval_batch: BatchEvalConfig = field(default_factory=BatchEvalConfig)
-    # Incremental makespan re-evaluation (docs/performance.md): resume
-    # near-anchor placements from the anchored baseline's snapshots
-    # instead of resimulating from scratch. Bit-identical to the full
-    # simulator by contract; the runner exposes ``--no-incremental`` for
-    # A/B runs.
-    incremental: IncrementalEvalConfig = field(default_factory=IncrementalEvalConfig)
+    incremental: None = None  # read by nothing; the benchmarks/e2e harness passes it on
     # Crash-safe resumable runs (docs/architecture.md §"Run state &
     # resume"): cadence and retention of run-state snapshots, used when
     # ``optimize_placement`` is given a ``snapshot_dir`` (the runner's

@@ -91,7 +91,6 @@ def anneal_placement(env: PlacementEnv, config: Optional[AnnealingConfig] = None
         if halt_requested():
             break  # graceful shutdown: keep the best found so far
         candidate = _propose(current, k, config, rng)
-        fallbacks_before = env.stats.incremental_fallbacks
         cand_e = energy(candidate)
         result.runtimes.append(cand_e)
         # Relative energy difference keeps acceptance scale-free.
@@ -99,12 +98,6 @@ def anneal_placement(env: PlacementEnv, config: Optional[AnnealingConfig] = None
         if delta <= 0 or rng.random() < np.exp(-delta / temp):
             current, current_e = candidate, cand_e
             rejected = 0
-            # Accepting a candidate whose measurement fell back to full
-            # simulation means the walk left the incremental anchor's
-            # neighbourhood — re-anchor (lazily) so the proposals around
-            # the new incumbent take the fast path again.
-            if env.stats.incremental_fallbacks > fallbacks_before:
-                env.anchor_incremental(current)
         else:
             rejected += 1
         if cand_e < best_e:
@@ -112,7 +105,6 @@ def anneal_placement(env: PlacementEnv, config: Optional[AnnealingConfig] = None
         if config.restart_after is not None and rejected >= config.restart_after:
             current, current_e = best.copy(), best_e
             rejected = 0
-            env.anchor_incremental(current)
 
     result.best_runtime = best_e
     result.best_placement = best

@@ -163,7 +163,6 @@ def optimize_placement(
                 cluster,
                 protocol=protocol,
                 batch=getattr(config, "eval_batch", None),
-                incremental=getattr(config, "incremental", None),
             )
             snapshot = None
             if resume and snapshot_dir:

@@ -93,7 +93,6 @@ def _build_worker(spec: WorkerSpec):
         spec.cluster,
         protocol=spec.protocol,
         batch=spec.config.eval_batch,
-        incremental=spec.config.incremental,
     )
     seed_seq = spawn_seeds(
         spec.root_seed, spec.num_workers, key=(spec.generation,)

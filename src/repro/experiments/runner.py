@@ -142,13 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="force single-process training even if the config profile "
         "enables distributed workers",
     )
-    parser.add_argument(
-        "--no-incremental",
-        action="store_true",
-        help="disable incremental makespan re-evaluation (full simulation "
-        "for every placement; results are bit-identical either way — "
-        "see docs/performance.md and EXPERIMENTS.md, 'Evaluation speed')",
-    )
     parser.add_argument("--verbose", action="store_true")
     return parser
 
@@ -164,10 +157,6 @@ def main(argv=None) -> int:
         config = replace(config, health=replace(config.health, enabled=False))
     elif args.health is not None:
         config = replace(config, health=replace(config.health, action=args.health))
-    if args.no_incremental:
-        config = replace(
-            config, incremental=replace(config.incremental, enabled=False)
-        )
     if args.no_distrib:
         config = replace(config, distrib=replace(config.distrib, workers=0))
     elif args.workers is not None:

@@ -45,7 +45,6 @@ from repro.serve.coalesce import Flight, SingleFlight
 from repro.serve.registry import LoadedPolicy, PolicyRegistry, PolicySpec
 from repro.sim.cluster import ClusterSpec
 from repro.sim.env import PlacementEnv
-from repro.sim.incremental import IncrementalEvalConfig
 from repro.telemetry import HealthConfig, HealthWatchdog, Telemetry, get_telemetry
 from repro.telemetry.tracing import SpanContext, new_trace_id, span
 from repro.utils.logging import get_logger
@@ -216,17 +215,10 @@ class PlacementService:
         config: Optional[ServeConfig] = None,
         telemetry: Optional[Telemetry] = None,
         health: Optional[HealthConfig] = None,
-        incremental: Optional[IncrementalEvalConfig] = None,
     ):
         self.registry = registry
         self.config = config or ServeConfig()
         self._telemetry = telemetry
-        # Incremental re-evaluation for the refinement batches: each
-        # request anchors its greedy decode, so sampled candidates that
-        # stay near it resume instead of resimulating (docs/performance.md).
-        self.incremental = (
-            incremental if incremental is not None else IncrementalEvalConfig()
-        )
         self.cache = FingerprintCache(
             capacity=self.config.cache_capacity, ttl=self.config.cache_ttl
         )
@@ -379,12 +371,7 @@ class PlacementService:
             # Pin the service's telemetry session on the env so env.* metrics
             # (and spans) land in the registry /metrics exposes, regardless of
             # which worker thread triggers the build.
-            env = PlacementEnv(
-                graph,
-                cluster,
-                incremental=self.incremental,
-                telemetry=self._telemetry,
-            )
+            env = PlacementEnv(graph, cluster, telemetry=self._telemetry)
             with self._lock:
                 self._envs[key] = env
                 self._env_order.append(key)
@@ -430,10 +417,6 @@ class PlacementService:
                     env.resolve(actions).devices for actions in rollout.placements
                 )
 
-        # Anchor the incremental baseline on the greedy decode: the
-        # sampled candidates are policy draws around it, so near misses
-        # resume from its schedule instead of resimulating from scratch.
-        env.anchor_incremental(candidates[0])
         results = env.evaluate_batch(candidates)
         best_index = 0
         best_time = float("inf")

@@ -27,13 +27,6 @@ from repro.sim.attribution import (
 )
 from repro.sim.measurement import MeasurementProtocol, MeasurementResult
 from repro.sim.batch import BatchEvalConfig, EvalOutcome, PureEvaluator
-from repro.sim.incremental import (
-    IncrementalEvalConfig,
-    IncrementalEvaluator,
-    ScheduleBaseline,
-    build_baseline,
-    resume_schedule,
-)
 from repro.sim.env import PlacementEnv
 
 __all__ = [
@@ -45,12 +38,7 @@ __all__ = [
     "BatchEvalConfig",
     "EvalOutcome",
     "PureEvaluator",
-    "IncrementalEvalConfig",
-    "IncrementalEvaluator",
-    "ScheduleBaseline",
     "ScheduleTables",
-    "build_baseline",
-    "resume_schedule",
     "DeviceSpec",
     "ClusterSpec",
     "Placement",

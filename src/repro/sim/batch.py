@@ -22,7 +22,7 @@ workers instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -57,11 +57,6 @@ class EvalOutcome:
     utilization: float  # mean device-busy fraction over the makespan
     worst_usage: float = 0.0  # bytes on the most-overcommitted device (OOM)
     worst_capacity: float = 0.0
-    #: How the schedule was produced: None = incremental not attempted,
-    #: True = incremental resume, False = attempted but fell back to full
-    #: simulation. Purely observational — the numbers are identical either
-    #: way (sim/incremental.py's bit-identical contract).
-    incremental: Optional[bool] = None
 
 
 class PureEvaluator:
@@ -110,30 +105,14 @@ class PureEvaluator:
         np.add.at(usage, placement.devices, self.mem_per_op)
         return usage, usage > self.capacity
 
-    def compute(
-        self, devices: np.ndarray, placement_key: int, incremental=None
-    ) -> EvalOutcome:
+    def compute(self, devices: np.ndarray, placement_key: int) -> EvalOutcome:
         """Measure one placement. ``placement_key`` seeds the protocol's
-        deterministic noise.
-
-        ``incremental`` is an optional
-        :class:`repro.sim.incremental.IncrementalEvaluator`: when given, the
-        schedule is resumed from the anchored baseline when the delta is
-        small, falling back to the full simulator otherwise. Results are
-        bit-identical either way; ``EvalOutcome.incremental`` records
-        which path ran.
-        """
+        deterministic noise."""
         placement = Placement(devices, self.graph, self.cluster)
         usage, oom = self.memory_usage(placement)
         valid = not bool(oom.any())
-        used_incremental: Optional[bool] = None
         if valid:
-            schedule = None
-            if incremental is not None:
-                schedule = incremental.reschedule(placement.devices)
-                used_incremental = schedule is not None
-            if schedule is None:
-                schedule = self.scheduler.run_step(placement, tables=self.tables)
+            schedule = self.scheduler.run_step(placement, tables=self.tables)
             makespan = schedule.makespan
             utilization = (
                 float(np.mean(schedule.device_busy) / schedule.makespan)
@@ -158,5 +137,4 @@ class PureEvaluator:
             utilization=utilization,
             worst_usage=worst_usage,
             worst_capacity=worst_capacity,
-            incremental=used_incremental,
         )

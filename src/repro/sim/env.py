@@ -30,7 +30,6 @@ from repro.sim.attribution import PlacementAttribution, attribute_schedule
 from repro.sim.batch import BatchEvalConfig, EvalOutcome, PureEvaluator
 from repro.sim.cluster import ClusterSpec
 from repro.sim.costmodel import CostModel
-from repro.sim.incremental import IncrementalEvalConfig, IncrementalEvaluator
 from repro.sim.measurement import MeasurementProtocol, MeasurementResult
 from repro.sim.memory import MemoryModel
 from repro.sim.placement import Placement, resolve_placement
@@ -48,10 +47,7 @@ class EnvStats:
     invalid: int = 0
     truncated: int = 0
     wall_clock: float = 0.0  # simulated seconds spent measuring placements
-    #: Evaluations served by the incremental fast path (sim/incremental.py)
-    #: vs. attempts that fell back to full simulation. Results are
-    #: bit-identical either way — these only measure how often the fast
-    #: path pays off.
+    # Always 0: kept because the benchmarks/e2e harness reads them.
     incremental_hits: int = 0
     incremental_fallbacks: int = 0
 
@@ -68,7 +64,7 @@ class PlacementEnv:
         protocol: Optional[MeasurementProtocol] = None,
         telemetry: Optional[Telemetry] = None,
         batch: Optional[BatchEvalConfig] = None,
-        incremental: Optional[IncrementalEvalConfig] = None,
+        incremental: object = None,  # ignored; the benchmarks/e2e harness passes it
     ):
         self.graph = graph
         self._telemetry = telemetry  # None -> ambient session per evaluate()
@@ -84,21 +80,6 @@ class PlacementEnv:
         self.scheduler = self._evaluator.scheduler
         self._op_times = self._evaluator.op_times
         self._tables = self._evaluator.tables
-        self._mem_per_op = self._evaluator.mem_per_op
-        self._capacity = self._evaluator.capacity
-        # Incremental re-evaluation state: anchored to the best valid
-        # placement seen (or an explicit anchor from a refinement loop).
-        self.incremental_config = (
-            incremental if incremental is not None else IncrementalEvalConfig()
-        )
-        self._incremental = IncrementalEvaluator(
-            self.graph,
-            self.cluster,
-            self.cost_model,
-            self._op_times,
-            self.incremental_config,
-            tables=self._tables,
-        )
         # Bounded LRU result cache: one entry per unique placement, capped
         # so long searches hold constant memory (<=0 means unbounded).
         cap = (batch or BatchEvalConfig()).cache_capacity
@@ -201,10 +182,7 @@ class PlacementEnv:
                 "invalid": int(self.stats.invalid),
                 "truncated": int(self.stats.truncated),
                 "wall_clock": float(self.stats.wall_clock),
-                "incremental_hits": int(self.stats.incremental_hits),
-                "incremental_fallbacks": int(self.stats.incremental_fallbacks),
             },
-            "incremental": self._incremental.state_dict(),
             "cache": {
                 "keys": keys,
                 "per_step_time": np.array([r.per_step_time for r in results], dtype=np.float64),
@@ -224,13 +202,7 @@ class PlacementEnv:
             invalid=int(stats["invalid"]),
             truncated=int(stats["truncated"]),
             wall_clock=float(stats["wall_clock"]),
-            # Absent in snapshots written before the incremental fast path
-            # existed — they resume with zeroed counters and no anchor.
-            incremental_hits=int(stats.get("incremental_hits", 0)),
-            incremental_fallbacks=int(stats.get("incremental_fallbacks", 0)),
         )
-        if "incremental" in state:
-            self._incremental.load_state_dict(state["incremental"])
         cache = state["cache"]
         keys = np.asarray(cache["keys"], dtype=np.int64)
         if keys.size and keys.shape[1] != self.num_ops:
@@ -325,19 +297,6 @@ class PlacementEnv:
                 per_step_time=float(result.per_step_time),
                 steps_run=int(result.steps_run),
             )
-        if outcome.incremental is not None:
-            if outcome.incremental:
-                self.stats.incremental_hits += 1
-                tel.counter("env.incremental_hits").inc()
-            else:
-                self.stats.incremental_fallbacks += 1
-                tel.counter("env.incremental_fallbacks").inc()
-        # Keep the incremental baseline anchored to the best valid
-        # placement seen so far (cheap: the build itself is lazy).
-        if result.valid and np.isfinite(outcome.makespan):
-            self._incremental.maybe_anchor(
-                np.frombuffer(key, dtype=np.int64), outcome.makespan
-            )
         if tel.sample_events:
             tel.emit(
                 "eval",
@@ -354,18 +313,6 @@ class PlacementEnv:
             )
 
     # ------------------------------------------------------------------
-    def anchor_incremental(self, actions: Sequence[int]) -> None:
-        """Re-anchor the incremental baseline to ``actions``.
-
-        Refinement loops (annealing's incumbent, serving's greedy decode)
-        call this so the placements they evaluate next — single-op
-        neighbours of the anchor — take the incremental fast path. The
-        baseline itself is built lazily on the next evaluation. A no-op
-        when the fast path is disabled or the graph is below ``min_ops``.
-        """
-        placement = self.resolve(actions)
-        self._incremental.anchor(placement.devices)
-
     def evaluate(self, actions: Sequence[int]) -> MeasurementResult:
         """Measure a placement proposed by the agent (cached)."""
         tel = self._telemetry or get_telemetry()
@@ -380,8 +327,7 @@ class PlacementEnv:
         """Measure a batch of placements: ``[self.evaluate(a) for a in
         actions_batch]`` under one ``env.evaluate_batch`` span, plus the
         batch metrics. Entries run in order through the same body as
-        ``evaluate``, so in-batch duplicates hit the cache and each entry
-        sees the incremental anchor that earlier entries left behind."""
+        ``evaluate``, so in-batch duplicates hit the cache."""
         tel = self._telemetry or get_telemetry()
         with span("env.evaluate_batch", telemetry=tel, n=len(actions_batch)):
             placements = [self.resolve(a) for a in actions_batch]
@@ -404,16 +350,12 @@ class PlacementEnv:
         self, placement: Placement, key: bytes, tel: Telemetry
     ) -> MeasurementResult:
         """The per-placement body of ``evaluate`` and ``evaluate_batch``:
-        cache lookup, else compute (resuming from the incremental anchor
-        when one is ready) and record."""
+        cache lookup, else compute and record."""
         cached = self._cache_get(key)
         if cached is not None:
             self._record_cache_hit(cached, tel)
             return cached
-        inc = self._incremental if self._incremental.ready else None
-        outcome = self._evaluator.compute(
-            placement.devices, hash(placement), incremental=inc
-        )
+        outcome = self._evaluator.compute(placement.devices, hash(placement))
         self._record_outcome(key, outcome, tel)
         return outcome.result
 

@@ -12,12 +12,10 @@ tie-breaking). This is what lets independent devices overlap — the
 cell-level pipelining that makes model-parallel RNN placements pay off —
 at O((V + E) log(V + E)) per simulated step.
 
-This module holds the simulator's only event loop (:func:`_drain`). It
-runs on :class:`ScheduleTables` — the graph, op times and per-op transfer
-times lowered once to nested Python lists, which beat per-element ndarray
-indexing by a large constant factor. :meth:`Scheduler.run_step` drains it
-from the initial state; the incremental fast path
-(``sim/incremental.py``) drains it from a snapshot of a baseline run.
+This module holds the simulator's only event loop (:func:`_simulate`).
+It runs on :class:`ScheduleTables` — the graph, op times and per-op
+transfer times lowered once to nested Python lists, which beat
+per-element ndarray indexing by a large constant factor.
 """
 
 from __future__ import annotations
@@ -63,8 +61,8 @@ class ScheduleTables:
     """Graph/cluster/cost invariants lowered to Python-native structures.
 
     Built once per (graph, cluster, cost model, op-time table) — a
-    :class:`repro.sim.env.PlacementEnv` builds one and shares it between
-    full simulations and incremental resumes. The values are the *same*
+    :class:`repro.sim.env.PlacementEnv` builds one and reuses it for every
+    placement it simulates. The values are the *same*
     float64 objects ``.tolist()`` produces, so the event loop's arithmetic
     is bit-identical to the cost model's. ``transfer[src][dst][op]`` is
     :meth:`CostModel.transfer_time` of ``op``'s output on that link (see
@@ -76,7 +74,6 @@ class ScheduleTables:
         "num_devices",
         "op_times",
         "succ",
-        "pred",
         "in_degree",
         "out_bytes",
         "transfer",
@@ -95,8 +92,7 @@ class ScheduleTables:
         self.num_devices = cluster.num_devices
         self.op_times: List[List[float]] = np.asarray(op_times, dtype=np.float64).tolist()
         self.succ: List[List[int]] = [list(graph.successors(i)) for i in range(n)]
-        self.pred: List[List[int]] = [list(graph.predecessors(i)) for i in range(n)]
-        self.in_degree: List[int] = [len(p) for p in self.pred]
+        self.in_degree: List[int] = [len(graph.predecessors(i)) for i in range(n)]
         out_bytes = np.array([node.output_bytes for node in graph.nodes], dtype=np.float64)
         self.out_bytes: List[float] = out_bytes.tolist()
         # Rows with equal contents (all pairs of a uniform interconnect,
@@ -113,100 +109,12 @@ class ScheduleTables:
         self.step_overhead = cluster.step_overhead
 
 
-@dataclass
-class _SimState:
-    """Full simulator state between two processed events."""
-
-    events_done: int
-    finish: List[float]
-    starts: List[float]
-    device_free: List[float]
-    device_busy: List[float]
-    device_ready: List[List[int]]
-    device_running: List[bool]
-    link_free: Dict[Tuple[int, int], float]
-    shipped: Set[Tuple[int, int]]
-    remaining: List[int]
-    comm_time: float
-    comm_bytes: float
-    heap: List[tuple]
-    seq: int
-    consumers_waiting: Dict[Tuple[int, int], List[int]]
-
-    def copy(self) -> "_SimState":
-        return _SimState(
-            events_done=self.events_done,
-            finish=list(self.finish),
-            starts=list(self.starts),
-            device_free=list(self.device_free),
-            device_busy=list(self.device_busy),
-            device_ready=[list(q) for q in self.device_ready],
-            device_running=list(self.device_running),
-            link_free=dict(self.link_free),
-            shipped=set(self.shipped),
-            remaining=list(self.remaining),
-            comm_time=self.comm_time,
-            comm_bytes=self.comm_bytes,
-            heap=list(self.heap),  # tuples are immutable; a shallow copy suffices
-            seq=self.seq,
-            consumers_waiting={k: list(v) for k, v in self.consumers_waiting.items()},
-        )
-
-
-def _initial_state(tables: ScheduleTables, devices: List[int]) -> _SimState:
-    """Simulator state after marking source ops ready (pre-event-loop)."""
-    n = tables.n
-    state = _SimState(
-        events_done=0,
-        finish=[0.0] * n,
-        starts=[0.0] * n,
-        device_free=[0.0] * tables.num_devices,
-        device_busy=[0.0] * tables.num_devices,
-        device_ready=[[] for _ in range(tables.num_devices)],
-        device_running=[False] * tables.num_devices,
-        link_free={},
-        shipped=set(),
-        remaining=list(tables.in_degree),
-        comm_time=0.0,
-        comm_bytes=0.0,
-        heap=[],
-        seq=0,
-        consumers_waiting={},
-    )
-    op_times = tables.op_times
-    seq = 0
-    for op in range(n):
-        if state.remaining[op] == 0:
-            dev = devices[op]
-            heapq.heappush(state.device_ready[dev], op)
-            if not state.device_running[dev]:
-                ready_op = heapq.heappop(state.device_ready[dev])
-                duration = op_times[ready_op][dev]
-                start = state.device_free[dev]  # now == 0.0
-                if start < 0.0:  # pragma: no cover - times are non-negative
-                    start = 0.0
-                end = start + duration
-                state.starts[ready_op] = start
-                state.finish[ready_op] = end
-                state.device_free[dev] = end
-                state.device_busy[dev] += duration
-                state.device_running[dev] = True
-                heapq.heappush(state.heap, (end, seq, 0, (ready_op, dev)))
-                seq += 1
-    state.seq = seq
-    return state
-
-
-def _drain(
-    state: _SimState,
+def _simulate(
     tables: ScheduleTables,
     devices: List[int],
     transfers: Optional[List[TransferRecord]] = None,
-    snapshot_every: int = 0,
-    completion_index: Optional[List[int]] = None,
-    snapshots: Optional[List[_SimState]] = None,
-) -> _SimState:
-    """Run the event loop to exhaustion, mutating ``state`` in place.
+) -> ScheduleResult:
+    """Run the event loop from the initial state to exhaustion.
 
     Event heap entries are ``(time, seq, kind, payload)``: kind 0 is an op
     completion (payload ``(op, device)``), kind 1 a tensor arrival
@@ -216,48 +124,50 @@ def _drain(
     every consumer of u on dst.
 
     ``transfers``, when given, receives a :class:`TransferRecord` per
-    cross-device shipment. With ``snapshot_every > 0`` the loop also
-    records periodic state snapshots and per-op completion indices (the
-    incremental baseline mode).
+    cross-device shipment.
     """
+    n = tables.n
+    num_devices = tables.num_devices
     op_times = tables.op_times
     succ = tables.succ
     out_bytes = tables.out_bytes
     transfer = tables.transfer
-    finish = state.finish
-    starts = state.starts
-    device_free = state.device_free
-    device_busy = state.device_busy
-    device_ready = state.device_ready
-    device_running = state.device_running
-    link_free = state.link_free
-    shipped = state.shipped
-    remaining = state.remaining
-    events = state.heap
-    seq = state.seq
-    consumers_waiting = state.consumers_waiting
-    comm_time = state.comm_time
-    comm_bytes = state.comm_bytes
-    events_done = state.events_done
+    finish = [0.0] * n
+    starts = [0.0] * n
+    device_free = [0.0] * num_devices
+    device_busy = [0.0] * num_devices
+    device_ready: List[List[int]] = [[] for _ in range(num_devices)]
+    device_running = [False] * num_devices
+    link_free: Dict[Tuple[int, int], float] = {}
+    shipped: Set[Tuple[int, int]] = set()
+    remaining = list(tables.in_degree)
+    events: List[tuple] = []
+    seq = 0
+    consumers_waiting: Dict[Tuple[int, int], List[int]] = {}
+    comm_time = 0.0
+    comm_bytes = 0.0
     heappush, heappop = heapq.heappush, heapq.heappop
 
+    # Source ops are ready at t=0: each device starts its first one and
+    # queues the rest.
+    for op in range(n):
+        if remaining[op] == 0:
+            dev = devices[op]
+            if device_running[dev]:
+                heappush(device_ready[dev], op)
+            else:
+                duration = op_times[op][dev]
+                finish[op] = duration
+                device_free[dev] = duration
+                device_busy[dev] += duration
+                device_running[dev] = True
+                heappush(events, (duration, seq, 0, (op, dev)))
+                seq += 1
+
     while events:
-        if (
-            snapshot_every
-            and events_done
-            and events_done % snapshot_every == 0
-            and snapshots is not None
-        ):
-            state.seq = seq
-            state.comm_time = comm_time
-            state.comm_bytes = comm_bytes
-            state.events_done = events_done
-            snapshots.append(state.copy())
         now, _, kind, payload = heappop(events)
         if kind == 0:  # op completed
             op, dev = payload
-            if completion_index is not None:
-                completion_index[op] = events_done
             device_running[dev] = False
             for s in succ[op]:
                 dst = devices[s]
@@ -332,29 +242,18 @@ def _drain(
                         device_running[dst] = True
                         heappush(events, (end, seq, 0, (ready_op, dst)))
                         seq += 1
-        events_done += 1
 
-    state.seq = seq
-    state.comm_time = comm_time
-    state.comm_bytes = comm_bytes
-    state.events_done = events_done
-    return state
-
-
-def _result_from_state(
-    state: _SimState,
-    tables: ScheduleTables,
-    transfers: Optional[List[TransferRecord]] = None,
-) -> ScheduleResult:
-    finish = np.array(state.finish, dtype=np.float64)
-    makespan = float(finish.max()) + tables.step_overhead if tables.n else 0.0
+    if any(remaining):  # pragma: no cover - defensive
+        raise RuntimeError("scheduler deadlock: graph has a cycle?")
+    finish_arr = np.array(finish, dtype=np.float64)
+    makespan = float(finish_arr.max()) + tables.step_overhead if n else 0.0
     return ScheduleResult(
         makespan=makespan,
-        finish_times=finish,
-        device_busy=np.array(state.device_busy, dtype=np.float64),
-        comm_time=float(state.comm_time),
-        comm_bytes=float(state.comm_bytes),
-        start_times=np.array(state.starts, dtype=np.float64),
+        finish_times=finish_arr,
+        device_busy=np.array(device_busy, dtype=np.float64),
+        comm_time=float(comm_time),
+        comm_bytes=float(comm_bytes),
+        start_times=np.array(starts, dtype=np.float64),
         transfers=transfers,
     )
 
@@ -401,7 +300,4 @@ class Scheduler:
             tables = ScheduleTables(graph, cluster, self.cost_model, op_times)
         devices = placement.devices.tolist()
         transfers: Optional[List[TransferRecord]] = [] if trace else None
-        state = _drain(_initial_state(tables, devices), tables, devices, transfers)
-        if any(state.remaining):  # pragma: no cover - defensive
-            raise RuntimeError("scheduler deadlock: graph has a cycle?")
-        return _result_from_state(state, tables, transfers)
+        return _simulate(tables, devices, transfers)

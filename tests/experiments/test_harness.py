@@ -151,3 +151,9 @@ class TestRunnerCLI:
 
         with pytest.raises(SystemExit):
             build_parser().parse_args(["table9"])
+
+    def test_parser_rejects_no_incremental(self):
+        from repro.experiments.runner import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["table2", "--no-incremental"])

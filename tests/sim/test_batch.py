@@ -115,6 +115,41 @@ class TestSnapshot:
         assert resumed.stats == env.stats
         assert list(resumed._cache.keys()) == list(env._cache.keys())
 
+    def test_state_dict_has_no_incremental_keys(self):
+        env = PlacementEnv(tiny_graph(), CLUSTER)
+        state = env.state_dict()
+        assert "incremental" not in state
+        assert not any(k.startswith("incremental") for k in state["stats"])
+
+    def test_snapshot_with_incremental_keys_resumes_like_uninterrupted_run(self):
+        """Snapshots written while the incremental fast path existed carry
+        its anchor and two counters; they resume, and the resumed run
+        ends where an uninterrupted one does."""
+        g = tiny_graph()
+        batch = random_batch(g, n=12)
+        straight = PlacementEnv(g, CLUSTER)
+        for a in batch:
+            straight.evaluate(a)
+
+        first = PlacementEnv(g, CLUSTER)
+        for a in batch[:6]:
+            first.evaluate(a)
+        state = first.state_dict()
+        state["stats"]["incremental_hits"] = 4
+        state["stats"]["incremental_fallbacks"] = 1
+        state["incremental"] = {
+            "anchor": np.asarray(batch[2], dtype=np.int64),
+            "anchor_makespan": 0.5,
+        }
+        resumed = PlacementEnv(g, CLUSTER)
+        resumed.load_state_dict(state)
+        for a in batch[6:]:
+            resumed.evaluate(a)
+
+        assert resumed.stats == straight.stats
+        assert list(resumed._cache.items()) == list(straight._cache.items())
+
+
 class TestBoundedCache:
     def test_cache_never_exceeds_capacity(self):
         g = tiny_graph()

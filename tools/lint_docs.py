@@ -5,13 +5,13 @@ Run from the repo root (``make lint-docs`` does):
 
     python tools/lint_docs.py
 
-Four checks, all stdlib-only:
+Five checks, all stdlib-only:
 
 1. Every relative link/image target in the repo's Markdown files must
    exist on disk (``http(s)://``, ``mailto:`` and pure ``#anchor`` links
    are skipped; a ``target#anchor`` suffix is stripped before the check).
 2. Every repo-looking path named in inline code in ``docs/*.md`` (e.g.
-   ```` `src/repro/sim/incremental.py` ````) must exist, resolved
+   ```` `src/repro/sim/scheduler.py` ````) must exist, resolved
    against the repo root, ``src/`` and ``src/repro/``. Only tokens whose
    first segment is a real top-level directory count as path claims, so
    illustrative paths (``runs/<id>/events.jsonl``) and globs stay exempt;
@@ -26,6 +26,10 @@ Four checks, all stdlib-only:
    to ``counter(...)`` / ``gauge(...)`` / ``histogram(...)`` — must
    appear in docs/observability.md's metric glossary, so a new metric
    cannot ship undocumented.
+5. The converse: every metric named at the head of a bullet in the
+   glossary (§4 of docs/observability.md; the code spans before the
+   bullet's " — ") must be recorded under ``src/``, so a deleted metric
+   cannot leave its documentation behind.
 
 Exit status is non-zero if any check fails.
 """
@@ -155,15 +159,12 @@ _METRIC_CALL_RE = re.compile(
 )
 
 
-def check_metric_glossary() -> list:
-    """Every metric recorded under src/ must be in the observability
-    glossary (docs/observability.md)."""
-    glossary_path = os.path.join(REPO_ROOT, "docs", "observability.md")
-    if not os.path.exists(glossary_path):
-        return ["docs/observability.md missing (metric glossary home)"]
-    glossary = open(glossary_path, encoding="utf-8").read()
-    errors = []
-    recorded = {}  # name -> first "file:line" that records it
+GLOSSARY_PATH = os.path.join(REPO_ROOT, "docs", "observability.md")
+
+
+def recorded_metrics() -> dict:
+    """Metric name -> first "file:line" under src/ that records it."""
+    recorded = {}
     for path in sorted(
         glob.glob(os.path.join(REPO_ROOT, "src", "**", "*.py"), recursive=True)
     ):
@@ -171,6 +172,17 @@ def check_metric_glossary() -> list:
         for lineno, line in enumerate(open(path, encoding="utf-8"), 1):
             for match in _METRIC_CALL_RE.finditer(line):
                 recorded.setdefault(match.group(1), f"{rel}:{lineno}")
+    return recorded
+
+
+def check_metric_glossary() -> list:
+    """Every metric recorded under src/ must be in the observability
+    glossary (docs/observability.md)."""
+    if not os.path.exists(GLOSSARY_PATH):
+        return ["docs/observability.md missing (metric glossary home)"]
+    glossary = open(GLOSSARY_PATH, encoding="utf-8").read()
+    errors = []
+    recorded = recorded_metrics()
     for name in sorted(recorded):
         # A glossary row mentions the metric in a code span: `env.oom`.
         if f"`{name}`" not in glossary:
@@ -181,12 +193,41 @@ def check_metric_glossary() -> list:
     return errors
 
 
+# A glossary bullet's head: "* `env.oom`, `env.cutoff` — ..." -> the text
+# between the bullet marker and the first em dash.
+_BULLET_HEAD_RE = re.compile(r"^\* (.*?) — ", re.MULTILINE)
+_METRIC_NAME_RE = re.compile(r"^[a-z_]+(?:\.[a-z0-9_]+)+$")
+
+
+def check_glossary_metrics_recorded() -> list:
+    """Every metric heading a glossary bullet must be recorded under src/."""
+    if not os.path.exists(GLOSSARY_PATH):
+        return []  # check_metric_glossary reports the missing file
+    text = open(GLOSSARY_PATH, encoding="utf-8").read()
+    start = text.find("\n## 4. ")
+    end = text.find("\n## ", start + 1)
+    if start < 0:
+        return ["docs/observability.md: no '## 4.' metric glossary section"]
+    section = text[start : end if end >= 0 else len(text)]
+    recorded = recorded_metrics()
+    errors = []
+    for head in _BULLET_HEAD_RE.finditer(section):
+        for name in _CODE_SPAN_RE.findall(head.group(1)):
+            if _METRIC_NAME_RE.match(name) and name not in recorded:
+                errors.append(
+                    f"docs/observability.md: glossary names metric {name!r}, "
+                    "which nothing under src/ records"
+                )
+    return errors
+
+
 def main() -> int:
     errors = (
         check_markdown_links()
         + check_doc_path_references()
         + check_event_fixtures()
         + check_metric_glossary()
+        + check_glossary_metrics_recorded()
     )
     for error in errors:
         print(error, file=sys.stderr)
