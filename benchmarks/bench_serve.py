@@ -6,9 +6,11 @@ greedy miss (one argmax decode + one simulation) and refined miss
 plus a **duplicate-heavy open-loop load test**: thundering herds of
 identical requests fired on a fixed arrival schedule (open loop — the
 load does not wait for responses) against the full queue + worker
-stack, with single-flight coalescing on vs off at the same offered
-load. The coalescing row in ``BENCH_serve.json`` backs the ≥2× p99
-claim in docs/serving.md §4. Two entry points:
+stack, with coalescing on vs off at the same offered load. One run of
+the herd load is noisy on a small host, so the full benchmark runs
+several off/on pairs and gates the *median* p99 ratio; the coalescing
+row in ``BENCH_serve.json`` backs the ≥2× p99 claim in docs/serving.md
+§4. Two entry points:
 
 * ``pytest benchmarks/bench_serve.py --benchmark-only`` — the
   pytest-benchmark harness (calibrated statistics, nice terminal table);
@@ -120,7 +122,7 @@ def _time_path(fn, rounds: int):
 
 
 # ----------------------------------------------------------------------
-# Duplicate-heavy open-loop load test (single-flight coalescing A/B)
+# Duplicate-heavy open-loop load test (coalescing A/B)
 # ----------------------------------------------------------------------
 def _dup_graph(index: int, length: int):
     """Small distinct chain graphs — the duplicate-heavy request mix."""
@@ -219,19 +221,27 @@ def _run_herd_mode(registry, docs, *, coalesce, waves, herd, interval_s, ttl, bu
     }
 
 
+#: Off/on pairs the full herd benchmark runs; the p99 gate reads their
+#: median ratio, so one noisy run can neither fail nor carry it.
+HERD_PAIRS = 5
+
+
 def run_duplicate_heavy(smoke: bool = False):
     """A/B the duplicate-heavy herd load with coalescing off vs on at
     the same offered load. Returns the BENCH_serve.json row."""
     if smoke:
         params = dict(waves=6, herd=12, interval_s=0.06, ttl=0.03, budget=8, workers=2)
         lengths = (5, 6)
+        pairs = 1
     else:
         params = dict(waves=24, herd=24, interval_s=0.08, ttl=0.05, budget=16, workers=6)
         lengths = (6, 7)
+        pairs = HERD_PAIRS
     docs = [graph_to_dict(_dup_graph(i, n)) for i, n in enumerate(lengths)]
 
     cfg = fast_profile(seed=0)
     anchor = _dup_graph(0, lengths[0])
+    runs = []
     with tempfile.TemporaryDirectory(prefix="serve-herd-") as ckpt_dir:
         agent, _ = build_agent("mars_no_pretrain", anchor, CLUSTER, cfg, None)
         save_agent(
@@ -239,32 +249,46 @@ def run_duplicate_heavy(smoke: bool = False):
             workload=anchor.name, config=cfg,
         )
         registry = PolicyRegistry(ckpt_dir)  # shared: agents load once
-        off = _run_herd_mode(registry, docs, coalesce=False, **params)
-        on = _run_herd_mode(registry, docs, coalesce=True, **params)
+        for pair in range(pairs):
+            # Alternate which mode runs first so drift favours neither.
+            order = (False, True) if pair % 2 == 0 else (True, False)
+            rows = {mode: _run_herd_mode(registry, docs, coalesce=mode, **params)
+                    for mode in order}
+            runs.append((rows[False], rows[True]))
 
-    improvement = off["p99_ms"] / on["p99_ms"] if on["p99_ms"] > 0 else float("inf")
+    def ratio(off, on):
+        return off["p99_ms"] / on["p99_ms"] if on["p99_ms"] > 0 else float("inf")
+
+    ratios = [ratio(off, on) for off, on in runs]
+    improvement = float(statistics.median(ratios))
     print(f"\nduplicate-heavy open-loop load "
           f"({params['waves']} waves x {params['herd']} dup requests, "
-          f"{params['interval_s'] * 1e3:.0f} ms interval, budget={params['budget']})")
-    print(f"{'mode':<14} {'computes':>9} {'coalesced':>10} {'hits':>6} "
+          f"{params['interval_s'] * 1e3:.0f} ms interval, budget={params['budget']}, "
+          f"{pairs} off/on pairs)")
+    print(f"{'pair':<5} {'mode':<14} {'computes':>9} {'coalesced':>10} {'hits':>6} "
           f"{'p50_ms':>9} {'p99_ms':>9}")
-    for row in (off, on):
-        mode = "coalesce_on" if row["coalesce"] else "coalesce_off"
-        print(f"{mode:<14} {row['computes']:>9} {row['coalesced']:>10} "
-              f"{row['hits']:>6} {row['p50_ms']:>9.2f} {row['p99_ms']:>9.2f}")
-    print(f"p99 improvement: {improvement:.2f}x")
+    for pair, (off, on) in enumerate(runs):
+        for row in (off, on):
+            mode = "coalesce_on" if row["coalesce"] else "coalesce_off"
+            print(f"{pair:<5} {mode:<14} {row['computes']:>9} {row['coalesced']:>10} "
+                  f"{row['hits']:>6} {row['p50_ms']:>9.2f} {row['p99_ms']:>9.2f}")
+    print("p99 improvement per pair: " + ", ".join(f"{r:.2f}x" for r in ratios))
+    print(f"median p99 improvement: {improvement:.2f}x")
 
-    for row in (off, on):
-        assert row["errors"] == 0, f"herd requests failed: {row}"
-        assert row["rejected"] == 0, f"herd requests rejected: {row}"
-    assert on["computes"] < off["computes"], (
-        f"coalescing did not reduce computes: {on['computes']} vs {off['computes']}"
-    )
-    assert on["coalesced"] > 0, "no request ever coalesced"
+    for off, on in runs:
+        for row in (off, on):
+            assert row["errors"] == 0, f"herd requests failed: {row}"
+            assert row["rejected"] == 0, f"herd requests rejected: {row}"
+        assert on["computes"] < off["computes"], (
+            f"coalescing did not reduce computes: {on['computes']} vs {off['computes']}"
+        )
+        assert on["coalesced"] > 0, "no request ever coalesced"
     if not smoke:
         assert improvement >= 2.0, (
-            f"p99 improvement {improvement:.2f}x below the 2x acceptance bar"
+            f"median p99 improvement {improvement:.2f}x below the 2x acceptance bar"
         )
+    # The recorded rows are the pair whose ratio is the median.
+    off, on = runs[sorted(range(pairs), key=ratios.__getitem__)[pairs // 2]]
     return {
         "herd": int(params["herd"]),
         "waves": int(params["waves"]),
@@ -272,9 +296,11 @@ def run_duplicate_heavy(smoke: bool = False):
         "budget": int(params["budget"]),
         "workers": int(params["workers"]),
         "cache_ttl_s": float(params["ttl"]),
+        "pairs": int(pairs),
         "coalesce_off": off,
         "coalesce_on": on,
-        "p99_improvement": float(improvement),
+        "p99_improvements": [float(r) for r in ratios],
+        "p99_improvement": improvement,
     }
 
 

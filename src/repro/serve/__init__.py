@@ -7,15 +7,19 @@ graphs. See docs/serving.md for the guide.
 
 Layers, bottom up:
 
+* :class:`FingerprintCache` — the one keyed cache: a thread-safe LRU
+  (+ optional TTL) of futures whose pending entries make identical
+  concurrent lookups share one computation. The registry's agents, the
+  service's environments and its results each live in one.
 * :class:`PolicyRegistry` — scans a checkpoint directory's sidecars,
   indexes agents by ``(agent_kind, workload, num_devices)``, rebuilds
   them lazily with :func:`repro.core.load_agent`, hot-reloads on refresh.
 * :class:`PlacementService` — the programmatic API: request in (graph
   JSON or workload name + cluster spec + refinement budget), response
   out (placement, predicted step time, policy id, cache status, latency);
-  greedy fast path, bounded refinement via ``evaluate_batch``, a
-  fingerprint LRU+TTL result cache, and single-flight coalescing of
-  identical in-flight requests (:class:`SingleFlight`).
+  greedy fast path, bounded refinement via ``evaluate_batch``, and a
+  fingerprint result cache that also coalesces identical in-flight
+  requests.
 * :class:`RequestQueue` — worker threads, micro-batching, bounded-queue
   admission control with the typed :class:`ServiceOverloaded` error,
   graceful draining shutdown.
@@ -33,7 +37,6 @@ Quickstart::
 """
 
 from repro.serve.cache import CacheStats, FingerprintCache
-from repro.serve.coalesce import Flight, FlightStats, SingleFlight
 from repro.serve.http import PlacementServer
 from repro.serve.queue import RequestQueue
 from repro.serve.registry import LoadedPolicy, PolicyRegistry, PolicySpec
@@ -53,8 +56,6 @@ __all__ = [
     "BadRequest",
     "CacheStats",
     "FingerprintCache",
-    "Flight",
-    "FlightStats",
     "LoadedPolicy",
     "PlacementRequest",
     "PlacementResponse",
@@ -68,5 +69,4 @@ __all__ = [
     "ServiceClosed",
     "ServiceError",
     "ServiceOverloaded",
-    "SingleFlight",
 ]

@@ -5,16 +5,17 @@ A checkpoint directory (written by :func:`repro.core.save_agent`) holds
 registry scans the sidecars — cheap, no parameter I/O — and indexes the
 policies by ``(agent_kind, workload, num_devices)``. Agents are only
 rebuilt (via :func:`repro.core.load_agent`) when a request first needs
-them, and the built agent is cached per ``(policy, graph fingerprint,
-cluster signature)`` so repeated requests against the same graph reuse
-the same in-memory network.
+them, and the built agent is cached per ``(policy, sidecar mtime, graph
+fingerprint, cluster signature)`` in a :class:`FingerprintCache`, so
+repeated requests against the same graph reuse the same in-memory
+network and concurrent first requests build it once.
 
 Hot reload: :meth:`PolicyRegistry.refresh` rescans the directory. New
 sidecars become servable immediately; removed ones disappear; a sidecar
 whose mtime changed (a retrained checkpoint saved over the old stem)
-invalidates every loaded agent built from it. ``save_agent`` writes
-atomically and sidecar-last, so a concurrent refresh never observes a
-half-written checkpoint.
+invalidates every loaded agent built from it, including one whose build
+is still in flight. ``save_agent`` writes atomically and sidecar-last,
+so a concurrent refresh never observes a half-written checkpoint.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ import glob
 import json
 import os
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.config import MarsConfig
 from repro.graph import CompGraph, FeatureExtractor
+from repro.serve.cache import FingerprintCache
 from repro.sim.cluster import ClusterSpec
 from repro.utils.logging import get_logger
 
@@ -100,7 +101,7 @@ class PolicyRegistry:
         self.agent_cache_size = max(1, int(agent_cache_size))
         self._lock = threading.Lock()
         self._specs: Dict[str, PolicySpec] = {}
-        self._agents: "OrderedDict[Tuple[str, str, str], LoadedPolicy]" = OrderedDict()
+        self._agents = FingerprintCache(capacity=self.agent_cache_size)
         self.refresh()
 
     # ------------------------------------------------------------------
@@ -143,11 +144,11 @@ class PolicyRegistry:
                 for pid, old in self._specs.items()
                 if pid not in fresh or fresh[pid].mtime != old.mtime
             }
-            if stale:
-                for key in [k for k in self._agents if k[0] in stale]:
-                    del self._agents[key]
             self._specs = fresh
         if stale:
+            # Builds still in flight are dropped too, so none of them can
+            # re-insert an agent from the replaced checkpoint.
+            self._agents.discard(lambda key: key[0] in stale)
             logger.info(
                 "registry refresh: %d policies, %d invalidated", len(fresh), len(stale)
             )
@@ -207,28 +208,21 @@ class PolicyRegistry:
         """The built agent for ``spec`` over ``graph``/``cluster`` (LRU
         cached). Raises ``ValueError`` on device/feature mismatches, with
         the message from :func:`repro.core.load_agent`."""
-        key = (spec.policy_id, graph.fingerprint(), cluster.signature())
-        with self._lock:
-            loaded = self._agents.get(key)
-            if loaded is not None:
-                self._agents.move_to_end(key)
-                return loaded
-        # Build outside the lock: load_agent is seconds of NumPy work and
-        # must not serialize unrelated requests. A racing duplicate build
-        # is wasted work, not corruption — last insert wins.
-        from repro.core.checkpoint import load_agent
+        key = (spec.policy_id, spec.mtime, graph.fingerprint(), cluster.signature())
 
-        agent, _ = load_agent(
-            spec.path,
-            graph,
-            cluster,
-            config=self.config,
-            feature_extractor=self.feature_extractor,
-        )
-        loaded = LoadedPolicy(spec=spec, agent=agent, graph=graph)
-        with self._lock:
-            self._agents[key] = loaded
-            self._agents.move_to_end(key)
-            while len(self._agents) > self.agent_cache_size:
-                self._agents.popitem(last=False)
+        def build() -> LoadedPolicy:
+            from repro.core.checkpoint import load_agent
+
+            agent, _ = load_agent(
+                spec.path,
+                graph,
+                cluster,
+                config=self.config,
+                feature_extractor=self.feature_extractor,
+            )
+            return LoadedPolicy(spec=spec, agent=agent, graph=graph)
+
+        # Built outside any lock: concurrent callers for one key wait on a
+        # single build, and unrelated requests are never serialized.
+        loaded, _ = self._agents.get_or_compute(key, build)
         return loaded

@@ -22,10 +22,12 @@ Two paths:
 
 Results are cached by a composite fingerprint — graph content hash
 (:meth:`CompGraph.fingerprint`) + policy id + cluster signature + budget
-— so identical graphs never re-run inference. Identical *in-flight*
-requests coalesce through a single-flight table under the same key
-(:mod:`repro.serve.coalesce`): one herd, one computation, the rest await
-the leader's future and answer with ``cache="coalesced"``.
+— so identical graphs never re-run inference. The cache
+(:mod:`repro.serve.cache`) holds a pending future for each computation
+in flight, so identical concurrent requests coalesce: one herd, one
+computation, the rest wait on that future and answer with
+``cache="coalesced"``. Built environments live in a second instance of
+the same cache.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ import numpy as np
 
 from repro.graph import CompGraph, graph_from_dict
 from repro.serve.cache import FingerprintCache
-from repro.serve.coalesce import Flight, SingleFlight
 from repro.serve.registry import LoadedPolicy, PolicyRegistry, PolicySpec
 from repro.sim.cluster import ClusterSpec
 from repro.sim.env import PlacementEnv
@@ -226,16 +227,10 @@ class PlacementService:
             health if health is not None else HealthConfig(action="warn"),
             telemetry=telemetry,
         )
-        self._lock = threading.Lock()  # telemetry + env-cache mutation
-        self._envs: Dict[str, PlacementEnv] = {}
-        self._env_order: List[str] = []
-        # Per-key build locks so two threads missing the same env key never
-        # both construct a PlacementEnv (the loser's would be built for
-        # nothing).
-        self._env_builds: Dict[str, threading.Lock] = {}
-        # In-flight table: identical concurrent requests coalesce to one
-        # computation (docs/serving.md §4). Keyed like the result cache.
-        self._flights = SingleFlight()
+        self._lock = threading.Lock()  # telemetry emission
+        self._envs = FingerprintCache(
+            capacity=self.config.env_cache_size, on_evict=lambda env: env.close_pool()
+        )
 
     # ------------------------------------------------------------------
     def _tel(self) -> Telemetry:
@@ -352,34 +347,13 @@ class PlacementService:
         return spec
 
     def _env_for(self, graph: CompGraph, cluster: ClusterSpec, key: str) -> PlacementEnv:
-        with self._lock:
-            env = self._envs.get(key)
-            if env is not None:
-                self._env_order.remove(key)
-                self._env_order.append(key)
-                return env
-            build_lock = self._env_builds.setdefault(key, threading.Lock())
-        # Serialize construction per key: concurrent requests missing the
-        # same env wait for one build instead of each building their own.
-        with build_lock:
-            with self._lock:
-                env = self._envs.get(key)
-                if env is not None:
-                    self._env_order.remove(key)
-                    self._env_order.append(key)
-                    return env
-            # Pin the service's telemetry session on the env so env.* metrics
-            # (and spans) land in the registry /metrics exposes, regardless of
-            # which worker thread triggers the build.
-            env = PlacementEnv(graph, cluster, telemetry=self._telemetry)
-            with self._lock:
-                self._envs[key] = env
-                self._env_order.append(key)
-                while len(self._env_order) > self.config.env_cache_size:
-                    evicted = self._env_order.pop(0)
-                    self._envs.pop(evicted).close_pool()
-                self._env_builds.pop(key, None)
-            return env
+        # Pin the service's telemetry session on the env so env.* metrics
+        # (and spans) land in the registry /metrics exposes, regardless of
+        # which worker thread triggers the build.
+        env, _ = self._envs.get_or_compute(
+            key, lambda: PlacementEnv(graph, cluster, telemetry=self._telemetry)
+        )
+        return env
 
     # ------------------------------------------------------------------
     # The placement computation
@@ -449,61 +423,6 @@ class PlacementService:
         )
 
     # ------------------------------------------------------------------
-    # Single-flight plumbing
-    # ------------------------------------------------------------------
-    def _finish_flight(
-        self,
-        flight: Optional[Flight],
-        result: Optional[PlacementResponse] = None,
-        exception: Optional[BaseException] = None,
-    ) -> None:
-        """Resolve ``flight`` if one is open; returns ``None`` so callers
-        can clear their local in one statement (finish is once-only)."""
-        if flight is not None:
-            self._flights.finish(flight, result=result, exception=exception)
-        return None
-
-    def _join_flight(
-        self,
-        request: PlacementRequest,
-        flight: Flight,
-        start: float,
-        trace_id: str,
-    ) -> PlacementResponse:
-        """Follower path: await the leader's response for the same key.
-
-        Re-raises the leader's typed error (the herd raced one
-        computation; they share its outcome). The follower's response is
-        the leader's with its own identity, ``cache="coalesced"`` and its
-        own latency."""
-        wait_start = time.perf_counter()
-        shared: PlacementResponse = flight.wait()
-        wait_s = time.perf_counter() - wait_start
-        latency_ms = (time.perf_counter() - start) * 1e3
-        response = replace(
-            shared,
-            request_id=request.request_id,
-            cache="coalesced",
-            latency_ms=latency_ms,
-            trace_id=trace_id,
-        )
-        with self._lock:
-            self._tel().histogram("serve.coalesce_wait_s").observe(wait_s)
-        self._emit_request(
-            request,
-            "ok",
-            "coalesced",
-            latency_ms,
-            policy_id=response.policy_id,
-            fingerprint=response.fingerprint,
-            trace_id=trace_id,
-            predicted_step_time=float(response.predicted_step_time),
-            valid=bool(response.valid),
-            workload=response.workload,
-        )
-        return response
-
-    # ------------------------------------------------------------------
     def handle(self, request: PlacementRequest) -> PlacementResponse:
         """Serve one request synchronously. Raises the typed
         :class:`ServiceError` subclasses on failure."""
@@ -544,44 +463,8 @@ class PlacementService:
                 cluster_sig = cluster.signature()
                 key = f"{fingerprint}:{cluster_sig}:{spec.policy_id}:{request.budget}"
 
-                # Single-flight: join an identical in-flight computation
-                # instead of touching the cache or recomputing. The leader
-                # resolves the flight with its response (computed or
-                # cache-hit) — one computation per herd, and exactly one
-                # cache miss counted per herd. `use_cache=False` opts out:
-                # that request explicitly wants its own computation.
-                flight: Optional[Flight] = None
-                if request.use_cache and self.config.coalesce:
-                    flight, leader = self._flights.begin(key)
-                    if not leader:
-                        return self._join_flight(request, flight, start, trace_id)
-                try:
-                    if request.use_cache:
-                        cached = self.cache.get(key)
-                        if cached is not None:
-                            latency_ms = (time.perf_counter() - start) * 1e3
-                            response = replace(
-                                cached,
-                                request_id=request.request_id,
-                                cache="hit",
-                                latency_ms=latency_ms,
-                                trace_id=trace_id,
-                            )
-                            flight = self._finish_flight(flight, cached)
-                            self._emit_request(
-                                request,
-                                "ok",
-                                "hit",
-                                latency_ms,
-                                policy_id=spec.policy_id,
-                                fingerprint=fingerprint,
-                                trace_id=trace_id,
-                                predicted_step_time=float(response.predicted_step_time),
-                                valid=bool(response.valid),
-                                workload=response.workload,
-                            )
-                            return response
 
+                def compute() -> PlacementResponse:
                     response = self._compute(
                         request,
                         graph,
@@ -592,25 +475,42 @@ class PlacementService:
                     )
                     response.latency_ms = (time.perf_counter() - start) * 1e3
                     response.trace_id = trace_id
-                    if request.use_cache:
-                        self.cache.put(key, response)
-                    flight = self._finish_flight(flight, response)
-                except BaseException as exc:
-                    # The leader must always resolve its flight — an
-                    # unresolved one would park every follower forever.
-                    # Followers re-raise this from flight.wait().
-                    self._finish_flight(flight, exception=exc)
-                    raise
-                with self._lock:
-                    tel = self._tel()
-                    tel.gauge("serve.cache_size").set(len(self.cache))
+                    return response
+
+                # `use_cache=False` skips the cache and its coalescing: that
+                # request explicitly wants its own computation.
+                if request.use_cache:
+                    lookup_start = time.perf_counter()
+                    response, state = self.cache.get_or_compute(
+                        key, compute, coalesce=self.config.coalesce
+                    )
+                else:
+                    response, state = compute(), "miss"
+                if state == "miss":
+                    with self._lock:
+                        self._tel().gauge("serve.cache_size").set(len(self.cache))
+                else:
+                    # A hit or a coalesced wait answers with the computing
+                    # request's response under this request's identity.
+                    if state == "coalesced":
+                        with self._lock:
+                            self._tel().histogram("serve.coalesce_wait_s").observe(
+                                time.perf_counter() - lookup_start
+                            )
+                    response = replace(
+                        response,
+                        request_id=request.request_id,
+                        cache=state,
+                        latency_ms=(time.perf_counter() - start) * 1e3,
+                        trace_id=trace_id,
+                    )
                 self._emit_request(
                     request,
                     "ok",
-                    "miss",
+                    state,
                     response.latency_ms,
-                    policy_id=spec.policy_id,
-                    fingerprint=fingerprint,
+                    policy_id=response.policy_id,
+                    fingerprint=response.fingerprint,
                     trace_id=trace_id,
                     predicted_step_time=float(response.predicted_step_time),
                     valid=bool(response.valid),
@@ -691,7 +591,4 @@ class PlacementService:
 
     def close(self) -> None:
         """Drop the cached environments, calling each one's release hook."""
-        with self._lock:
-            envs, self._envs, self._env_order = self._envs, {}, []
-        for env in envs.values():
-            env.close_pool()
+        self._envs.clear()

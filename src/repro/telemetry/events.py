@@ -143,7 +143,7 @@ EVENT_SCHEMAS: Dict[str, Dict[str, tuple]] = {
     # One event per serviced request. `status` is "ok" or a typed error
     # code ("bad_request" | "policy_not_found" | "overloaded" | ...);
     # `cache` is "hit" | "miss" | "coalesced" (awaited an identical
-    # in-flight request's single-flight future) | "none" (failed requests
+    # in-flight request's pending cache entry) | "none" (failed requests
     # never reach the cache). `policy_id`/`fingerprint` are empty strings
     # when the request failed before they were resolved.
     "serve_request": {

@@ -1,14 +1,16 @@
-"""Tests for single-flight request coalescing (``repro.serve.coalesce``).
+"""Tests for request coalescing through the cache's pending entries.
 
-Covers the :class:`SingleFlight` table in isolation, its integration in
-:meth:`PlacementService.handle` (one computation per thundering herd,
-``cache="coalesced"`` responses, telemetry), the TTL-expiry interaction
-(an expired entry's recompute coalesces to one flight and the cache
-counts one miss per herd), and registry cache warming.
+Covers the pending-entry API of :class:`FingerprintCache` in isolation,
+its integration in :meth:`PlacementService.handle` (one computation per
+thundering herd, ``cache="coalesced"`` responses, telemetry), the
+TTL-expiry interaction (an expired entry's recompute coalesces to one
+computation and the cache counts one miss per herd), hot reload against
+an in-flight computation, and registry cache warming.
 
 Herd tests gate the service's ``_compute`` on an event so followers
 deterministically arrive while the leader is in flight — the follower
-join count is polled via ``SingleFlight.stats`` before release.
+join count is polled via ``service.cache.stats.coalesced`` before
+release.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from repro.serve import (
     PlacementService,
     PolicyRegistry,
     ServeConfig,
-    SingleFlight,
 )
 from repro.telemetry import Telemetry
 from tests.helpers import tiny_graph
@@ -35,86 +36,97 @@ HERD = 6  # leader + 5 followers
 
 
 # ----------------------------------------------------------------------
-# The table in isolation
+# Pending entries in isolation
 # ----------------------------------------------------------------------
 class TestSingleFlight:
     def test_leader_then_follower(self):
-        table = SingleFlight()
-        flight, leader = table.begin("k")
-        assert leader and len(table) == 1
-        same, leader2 = table.begin("k")
-        assert not leader2 and same is flight
-        assert table.finish(flight, result=42) == 1
-        assert same.wait(timeout=1.0) == 42
-        assert len(table) == 0
-        assert table.stats.flights == 1 and table.stats.coalesced == 1
+        cache = FingerprintCache()
+        future, state = cache.claim("k")
+        assert state == "miss"
+        same, state2 = cache.claim("k")
+        assert state2 == "coalesced" and same is future
+        cache.resolve("k", future, 42)
+        assert same.result(timeout=1.0) == 42
+        assert cache.stats.misses == 1 and cache.stats.coalesced == 1
 
     def test_keys_are_independent(self):
-        table = SingleFlight()
-        _, leader_a = table.begin("a")
-        _, leader_b = table.begin("b")
-        assert leader_a and leader_b
-        assert len(table) == 2
+        cache = FingerprintCache()
+        _, state_a = cache.claim("a")
+        _, state_b = cache.claim("b")
+        assert state_a == state_b == "miss"
 
     def test_finish_retires_key(self):
-        table = SingleFlight()
-        flight, _ = table.begin("k")
-        table.finish(flight, result=1)
-        fresh, leader = table.begin("k")
-        assert leader and fresh is not flight  # spent flights never rejoin
-        table.finish(fresh, result=2)
-        assert table.stats.flights == 2
+        cache = FingerprintCache()
+        future, _ = cache.claim("k")
+        cache.resolve("k", future, 1)
+        resolved, state = cache.claim("k")
+        assert state == "hit"  # a settled entry is never joined again
+        assert resolved.result(timeout=0) == 1
+        assert cache.stats.misses == 1 and cache.stats.coalesced == 0
 
     def test_exception_propagates_to_followers(self):
-        table = SingleFlight()
-        flight, _ = table.begin("k")
-        follower, leader = table.begin("k")
-        assert not leader
-        table.finish(flight, exception=ValueError("boom"))
+        cache = FingerprintCache()
+        future, _ = cache.claim("k")
+        follower, state = cache.claim("k")
+        assert state == "coalesced"
+        cache.resolve("k", future, exception=ValueError("boom"))
         with pytest.raises(ValueError, match="boom"):
-            follower.wait(timeout=1.0)
-        assert table.stats.failures == 1
-        # The failure never poisons the next flight for the same key.
-        fresh, leader = table.begin("k")
-        assert leader
-        table.finish(fresh, result="ok")
-        assert fresh.wait(timeout=1.0) == "ok"
+            follower.result(timeout=1.0)
+        assert cache.stats.failures == 1
+        # The failure never poisons the next computation for the key,
+        # and a BaseException settles the entry the same way.
+        with pytest.raises(KeyboardInterrupt):
+            cache.get_or_compute("k", self._interrupt)
+        assert cache.stats.failures == 2
+        assert cache.get_or_compute("k", lambda: "ok") == ("ok", "miss")
+
+    @staticmethod
+    def _interrupt():
+        raise KeyboardInterrupt
 
     def test_concurrent_joins_against_held_flight(self):
-        table = SingleFlight()
-        held, _ = table.begin("k")  # the leader is in flight throughout
+        cache = FingerprintCache()
+        held, _ = cache.claim("k")  # the leader is in flight throughout
         outcomes = []
         lock = threading.Lock()
         barrier = threading.Barrier(9)
 
         def contend():
             barrier.wait(timeout=5.0)
-            flight, leader = table.begin("k")
+            future, state = cache.claim("k")
             with lock:
-                outcomes.append((flight, leader))
-            assert flight.wait(timeout=10.0) == "done"
+                outcomes.append((future, state))
+            assert future.result(timeout=10.0) == "done"
 
         threads = [threading.Thread(target=contend) for _ in range(8)]
         for t in threads:
             t.start()
-        barrier.wait(timeout=5.0)  # all contenders race begin() together
+        barrier.wait(timeout=5.0)  # all contenders race claim() together
         deadline = time.perf_counter() + 10.0
-        while table.stats.coalesced < 8:
+        while cache.stats.coalesced < 8:
             assert time.perf_counter() < deadline
             time.sleep(0.005)
-        assert table.finish(held, result="done") == 8
+        cache.resolve("k", held, "done")
         for t in threads:
             t.join(timeout=10.0)
-        assert all(not leader for _, leader in outcomes)
-        assert all(flight is held for flight, _ in outcomes)
-        assert table.stats.flights == 1 and table.stats.coalesced == 8
+        assert all(state == "coalesced" for _, state in outcomes)
+        assert all(future is held for future, _ in outcomes)
+        assert cache.stats.misses == 1 and cache.stats.coalesced == 8
 
     def test_stats_to_dict(self):
-        table = SingleFlight()
-        flight, _ = table.begin("k")
-        table.begin("k")
-        table.finish(flight, result=None)
-        assert table.stats.to_dict() == {"flights": 1, "coalesced": 1, "failures": 0}
+        cache = FingerprintCache()
+        future, _ = cache.claim("k")
+        cache.claim("k")
+        cache.resolve("k", future, None)
+        assert cache.stats.to_dict() == {
+            "hits": 0,
+            "misses": 1,
+            "coalesced": 1,
+            "evictions": 0,
+            "expirations": 0,
+            "failures": 0,
+            "hit_rate": 0.0,
+        }
 
 
 # ----------------------------------------------------------------------
@@ -168,12 +180,12 @@ def run_herd(service: PlacementService, n: int, **request_overrides):
     leader = threading.Thread(target=fire)
     leader.start()
     assert entered.wait(timeout=30.0)
-    joined_before = service._flights.stats.coalesced
+    joined_before = service.cache.stats.coalesced
     followers = [threading.Thread(target=fire) for _ in range(n - 1)]
     for t in followers:
         t.start()
     deadline = time.perf_counter() + 30.0
-    while service._flights.stats.coalesced - joined_before < n - 1:
+    while service.cache.stats.coalesced - joined_before < n - 1:
         assert time.perf_counter() < deadline, "followers never joined the flight"
         time.sleep(0.005)
     release.set()
@@ -221,8 +233,9 @@ class TestServiceCoalescing:
         try:
             run_herd(service, 3)
             late = service.handle(PlacementRequest(graph=graph_to_dict(tiny_graph())))
-            assert late.cache == "hit"  # spent flights never rejoin
-            assert len(service._flights) == 0
+            assert late.cache == "hit"  # settled entries are never rejoined
+            stats = service.cache.stats
+            assert (stats.misses, stats.coalesced, stats.hits) == (1, 2, 1)
         finally:
             service.close()
 
@@ -238,7 +251,8 @@ class TestServiceCoalescing:
                 )
                 assert response.cache == "miss"
             assert len(calls) == 3  # every request computed on its own
-            assert service._flights.stats.flights == 0
+            stats = service.cache.stats
+            assert stats.hits == stats.misses == stats.coalesced == 0
         finally:
             service.close()
 
@@ -246,8 +260,33 @@ class TestServiceCoalescing:
         ckpt_dir, _, _ = serve_setup
         service = make_service(ckpt_dir, coalesce=False)
         try:
-            service.handle(PlacementRequest(graph=graph_to_dict(tiny_graph())))
-            assert service._flights.stats.flights == 0
+            entered, release, calls = gate_compute(service)
+            responses = []
+            lock = threading.Lock()
+
+            def fire():
+                response = service.handle(
+                    PlacementRequest(graph=graph_to_dict(tiny_graph()))
+                )
+                with lock:
+                    responses.append(response)
+
+            threads = [threading.Thread(target=fire) for _ in range(3)]
+            for t in threads:
+                t.start()
+            # Every concurrent miss computes: none waits on another's.
+            deadline = time.perf_counter() + 30.0
+            while len(calls) < 3:
+                assert time.perf_counter() < deadline, "misses never computed"
+                time.sleep(0.005)
+            release.set()
+            for t in threads:
+                t.join(timeout=30.0)
+            assert [r.cache for r in responses] == ["miss"] * 3
+            assert service.cache.stats.coalesced == 0
+            # The result is still cached for later requests.
+            late = service.handle(PlacementRequest(graph=graph_to_dict(tiny_graph())))
+            assert late.cache == "hit"
         finally:
             service.close()
 
@@ -283,7 +322,7 @@ class TestServiceCoalescing:
             for t in threads[1:]:
                 t.start()
             deadline = time.perf_counter() + 30.0
-            while service._flights.stats.coalesced < 2:
+            while service.cache.stats.coalesced < 2:
                 assert time.perf_counter() < deadline
                 time.sleep(0.005)
             release.set()
@@ -297,6 +336,60 @@ class TestServiceCoalescing:
                 PlacementRequest(graph=graph_to_dict(tiny_graph()))
             )
             assert response.cache == "miss"
+        finally:
+            service.close()
+
+
+# ----------------------------------------------------------------------
+# Hot reload x an in-flight computation
+# ----------------------------------------------------------------------
+class TestReloadRace:
+    def test_clear_wins_over_in_flight_computation(self, serve_setup):
+        """A request arriving after ``POST /reload`` computes afresh, and
+        the pre-reload computation still in flight stores nothing."""
+        ckpt_dir, _, _ = serve_setup
+        service = make_service(ckpt_dir)
+        entered, release = threading.Event(), threading.Event()
+        original = service._compute
+
+        def hold_first(*args, **kwargs):
+            if not entered.is_set():
+                entered.set()
+                assert release.wait(timeout=30.0), "test gate never opened"
+            return original(*args, **kwargs)
+
+        service._compute = hold_first
+        responses = {}
+
+        def fire(request_id):
+            responses[request_id] = service.handle(
+                PlacementRequest(graph=graph_to_dict(tiny_graph()), request_id=request_id)
+            )
+
+        before = threading.Thread(target=fire, args=("before",))
+        before.start()
+        try:
+            assert entered.wait(timeout=30.0)
+            # What POST /reload does.
+            service.registry.refresh()
+            service.cache.clear()
+            after = threading.Thread(target=fire, args=("after",))
+            after.start()
+            after.join(timeout=10.0)
+            assert "after" in responses, "post-reload request waited on the old computation"
+            assert responses["after"].cache == "miss"
+        finally:
+            release.set()
+            before.join(timeout=30.0)
+            after.join(timeout=30.0)
+        try:
+            assert responses["before"].cache == "miss"
+            # Only the post-reload result is cached.
+            assert len(service.cache) == 1
+            [(future, _)] = service.cache._entries.values()
+            assert future.result().request_id == "after"
+            late = service.handle(PlacementRequest(graph=graph_to_dict(tiny_graph())))
+            assert late.cache == "hit"
         finally:
             service.close()
 

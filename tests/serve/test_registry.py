@@ -3,6 +3,8 @@
 import json
 import os
 import shutil
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -162,3 +164,80 @@ class TestHotReload:
         registry.refresh()
         fresh_spec = registry.get("mars__tiny")
         assert registry.load(fresh_spec, graph, cluster) is not first
+
+    def test_refresh_wins_over_in_flight_load(self, serve_setup, tmp_path, monkeypatch):
+        """A retrain saved while an agent for the old checkpoint is still
+        building must never be answered with that agent."""
+        import repro.core.checkpoint as checkpoint
+
+        ckpt_dir, cluster, _ = serve_setup
+        for ext in (".json", ".npz"):
+            shutil.copy(
+                os.path.join(ckpt_dir, "mars__tiny" + ext),
+                str(tmp_path / ("mars__tiny" + ext)),
+            )
+        registry = PolicyRegistry(str(tmp_path))
+        graph = tiny_graph()
+        entered, release = threading.Event(), threading.Event()
+        real_load = checkpoint.load_agent
+
+        def hold_first(*args, **kwargs):
+            if not entered.is_set():
+                entered.set()
+                assert release.wait(timeout=30.0)
+            return real_load(*args, **kwargs)
+
+        monkeypatch.setattr(checkpoint, "load_agent", hold_first)
+        loaded = {}
+        stale_spec = registry.get("mars__tiny")
+        builder = threading.Thread(
+            target=lambda: loaded.update(stale=registry.load(stale_spec, graph, cluster))
+        )
+        builder.start()
+        try:
+            assert entered.wait(timeout=30.0)
+            sidecar = tmp_path / "mars__tiny.json"
+            mtime = os.path.getmtime(sidecar) + 5
+            os.utime(sidecar, (mtime, mtime))
+            registry.refresh()
+        finally:
+            release.set()
+            builder.join(timeout=30.0)
+        fresh = registry.load(registry.get("mars__tiny"), graph, cluster)
+        assert fresh is not loaded["stale"]
+        assert fresh.spec.mtime == mtime
+
+
+class TestConcurrentLoad:
+    def test_builds_once_per_key_under_concurrency(self, serve_setup, monkeypatch):
+        import repro.core.checkpoint as checkpoint
+
+        ckpt_dir, cluster, _ = serve_setup
+        registry = PolicyRegistry(ckpt_dir)
+        builds = []
+        real_load = checkpoint.load_agent
+
+        def counting(*args, **kwargs):
+            builds.append(threading.get_ident())
+            time.sleep(0.05)  # hold the build window open
+            return real_load(*args, **kwargs)
+
+        monkeypatch.setattr(checkpoint, "load_agent", counting)
+        spec = registry.get("mars__tiny")
+        barrier = threading.Barrier(8)
+        results, lock = [], threading.Lock()
+
+        def load():
+            barrier.wait(timeout=5.0)
+            loaded = registry.load(spec, tiny_graph(), cluster)
+            with lock:
+                results.append(loaded)
+
+        threads = [threading.Thread(target=load) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30.0)
+        assert len(builds) == 1
+        assert len(results) == 8
+        assert all(loaded is results[0] for loaded in results)

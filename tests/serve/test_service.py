@@ -193,9 +193,24 @@ class TestEnvCache:
             assert len(builds) == 1  # exactly one construction
             assert len(envs) == 8
             assert all(env is envs[0] for env in envs)
-            assert "shared-key" not in svc._env_builds  # lock table stays clean
         finally:
             svc.close()
+
+
+    def test_env_close_pool_on_eviction_and_close(self, serve_setup, monkeypatch):
+        from repro.sim import ClusterSpec
+        from repro.sim.env import PlacementEnv
+
+        closed = []
+        monkeypatch.setattr(PlacementEnv, "close_pool", lambda env: closed.append(env))
+        ckpt_dir, _, _ = serve_setup
+        svc = PlacementService(PolicyRegistry(ckpt_dir), config=ServeConfig(env_cache_size=1))
+        graph, cluster = tiny_graph(), ClusterSpec.default()
+        first = svc._env_for(graph, cluster, "a")
+        second = svc._env_for(graph, cluster, "b")  # evicts "a"
+        assert closed == [first]
+        svc.close()
+        assert closed == [first, second]
 
 
 class TestTelemetry:

@@ -22,7 +22,7 @@ gets driven:
   error immediately — never a hang or silent queueing;
 * a thundering herd of 64 identical concurrent requests against a cold
   cache must compute exactly once: one ``miss``, every other response
-  ``coalesced`` (joined the in-flight single-flight computation) or
+  ``coalesced`` (waited on the in-flight computation's cache entry) or
   ``hit``, all carrying the identical placement.
 
 Exits non-zero on any violation, so ``make test`` catches a serving
@@ -288,10 +288,10 @@ def overload_traffic(registry: PolicyRegistry) -> None:
 def thundering_herd(registry: PolicyRegistry) -> None:
     """64 identical concurrent requests must compute exactly once.
 
-    Single-flight coalescing guarantees this structurally: the first
-    request to reach the service leads the computation and everyone
-    else either joins its flight (``coalesced``) or lands after the
-    result is cached (``hit``) — regardless of thread interleaving.
+    The cache's pending entries guarantee this structurally: the first
+    request to reach the service computes and everyone else either waits
+    on its pending entry (``coalesced``) or lands after the result is
+    cached (``hit``) — regardless of thread interleaving.
     """
     service = PlacementService(registry, config=ServeConfig(workers=4, max_queue=128))
     server = PlacementServer(service, port=0, queue=RequestQueue(service)).start()
