@@ -3,13 +3,14 @@
 Measures what `repro.telemetry.tracing` costs where it matters — a
 `PlacementEnv.evaluate` stream of single-op moves (a refinement loop's
 inner loop) and `PlacementEnv.evaluate_batch` — with tracing **off** (no
-active trace: every `span()` call returns the shared no-op) vs **on** (a
-live root span, so each evaluation emits one schema-versioned ``span``
-event into a file-backed run directory).
+active trace: every `span()` call observes its ``profile.<path>``
+histogram and emits no event) vs **on** (a live root span, so each
+evaluation also emits one schema-versioned ``span`` event into a
+file-backed run directory).
 
 Both arms run against a file-backed telemetry session with sample events
 enabled, so the *only* delta between them is the tracing machinery
-itself: span object + two clock reads + one extra JSONL event per
+itself: span ids + a wall-clock read + one extra JSONL event per
 evaluation or batch. The budget is **<3% overhead** on both the
 evaluate path and the batch path (docs/performance.md). Each round times
 the untraced stream and then the traced one, so each traced round is

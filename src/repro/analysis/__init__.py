@@ -5,7 +5,7 @@ or slow: per-device utilization, communication breakdown, critical-path
 analysis, ASCII timelines, and CSV export of search curves.
 """
 
-from repro.analysis.report import PlacementReport, analyze_placement, run_directory_report
+from repro.analysis.report import PlacementReport, analyze_placement
 from repro.analysis.timeline import DeviceTimeline, build_timeline, render_timeline
 from repro.analysis.critical_path import critical_path, critical_path_ops
 from repro.analysis.attribution import render_attribution, render_attribution_event
@@ -19,7 +19,6 @@ __all__ = [
     "render_attribution_event",
     "PlacementReport",
     "analyze_placement",
-    "run_directory_report",
     "DeviceTimeline",
     "build_timeline",
     "render_timeline",

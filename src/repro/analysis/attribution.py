@@ -22,25 +22,12 @@ made of" (top-k realized-critical-path ops) and "who talks to whom"
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from repro.sim.attribution import PlacementAttribution
+from repro.telemetry.report import _table
 
 __all__ = ["render_attribution", "render_attribution_event"]
-
-
-def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    widths = [
-        max(len(str(headers[i])), *(len(str(r[i])) for r in rows))
-        if rows
-        else len(str(headers[i]))
-        for i in range(len(headers))
-    ]
-    out = [" | ".join(str(h).ljust(w) for h, w in zip(headers, widths))]
-    out.append("-+-".join("-" * w for w in widths))
-    for row in rows:
-        out.append(" | ".join(str(c).ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(out)
 
 
 def _gantt(devices: List[Dict], span: float, width: int) -> str:

@@ -1,11 +1,8 @@
-"""Aggregate placement diagnostics and run-level telemetry reports.
+"""Aggregate placement diagnostics.
 
 :func:`analyze_placement` simulates one placement and compiles a
 :class:`PlacementReport` (per-device busy time/utilization/memory,
 communication breakdown, cut edges, OOM check).
-:func:`run_directory_report` renders the summary of a whole telemetry
-run directory — the same text the
-``python -m repro.telemetry.report <run_dir>`` CLI prints.
 """
 
 from __future__ import annotations
@@ -81,14 +78,3 @@ def analyze_placement(
         fits_memory=memory.fits,
     )
 
-
-def run_directory_report(run_dir: str) -> str:
-    """Text summary of a telemetry run directory (manifest, event counts,
-    search progress, metric quantiles). Equivalent to the
-    ``python -m repro.telemetry.report`` CLI; see ``docs/observability.md``
-    for the event schema and metric glossary."""
-    # Imported lazily: placement analysis should not require the
-    # telemetry reporting machinery (and vice versa).
-    from repro.telemetry.report import render_report
-
-    return render_report(run_dir)

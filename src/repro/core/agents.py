@@ -22,6 +22,7 @@ from repro.placers import MLPPlacer, SegmentSeq2SeqPlacer, TransformerXLPlacer
 from repro.rl.policy import AgentRollout, PolicyAgent
 from repro.rl.trainer import AGENT_DEVICE_FLOPS, AGENT_PASS_OVERHEAD
 from repro.sim.cluster import ClusterSpec
+from repro.telemetry.tracing import span
 from repro.utils.rng import new_rng
 
 
@@ -89,8 +90,10 @@ class EncoderPlacerPolicy(PolicyAgent):
     def sample(self, n_samples: int, rng, greedy: bool = False) -> AgentRollout:
         rng = new_rng(rng)
         with no_grad():
-            reps = self.node_representations()
-            out = self.placer.run(reps, n_samples=n_samples, rng=rng, greedy=greedy)
+            with span("gnn.encode"):
+                reps = self.node_representations()
+            with span("placers.decode"):
+                out = self.placer.run(reps, n_samples=n_samples, rng=rng, greedy=greedy)
         return AgentRollout(
             placements=out.actions,
             internal={"placement": out.actions},

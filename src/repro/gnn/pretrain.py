@@ -16,6 +16,7 @@ import scipy.sparse as sp
 from repro.gnn.dgi import DGI
 from repro.nn import Adam, Module, clip_grad_norm
 from repro.telemetry import Telemetry, get_telemetry
+from repro.telemetry.tracing import span
 from repro.utils.logging import get_logger
 from repro.utils.rng import new_rng
 
@@ -61,7 +62,7 @@ def pretrain_encoder(
     result = PretrainResult(best_loss=float("inf"), best_iteration=-1)
     stale = 0
     for it in range(iterations):
-        with tel.profile_section("pretrain.step"):
+        with span("pretrain.step", telemetry=tel):
             opt.zero_grad()
             loss = dgi.loss(x, adj, rng)
             loss.backward()

@@ -19,6 +19,8 @@ import numpy as np
 
 from repro.nn import Adam, Tensor, clip_grad_norm, minimum
 from repro.rl.policy import AgentRollout, PolicyAgent
+from repro.telemetry import get_telemetry
+from repro.telemetry.tracing import span
 from repro.utils.rng import new_rng
 
 
@@ -72,6 +74,7 @@ class PPOUpdater:
         cfg = self.config
         n = rollout.batch_size
         stats = UpdateStats()
+        tel = get_telemetry()
         for _ in range(cfg.epochs):
             perm = self.rng.permutation(n)
             for chunk in np.array_split(perm, min(cfg.minibatches, n)):
@@ -79,7 +82,8 @@ class PPOUpdater:
                     continue
                 sub = rollout.subset(chunk)
                 adv = advantages[chunk][:, None]  # broadcast over decisions
-                logp, entropy = self.agent.evaluate(sub.internal)
+                with span("placers.score", telemetry=tel):
+                    logp, entropy = self.agent.evaluate(sub.internal)
                 ratio = (logp - Tensor(sub.old_logp)).exp()
                 clipped = ratio.clip(1.0 - cfg.clip_ratio, 1.0 + cfg.clip_ratio)
                 surrogate = minimum(ratio * adv, clipped * adv)
@@ -87,9 +91,12 @@ class PPOUpdater:
                 loss = -surrogate_mean - cfg.entropy_coef * entropy.mean()
 
                 self.optimizer.zero_grad()
-                loss.backward()
-                norm = clip_grad_norm(self.agent.parameters(), cfg.grad_clip_norm)
-                self.optimizer.step()
+                with span("nn.backward", telemetry=tel):
+                    loss.backward()
+                with span("nn.clip_grad", telemetry=tel):
+                    norm = clip_grad_norm(self.agent.parameters(), cfg.grad_clip_norm)
+                with span("nn.optim_step", telemetry=tel):
+                    self.optimizer.step()
 
                 stats.policy_loss += -float(surrogate_mean.data)
                 stats.entropy += float(entropy.data.mean())

@@ -212,7 +212,7 @@ class JointTrainer:
         if not self.buffer.is_ready(cfg.update_min_samples):
             return 0.0
         merged, advs = self.buffer.merged()
-        with tel.profile_section("train.update"):
+        with span("rl.update", telemetry=tel):
             stats = self.updater.update(merged, advs)
         pass_batch = max(1, merged.batch_size // max(getattr(cfg.ppo, "minibatches", 1), 1))
         agent_seconds = stats.passes * (
@@ -272,14 +272,13 @@ class JointTrainer:
         for it in range(cfg.iterations):
             it_index = len(history.records)
             iter_wall_start = time.perf_counter()
-            # One span per policy iteration: inside a traced run (the
-            # search.optimize root), the env.evaluate_batch span nests
-            # under it; otherwise this is the shared no-op.
+            # One section per policy iteration; inside a traced run (the
+            # search.optimize root) it is also the span that the
+            # env.evaluate_batch span nests under.
             with span("trainer.iteration", telemetry=tel, iteration=it_index):
-                with tel.profile_section("train.sample"):
+                with span("rl.sample", telemetry=tel):
                     rollout = self.agent.sample(cfg.samples_per_policy, self.rng)
-                with tel.profile_section("train.evaluate"):
-                    results = self.env.evaluate_batch(rollout.placements)
+                results = self.env.evaluate_batch(rollout.placements)
                 runtimes = [res.per_step_time for res in results]
                 _, advantages = self.tracker.compute(runtimes)
                 self.buffer.add(rollout, advantages)

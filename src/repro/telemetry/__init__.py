@@ -1,12 +1,14 @@
-"""Unified run telemetry: metrics, JSONL event logs, profiling hooks.
+"""Unified run telemetry: metrics, JSONL event logs, timed sections.
 
 This package is the repo's observability layer (see
 ``docs/observability.md`` for the guide). It is dependency-free and
 deliberately small:
 
 * :class:`~repro.telemetry.metrics.MetricsRegistry` — counters, gauges,
-  streaming histograms (p50/p95/p99) plus ``timer()`` /
-  ``profile_section()`` context managers,
+  streaming histograms (p50/p95/p99),
+* :func:`~repro.telemetry.tracing.span` — the one timed section: it
+  observes a ``profile.<path>`` histogram and, inside a trace, emits a
+  ``span`` event,
 * :class:`~repro.telemetry.events.RunLogger` — schema-versioned JSONL
   event files with rotation,
 * :class:`Telemetry` — a facade bundling the two, plus the *ambient*
@@ -172,12 +174,6 @@ class Telemetry:
 
     def histogram(self, name: str):
         return self.metrics.histogram(name)
-
-    def timer(self, name: str):
-        return self.metrics.timer(name)
-
-    def profile_section(self, name: str):
-        return self.metrics.profile_section(name)
 
     def emit(self, etype: str, **fields) -> None:
         self.events.emit(etype, **fields)

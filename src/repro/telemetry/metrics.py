@@ -9,14 +9,8 @@ A :class:`MetricsRegistry` is an in-memory, dependency-free metrics store:
   (Vitter's Algorithm R with a deterministic per-name RNG, so snapshots
   are reproducible run to run).
 
-Two context managers turn the registry into a profiler:
-
-* :meth:`MetricsRegistry.timer` — records wall-clock seconds of the
-  ``with`` body into a histogram; timers nest freely and each records its
-  own elapsed time.
-* :meth:`MetricsRegistry.profile_section` — like ``timer`` but maintains
-  a section stack, so nested sections record under hierarchical names
-  (``profile.train/sample``), giving a cheap flat profile of a run.
+Timed sections are :func:`repro.telemetry.tracing.span`, which observes
+each section's seconds into a ``profile.<path>`` histogram here.
 
 The ``Null*`` twins implement the same interface as no-ops; they are what
 :data:`repro.telemetry.NULL_TELEMETRY` hands out when telemetry is
@@ -27,8 +21,6 @@ Usage::
     m = MetricsRegistry()
     m.counter("env.oom").inc()
     m.gauge("trainer.best_runtime").set(1.23)
-    with m.timer("trainer.update_s"):
-        ...                       # timed body
     m.histogram("env.makespan").observe(0.04)
     m.snapshot()["histograms"]["env.makespan"]["p95"]
 """
@@ -37,7 +29,6 @@ from __future__ import annotations
 
 import math
 import random
-import time
 import zlib
 from typing import Dict, List
 
@@ -47,7 +38,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NullMetricsRegistry",
-    "NULL_CONTEXT",
 ]
 
 #: Default reservoir capacity for histogram quantile estimation.
@@ -151,61 +141,6 @@ class Histogram:
         }
 
 
-class _TimerContext:
-    """Times a ``with`` body and observes the elapsed seconds."""
-
-    __slots__ = ("_histogram", "_start")
-
-    def __init__(self, histogram: Histogram):
-        self._histogram = histogram
-        self._start = 0.0
-
-    def __enter__(self) -> "_TimerContext":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._histogram.observe(time.perf_counter() - self._start)
-
-
-class _SectionContext:
-    """A profile section: pushes onto the registry's section stack."""
-
-    __slots__ = ("_registry", "_name", "_start")
-
-    def __init__(self, registry: "MetricsRegistry", name: str):
-        self._registry = registry
-        self._name = name
-        self._start = 0.0
-
-    def __enter__(self) -> "_SectionContext":
-        self._registry._section_stack.append(self._name)
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        elapsed = time.perf_counter() - self._start
-        stack = self._registry._section_stack
-        path = "/".join(stack)
-        stack.pop()
-        self._registry.histogram(f"profile.{path}").observe(elapsed)
-
-
-class _NullContext:
-    """Shared no-op context manager."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullContext":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        pass
-
-
-NULL_CONTEXT = _NullContext()
-
-
 class MetricsRegistry:
     """Named metric store with get-or-create accessors."""
 
@@ -214,7 +149,6 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-        self._section_stack: List[str] = []
 
     # -- accessors ------------------------------------------------------
     def counter(self, name: str) -> Counter:
@@ -234,17 +168,6 @@ class MetricsRegistry:
         if h is None:
             h = self._histograms[name] = Histogram(name, self.reservoir_size)
         return h
-
-    # -- profiling ------------------------------------------------------
-    def timer(self, name: str) -> _TimerContext:
-        """``with m.timer("x_s"):`` records elapsed seconds into ``x_s``."""
-        return _TimerContext(self.histogram(name))
-
-    def profile_section(self, name: str) -> _SectionContext:
-        """Like :meth:`timer`, but nested sections record hierarchical
-        names: ``with m.profile_section("a"): with m.profile_section("b")``
-        fills ``profile.a`` and ``profile.a/b``."""
-        return _SectionContext(self, name)
 
     # -- introspection --------------------------------------------------
     def names(self) -> List[str]:
@@ -322,12 +245,6 @@ class NullMetricsRegistry:
 
     def histogram(self, name: str) -> _NullHistogram:
         return _NULL_HISTOGRAM
-
-    def timer(self, name: str) -> _NullContext:
-        return NULL_CONTEXT
-
-    def profile_section(self, name: str) -> _NullContext:
-        return NULL_CONTEXT
 
     def names(self) -> List[str]:
         return []

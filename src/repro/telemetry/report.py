@@ -10,7 +10,8 @@ CLI::
 
 The text report shows the run manifest, event counts by type, the search
 progress extracted from ``iteration`` events, and every metric recorded
-in ``metrics.json`` (counters, gauges, histogram quantiles). ``--trace``
+in ``metrics.json`` (counters, gauges, histogram quantiles), then the
+self-time table of the ``profile.*`` section histograms. ``--trace``
 converts the event log into a Chrome/Perfetto trace via
 :func:`repro.analysis.trace.events_to_chrome_trace`. ``--health``
 appends the health-watchdog alert timeline, ``--attribution`` the
@@ -41,6 +42,8 @@ __all__ = [
     "load_run",
     "summarize_run",
     "render_report",
+    "profile_rows",
+    "render_profile_table",
     "render_health_section",
     "render_attribution_section",
     "diff_runs",
@@ -147,6 +150,49 @@ def _fmt(value, digits: int = 4) -> str:
             return "nan"
         return f"{value:.{digits}g}"
     return str(value)
+
+
+def profile_rows(metrics: Dict) -> List[Dict]:
+    """One row per ``profile.<path>`` histogram, in tree order: calls,
+    total seconds, self seconds (total minus the totals of the path's
+    direct children) and share of its root section's total (``None``
+    when the root has not finished, e.g. in a mid-run flush)."""
+    totals = {
+        name[len("profile."):]: h
+        for name, h in metrics.get("histograms", {}).items()
+        if name.startswith("profile.")
+    }
+    children: Dict[str, float] = {}
+    for path, h in totals.items():
+        parent, sep, _ = path.rpartition("/")
+        if sep:
+            children[parent] = children.get(parent, 0.0) + h.get("sum", 0.0)
+    rows = []
+    for path in sorted(totals, key=lambda p: p.split("/")):
+        total = totals[path].get("sum", 0.0)
+        root_total = totals.get(path.split("/", 1)[0], {}).get("sum", 0.0)
+        rows.append({
+            "path": path,
+            "calls": totals[path].get("count", 0),
+            "total_s": total,
+            "self_s": total - children.get(path, 0.0),
+            "share": total / root_total if root_total > 0 else None,
+        })
+    return rows
+
+
+def render_profile_table(data: RunData) -> str:
+    """The self-time table of the run's timed sections."""
+    return "--- profile ---\n" + _table(
+        ["section", "calls", "total s", "self s", "share"],
+        [[
+            row["path"],
+            row["calls"],
+            f"{row['total_s']:.3f}",
+            f"{row['self_s']:.3f}",
+            f"{row['share']:.1%}" if row["share"] is not None else "-",
+        ] for row in profile_rows(data.metrics)],
+    )
 
 
 def render_health_section(data: RunData) -> str:
@@ -256,6 +302,9 @@ def render_report(
         lines.append(_table(
             ["metric", "kind", "count/value", "mean", "p50", "p95", "p99"], rows
         ))
+    if any(name.startswith("profile.") for name in histograms):
+        lines.append("")
+        lines.append(render_profile_table(data))
     if health:
         lines.append("")
         lines.append(render_health_section(data))

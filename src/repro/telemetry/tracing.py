@@ -1,12 +1,21 @@
-"""Trace/span contexts for end-to-end request and iteration tracing.
+"""Timed sections: one ``profile.<path>`` histogram each, and trace spans.
 
-A *trace* is one logical unit of work — a ``/place`` request crossing the
-HTTP handler, the request queue, the service and its evaluations, or
-one search run crossing trainer iterations and batch evaluations. Each
-trace is a tree of *spans*: named, timed sections with a ``trace_id``
-shared across the tree, a unique ``span_id``, and a ``parent_id`` linking
-each span to the section that contains it. Every finished span is
-recorded as one schema-versioned ``span`` event
+:func:`span` is the package's one timing primitive. Every section it
+opens on an enabled telemetry session observes its duration into the
+``profile.<path>`` histogram, where ``<path>`` is the thread-local
+nesting of section names joined with ``/``
+(``search.optimize/trainer.iteration/rl.sample``). Their sums answer
+"where did the run's wall time go" for any run, traced or not, and
+``python -m repro.telemetry.report`` prints them as a self-time table.
+
+A section is also a trace *span* when the session writes event files
+and there is a trace to join. A *trace* is one logical unit of work — a
+``/place`` request crossing the HTTP handler, the request queue, the
+service and its evaluations, or one search run crossing trainer
+iterations and batch evaluations. Each trace is a tree of spans with a
+``trace_id`` shared across the tree, a unique ``span_id``, and a
+``parent_id`` linking each span to the span that contains it. Every
+finished span is recorded as one schema-versioned ``span`` event
 (:data:`repro.telemetry.events.EVENT_SCHEMAS`), so a run directory's
 JSONL log carries the whole tree and ``analysis/trace.py`` can render it
 in Perfetto.
@@ -24,12 +33,13 @@ Three propagation mechanisms, matching how work moves in this codebase:
 * **After-the-fact records.** A section measured before anyone could
   hold a live span (the time a request waited in the queue) is emitted
   finished, with its own start and duration, by :func:`record_span`.
+  It is not a timer and observes no histogram.
 
-Activation rule: spans exist only when the telemetry session writes
-event files (``tel.sample_events``) *and* there is a trace to join — an
-ambient or explicit parent, or ``new_trace=True`` for roots. Everything
-else returns a shared no-op, so default in-memory sessions and
-un-traced hot paths pay one attribute check per call. Because spans are
+Activation rule: a section emits a ``span`` event only when the session
+writes event files (``tel.sample_events``) *and* there is a trace to
+join — an ambient or explicit parent, or ``new_trace=True`` for roots.
+Otherwise it only observes its histogram; with disabled telemetry
+(``NULL_TELEMETRY``) it is the shared no-op. Because span events are
 gated on an active trace, they are deliberately outside the
 batch-vs-sequential "identical event stream" contract of
 ``PlacementEnv.evaluate_batch`` (span timings are wall-clock and could never be
@@ -100,9 +110,9 @@ class SpanContext:
         return f"SpanContext(trace_id={self.trace_id!r}, span_id={self.span_id!r})"
 
 
-# The ambient stack is thread-local: each serve worker / handler thread
-# carries its own current span, unlike the process-wide telemetry
-# session stack (a session is shared; "what am I inside of" is not).
+# The section stack is thread-local: each serve worker / handler thread
+# carries its own nesting, unlike the process-wide telemetry session
+# stack (a session is shared; "what am I inside of" is not).
 _LOCAL = threading.local()
 
 
@@ -114,21 +124,26 @@ def _stack() -> list:
 
 
 def current_span() -> Optional[SpanContext]:
-    """The innermost live span on this thread, or ``None``."""
-    stack = getattr(_LOCAL, "stack", None)
-    return stack[-1].context if stack else None
+    """The innermost live traced span on this thread, or ``None``."""
+    for section in reversed(getattr(_LOCAL, "stack", ())):
+        if section.trace_id is not None:
+            return section.context
+    return None
 
 
 class Span:
     """One live, timed section; use via ``with span(...) as sp``.
 
-    ``start_unix`` is wall-clock (``time.time``) so spans from different
-    processes line up on one axis; the duration is measured on the
-    monotonic clock (``time.perf_counter``) so it survives NTP steps.
+    On exit it observes ``profile.<path>``; a traced span (``trace_id``
+    set) also emits its ``span`` event. ``start_unix`` is wall-clock
+    (``time.time``) so spans from different processes line up on one
+    axis; the duration is measured on the monotonic clock
+    (``time.perf_counter``) so it survives NTP steps.
     """
 
     __slots__ = (
         "name",
+        "path",
         "trace_id",
         "span_id",
         "parent_id",
@@ -139,10 +154,11 @@ class Span:
         "_extra",
     )
 
-    def __init__(self, name, telemetry, trace_id, parent_id, extra):
+    def __init__(self, name, telemetry, trace_id=None, parent_id="", extra=None):
         self.name = name
+        self.path = name
         self.trace_id = trace_id
-        self.span_id = _new_id()
+        self.span_id = _new_id() if trace_id is not None else None
         self.parent_id = parent_id
         self.status = "ok"
         self.start_unix = 0.0
@@ -151,14 +167,20 @@ class Span:
         self._extra = extra
 
     @property
-    def context(self) -> SpanContext:
-        """This span's identity, for cross-thread/process propagation."""
+    def context(self) -> Optional[SpanContext]:
+        """This span's identity, for cross-thread/process propagation;
+        ``None`` for an untraced section."""
+        if self.trace_id is None:
+            return None
         return SpanContext(self.trace_id, self.span_id)
 
     def __enter__(self) -> "Span":
+        stack = _stack()
+        if stack:
+            self.path = f"{stack[-1].path}/{self.name}"
+        stack.append(self)
         self.start_unix = time.time()
         self._start_perf = time.perf_counter()
-        _stack().append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -171,6 +193,9 @@ class Span:
                 stack.remove(self)
             except ValueError:
                 pass
+        self._telemetry.metrics.histogram(f"profile.{self.path}").observe(duration)
+        if self.trace_id is None:
+            return
         if exc_type is not None and self.status == "ok":
             self.status = "error"
         self._telemetry.emit(
@@ -187,8 +212,8 @@ class Span:
 
 
 class _NoopSpan:
-    """Shared do-nothing twin of :class:`Span` (inactive telemetry, or no
-    trace to join). ``context`` is ``None`` so callers can branch."""
+    """Shared do-nothing twin of :class:`Span` (disabled telemetry).
+    ``context`` is ``None`` so callers can branch."""
 
     __slots__ = ()
     context = None
@@ -213,27 +238,29 @@ def span(
     new_trace: bool = False,
     **extra,
 ) -> "Span | _NoopSpan":
-    """Open a span named ``name``; returns a context manager.
+    """Open a section named ``name``; returns a context manager.
 
-    Parenting, in priority order: an explicit ``parent`` context (a
+    The section always observes ``profile.<path>`` in the session's
+    metrics. It is also a traced span when the session writes event
+    files and it has a parent: an explicit ``parent`` context (a
     cross-thread handoff), the thread's ambient current span, or — only
-    with ``new_trace=True`` — a fresh root. Without any of those, or when
-    the session does not write event files, the shared no-op is returned
-    and nothing is recorded.
+    with ``new_trace=True`` — a fresh root. Disabled telemetry gets the
+    shared no-op.
     """
     if telemetry is None:
         from repro.telemetry import get_telemetry
 
         telemetry = get_telemetry()
-    if not telemetry.sample_events:
+    if not telemetry.enabled:
         return NOOP_SPAN
-    if parent is None:
-        parent = current_span()
-    if parent is not None:
-        return Span(name, telemetry, parent.trace_id, parent.span_id, extra)
-    if new_trace:
-        return Span(name, telemetry, _new_id(), "", extra)
-    return NOOP_SPAN
+    if telemetry.sample_events:
+        if parent is None:
+            parent = current_span()
+        if parent is not None:
+            return Span(name, telemetry, parent.trace_id, parent.span_id, extra)
+        if new_trace:
+            return Span(name, telemetry, _new_id(), "", extra)
+    return Span(name, telemetry)
 
 
 def record_span(

@@ -8,9 +8,10 @@ import pytest
 from repro.config import fast_profile
 from repro.core import optimize_placement
 from repro.sim import ClusterSpec
-from repro.telemetry import start_run, use_telemetry
+from repro.telemetry import Telemetry, start_run, use_telemetry
 from repro.telemetry.events import read_events, validate_event
 from repro.telemetry.report import load_run, render_report, summarize_run
+from repro.telemetry.tracing import span
 from repro.workloads import build_vgg16
 
 
@@ -127,14 +128,34 @@ class TestDurationsSurviveClockSteps:
     def test_timer_histogram_tolerates_clock_step(self, monkeypatch):
         import time as time_module
 
-        from repro.telemetry import Telemetry
-
         real_time = time_module.time
         tel = Telemetry()
-        with tel.timer("step_s"):
+        with span("step", telemetry=tel):
             monkeypatch.setattr(time_module, "time", lambda: real_time() - 3600.0)
-        snap = tel.metrics.snapshot()["histograms"]["step_s"]
+        snap = tel.metrics.snapshot()["histograms"]["profile.step"]
         assert 0.0 <= snap["max"] < 60.0
+
+
+class TestProfileSections:
+    def test_default_search_times_the_layers(self):
+        tel = Telemetry()  # in memory, like the default ambient session
+        with use_telemetry(tel):
+            optimize_placement(
+                build_vgg16(scale=0.25, batch_size=4),
+                ClusterSpec.default(),
+                "mars",
+                fast_profile(seed=0, iterations=2),
+            )
+        leaves = {
+            name.rsplit("/", 1)[-1].replace("profile.", "")
+            for name in tel.metrics.names()
+            if name.startswith("profile.")
+        }
+        assert {
+            "rl.sample", "rl.update", "gnn.encode", "placers.decode",
+            "placers.score", "nn.backward", "env.evaluate_batch", "pretrain.step",
+        } <= leaves
+        assert "profile.search.optimize/trainer.iteration/rl.sample" in tel.metrics.names()
 
 
 class TestDisabledTelemetry:

@@ -1,4 +1,4 @@
-"""Unit tests for the metrics registry (counters, histograms, timers)."""
+"""Unit tests for the metrics registry (counters, histograms, timed sections)."""
 
 import math
 import time
@@ -11,6 +11,7 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
     NullMetricsRegistry,
 )
+from repro.telemetry.tracing import span
 
 
 class TestCounterGauge:
@@ -92,54 +93,62 @@ class TestHistogram:
             assert key in snap
 
 
+def profile(tel, path):
+    return tel.metrics.histogram(f"profile.{path}")
+
+
 class TestTimers:
+    """Timed sections: ``span`` observes ``profile.<path>`` histograms."""
+
     def test_timer_records_elapsed(self):
-        m = MetricsRegistry()
-        with m.timer("t_s"):
-            time.sleep(0.01)
-        h = m.histogram("t_s")
-        assert h.count == 1
-        assert h.total >= 0.009
+        tel = Telemetry()
+        for _ in range(2):
+            with span("t", telemetry=tel):
+                time.sleep(0.01)
+        h = profile(tel, "t")
+        assert h.count == 2  # repeated sections accumulate
+        assert h.total >= 0.018
 
     def test_timer_nesting_records_both(self):
-        m = MetricsRegistry()
-        with m.timer("outer"):
-            with m.timer("inner"):
+        tel = Telemetry()
+        with span("outer", telemetry=tel):
+            with span("inner", telemetry=tel):
                 pass
-        assert m.histogram("outer").count == 1
-        assert m.histogram("inner").count == 1
-        assert m.histogram("outer").total >= m.histogram("inner").total
+        assert profile(tel, "outer").count == 1
+        assert profile(tel, "outer/inner").count == 1
+        assert profile(tel, "outer").total >= profile(tel, "outer/inner").total
 
-    def test_profile_section_hierarchical_names(self):
-        m = MetricsRegistry()
-        with m.profile_section("train"):
-            with m.profile_section("sample"):
+    def test_span_hierarchical_names(self):
+        tel = Telemetry()
+        with span("train", telemetry=tel):
+            with span("sample", telemetry=tel):
                 pass
-            with m.profile_section("update"):
+            with span("update", telemetry=tel):
                 pass
-        assert m.histogram("profile.train").count == 1
-        assert m.histogram("profile.train/sample").count == 1
-        assert m.histogram("profile.train/update").count == 1
+        assert profile(tel, "train").count == 1
+        assert profile(tel, "train/sample").count == 1
+        assert profile(tel, "train/update").count == 1
         # Stack unwinds fully: a later top-level section is not nested.
-        with m.profile_section("eval"):
+        with span("eval", telemetry=tel):
             pass
-        assert m.histogram("profile.eval").count == 1
+        assert profile(tel, "eval").count == 1
 
     def test_timer_survives_exception(self):
-        m = MetricsRegistry()
+        tel = Telemetry()
         with pytest.raises(RuntimeError):
-            with m.timer("t"):
+            with span("t", telemetry=tel):
                 raise RuntimeError("boom")
-        assert m.histogram("t").count == 1
+        assert profile(tel, "t").count == 1
 
-    def test_profile_section_unwinds_on_exception(self):
-        m = MetricsRegistry()
+    def test_span_unwinds_on_exception(self):
+        tel = Telemetry()
         with pytest.raises(RuntimeError):
-            with m.profile_section("a"):
+            with span("a", telemetry=tel):
                 raise RuntimeError("boom")
-        with m.profile_section("b"):
+        with span("b", telemetry=tel):
             pass
-        assert m.histogram("profile.b").count == 1
+        assert profile(tel, "b").count == 1
+        assert "profile.a/b" not in tel.metrics.names()
 
 
 class TestNullSink:
@@ -148,10 +157,6 @@ class TestNullSink:
         m.counter("c").inc(5)
         m.gauge("g").set(1.0)
         m.histogram("h").observe(2.0)
-        with m.timer("t"):
-            pass
-        with m.profile_section("s"):
-            pass
         assert m.names() == []
         assert m.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
         assert m.counter("c").value == 0

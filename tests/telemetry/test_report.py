@@ -1,4 +1,8 @@
-"""Tests for the report CLI: --health, --attribution and --diff modes."""
+"""Tests for the report CLI: the profile table and the --health,
+--attribution and --diff modes."""
+
+import json
+import os
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from repro.telemetry.report import (
     diff_runs,
     load_run,
     main,
+    profile_rows,
     render_diff,
     render_health_section,
     render_report,
@@ -63,6 +68,40 @@ class TestHealthSection:
         tel.close()
         text = render_health_section(load_run(tel.run_dir))
         assert "HALTED" in text and "nan_guard: boom" in text
+
+
+class TestProfileSection:
+    def test_self_time_is_total_minus_direct_children(self, tmp_path):
+        def h(count, total):
+            return {"count": count, "sum": total}
+
+        metrics = {"histograms": {
+            "profile.root": h(1, 10.0),
+            "profile.root/a": h(4, 6.0),
+            "profile.root/a/x": h(8, 2.5),
+            "profile.root/a/y": h(8, 1.5),
+            "profile.root/b": h(2, 3.0),
+            "profile.other": h(5, 2.0),
+            "env.makespan": h(9, 1.0),
+        }}
+        with open(os.path.join(tmp_path, "metrics.json"), "w") as fh:
+            json.dump(metrics, fh)
+        rows = {r["path"]: r for r in profile_rows(load_run(str(tmp_path)).metrics)}
+        assert list(rows) == [
+            "other", "root", "root/a", "root/a/x", "root/a/y", "root/b",
+        ]
+        assert rows["root"]["self_s"] == pytest.approx(1.0)  # 10 - (6 + 3)
+        assert rows["root/a"]["self_s"] == pytest.approx(2.0)  # 6 - (2.5 + 1.5)
+        assert rows["root/a/x"]["self_s"] == pytest.approx(2.5)
+        assert rows["root/a"]["calls"] == 4
+        assert rows["root/a/y"]["share"] == pytest.approx(0.15)
+        assert rows["other"]["share"] == pytest.approx(1.0)
+        text = render_report(str(tmp_path))
+        assert "--- profile ---" in text
+        assert "root/a/x" in text and "60.0%" in text
+
+    def test_no_table_without_sections(self, healthy_run):
+        assert "--- profile ---" not in render_report(healthy_run)
 
 
 class TestAttributionSection:

@@ -1,9 +1,9 @@
-"""Trace/span layer: activation gating, propagation, and export."""
+"""Trace/span layer: activation gating, section paths, propagation, and export."""
 
 import threading
 
 from repro.analysis.trace import events_to_chrome_trace
-from repro.telemetry import Telemetry, read_events, start_run
+from repro.telemetry import NULL_TELEMETRY, Telemetry, read_events, start_run
 from repro.telemetry.events import validate_event
 from repro.telemetry.tracing import (
     NOOP_SPAN,
@@ -23,31 +23,82 @@ def spans_of(run_dir):
     return list(read_events(run_dir, types=("span",)))
 
 
-class TestActivationGate:
-    def test_memory_only_session_yields_noop(self):
-        sp = span("x", telemetry=Telemetry(), new_trace=True)
-        assert sp is NOOP_SPAN
-        assert sp.context is None
-        with sp:  # no-op context manager works and records nothing
-            assert current_span() is None
+def profile_names(tel):
+    return [n for n in tel.metrics.names() if n.startswith("profile.")]
 
-    def test_no_trace_to_join_yields_noop(self, tmp_path):
+
+class TestActivationGate:
+    def test_memory_only_session_records_histogram_only(self):
+        tel = Telemetry()
+        sp = span("x", telemetry=tel, new_trace=True)
+        assert sp.context is None
+        with sp:  # untraced: no span to join, no event sink
+            assert current_span() is None
+        assert profile_names(tel) == ["profile.x"]
+        assert tel.metrics.histogram("profile.x").count == 1
+
+    def test_no_trace_to_join_records_histogram_only(self, tmp_path):
         tel = file_backed(tmp_path)
         try:
-            assert span("x", telemetry=tel) is NOOP_SPAN
+            with span("x", telemetry=tel) as sp:
+                assert sp.context is None
         finally:
             tel.close()
         assert spans_of(tel.run_dir) == []
+        assert profile_names(tel) == ["profile.x"]
 
-    def test_sample_events_off_yields_noop(self, tmp_path):
+    def test_sample_events_off_records_no_event(self, tmp_path):
         tel = start_run("no-samples", str(tmp_path), sample_events=False)
         try:
-            assert span("x", telemetry=tel, new_trace=True) is NOOP_SPAN
+            with span("x", telemetry=tel, new_trace=True) as sp:
+                assert sp.context is None
             parent = SpanContext(new_trace_id(), new_trace_id())
             assert record_span("y", 0.1, telemetry=tel, parent=parent) is None
         finally:
             tel.close()
         assert spans_of(tel.run_dir) == []
+        assert profile_names(tel) == ["profile.x"]
+
+    def test_disabled_telemetry_yields_noop(self):
+        sp = span("x", telemetry=NULL_TELEMETRY, new_trace=True)
+        assert sp is NOOP_SPAN
+        with sp:
+            assert current_span() is None
+        assert NULL_TELEMETRY.metrics.names() == []
+
+
+class TestSectionPaths:
+    def test_traced_spans_record_paths_too(self, tmp_path):
+        tel = file_backed(tmp_path)
+        try:
+            with span("root", telemetry=tel, new_trace=True):
+                with span("child", telemetry=tel):
+                    pass
+        finally:
+            tel.close()
+        assert [e["name"] for e in spans_of(tel.run_dir)] == ["child", "root"]
+        assert profile_names(tel) == ["profile.root", "profile.root/child"]
+
+    def test_threads_do_not_share_a_path(self):
+        # Two threads hold sections on one session at the same time;
+        # each nests only under its own.
+        tel = Telemetry()
+        both_open = threading.Barrier(2)
+
+        def worker(name):
+            with span(name, telemetry=tel):
+                both_open.wait(timeout=5)
+                with span("inner", telemetry=tel):
+                    both_open.wait(timeout=5)
+
+        threads = [threading.Thread(target=worker, args=(n,)) for n in ("a", "b")]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert profile_names(tel) == [
+            "profile.a", "profile.a/inner", "profile.b", "profile.b/inner",
+        ]
 
 
 class TestAmbientNesting:

@@ -1,4 +1,4 @@
-"""Tests for utils: rng, timing, serialization, logging."""
+"""Tests for utils: rng, serialization, logging."""
 
 import logging
 import os
@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.utils import Timer, get_logger, new_rng, spawn_rng
+from repro.utils import get_logger, new_rng, spawn_rng
 from repro.utils.rng import hash_seed
 from repro.utils.serialization import load_state_dict, save_state_dict
 
@@ -32,20 +32,6 @@ class TestRng:
         assert hash_seed(1, "a") == hash_seed(1, "a")
         assert hash_seed(1, "a") != hash_seed(1, "b")
         assert 0 <= hash_seed("x") < 2**63
-
-
-class TestTimer:
-    def test_sections_accumulate(self):
-        t = Timer()
-        with t.section("a"):
-            pass
-        with t.section("a"):
-            pass
-        assert t.total("a") >= 0
-        assert t.grand_total() == t.total("a")
-
-    def test_unknown_section_is_zero(self):
-        assert Timer().total("nope") == 0.0
 
 
 class TestSerialization:

@@ -24,12 +24,15 @@ Five checks, all stdlib-only:
    line, so a new event type cannot ship without a validated example.
 4. Every metric name recorded under ``src/`` — a string literal passed
    to ``counter(...)`` / ``gauge(...)`` / ``histogram(...)`` — must
-   appear in docs/observability.md's metric glossary, so a new metric
-   cannot ship undocumented.
-5. The converse: every metric named at the head of a bullet in the
-   glossary (§4 of docs/observability.md; the code spans before the
-   bullet's " — ") must be recorded under ``src/``, so a deleted metric
-   cannot leave its documentation behind.
+   appear in docs/observability.md's metric glossary, and every section
+   name opened under ``src/`` — a string literal passed to ``span(...)``
+   — in its profiler glossary, so a new metric or section cannot ship
+   undocumented.
+5. The converse: every name at the head of a bullet in the glossary
+   (§4 of docs/observability.md; the code spans before the bullet's
+   " — ") must be recorded under ``src/`` — as a section when the bullet
+   is in the profiler glossary, as a metric otherwise — so a deleted
+   metric or section cannot leave its documentation behind.
 
 Exit status is non-zero if any check fails.
 """
@@ -157,27 +160,59 @@ def check_event_fixtures() -> list:
 _METRIC_CALL_RE = re.compile(
     r"\b(?:counter|gauge|histogram)\(\s*['\"]([A-Za-z0-9._]+)['\"]"
 )
+# `span("rl.sample", ...)`, also with the name on the next line.
+_SECTION_CALL_RE = re.compile(r"\bspan\(\s*['\"]([A-Za-z0-9._]+)['\"]")
 
 
 GLOSSARY_PATH = os.path.join(REPO_ROOT, "docs", "observability.md")
+PROFILER_HEADING = "**Profiler (`profile.*`)**"
 
 
-def recorded_metrics() -> dict:
-    """Metric name -> first "file:line" under src/ that records it."""
-    recorded = {}
+def _literal_names(pattern) -> dict:
+    """Name -> first "file:line" under src/ where ``pattern`` captures it."""
+    found = {}
     for path in sorted(
         glob.glob(os.path.join(REPO_ROOT, "src", "**", "*.py"), recursive=True)
     ):
         rel = os.path.relpath(path, REPO_ROOT)
-        for lineno, line in enumerate(open(path, encoding="utf-8"), 1):
-            for match in _METRIC_CALL_RE.finditer(line):
-                recorded.setdefault(match.group(1), f"{rel}:{lineno}")
-    return recorded
+        text = open(path, encoding="utf-8").read()
+        for match in pattern.finditer(text):
+            lineno = text.count("\n", 0, match.start()) + 1
+            found.setdefault(match.group(1), f"{rel}:{lineno}")
+    return found
+
+
+def recorded_metrics() -> dict:
+    """Metric name -> first "file:line" under src/ that records it."""
+    return _literal_names(_METRIC_CALL_RE)
+
+
+def opened_sections() -> dict:
+    """Section name -> first "file:line" under src/ that opens it."""
+    return _literal_names(_SECTION_CALL_RE)
+
+
+def glossary_parts():
+    """§4 of docs/observability.md as ``(metric part, profiler part)``;
+    the profiler part runs from its bold heading to the next one."""
+    text = open(GLOSSARY_PATH, encoding="utf-8").read()
+    start = text.find("\n## 4. ")
+    if start < 0:
+        return None
+    end = text.find("\n## ", start + 1)
+    section = text[start : end if end >= 0 else len(text)]
+    head = section.find(PROFILER_HEADING)
+    if head < 0:
+        return section, ""
+    tail = section.find("\n**", head + len(PROFILER_HEADING))
+    tail = tail if tail >= 0 else len(section)
+    return section[:head] + section[tail:], section[head:tail]
 
 
 def check_metric_glossary() -> list:
     """Every metric recorded under src/ must be in the observability
-    glossary (docs/observability.md)."""
+    glossary (docs/observability.md), and every section opened under
+    src/ in its profiler glossary."""
     if not os.path.exists(GLOSSARY_PATH):
         return ["docs/observability.md missing (metric glossary home)"]
     glossary = open(GLOSSARY_PATH, encoding="utf-8").read()
@@ -190,6 +225,15 @@ def check_metric_glossary() -> list:
                 f"{recorded[name]}: metric {name!r} is recorded but not in "
                 "the docs/observability.md metric glossary"
             )
+    parts = glossary_parts()
+    profiler = parts[1] if parts else ""
+    opened = opened_sections()
+    for name in sorted(opened):
+        if f"`{name}`" not in profiler:
+            errors.append(
+                f"{opened[name]}: section {name!r} is opened but not in "
+                "the docs/observability.md profiler glossary"
+            )
     return errors
 
 
@@ -200,24 +244,25 @@ _METRIC_NAME_RE = re.compile(r"^[a-z_]+(?:\.[a-z0-9_]+)+$")
 
 
 def check_glossary_metrics_recorded() -> list:
-    """Every metric heading a glossary bullet must be recorded under src/."""
+    """Every metric heading a glossary bullet must be recorded under
+    src/, and every section heading a profiler bullet opened there."""
     if not os.path.exists(GLOSSARY_PATH):
         return []  # check_metric_glossary reports the missing file
-    text = open(GLOSSARY_PATH, encoding="utf-8").read()
-    start = text.find("\n## 4. ")
-    end = text.find("\n## ", start + 1)
-    if start < 0:
+    parts = glossary_parts()
+    if parts is None:
         return ["docs/observability.md: no '## 4.' metric glossary section"]
-    section = text[start : end if end >= 0 else len(text)]
-    recorded = recorded_metrics()
     errors = []
-    for head in _BULLET_HEAD_RE.finditer(section):
-        for name in _CODE_SPAN_RE.findall(head.group(1)):
-            if _METRIC_NAME_RE.match(name) and name not in recorded:
-                errors.append(
-                    f"docs/observability.md: glossary names metric {name!r}, "
-                    "which nothing under src/ records"
-                )
+    for part, kind, names in zip(
+        parts, ("metric", "section"), (recorded_metrics(), opened_sections())
+    ):
+        for head in _BULLET_HEAD_RE.finditer(part):
+            for name in _CODE_SPAN_RE.findall(head.group(1)):
+                if _METRIC_NAME_RE.match(name) and name not in names:
+                    errors.append(
+                        f"docs/observability.md: glossary names {kind} "
+                        f"{name!r}, which nothing under src/ "
+                        + ("records" if kind == "metric" else "opens")
+                    )
     return errors
 
 

@@ -3,8 +3,9 @@
 
 Runs a tiny search with telemetry into a temp directory, then renders
 the full report — including the ``--health`` alert timeline and the
-``--attribution`` Gantt/top-k sections — and a ``--diff`` of the run
-against itself. Exits non-zero if any stage fails, so ``make test``
+``--attribution`` Gantt/top-k sections — checks that its profile table
+has ``rl.sample`` and ``rl.update`` rows, and renders a ``--diff`` of
+the run against itself. Exits non-zero if any stage fails, so ``make test``
 catches a report pipeline that crashes on real run directories before
 a user does.
 """
@@ -23,7 +24,12 @@ from repro.config import fast_profile  # noqa: E402
 from repro.core import optimize_placement  # noqa: E402
 from repro.sim import ClusterSpec  # noqa: E402
 from repro.telemetry import HealthConfig, start_run, use_telemetry  # noqa: E402
-from repro.telemetry.report import diff_runs, main as report_main  # noqa: E402
+from repro.telemetry.report import (  # noqa: E402
+    diff_runs,
+    load_run,
+    main as report_main,
+    profile_rows,
+)
 from repro.workloads import build_vgg16  # noqa: E402
 
 
@@ -52,6 +58,14 @@ def run() -> int:
         if rc != 0:
             print(f"report-smoke: report exited {rc}", file=sys.stderr)
             return rc
+        sections = {
+            row["path"].rsplit("/", 1)[-1]
+            for row in profile_rows(load_run(tel.run_dir).metrics)
+        }
+        missing = {"rl.sample", "rl.update"} - sections
+        if missing:
+            print(f"report-smoke: profile table lacks {sorted(missing)}", file=sys.stderr)
+            return 1
         diff = diff_runs(tel.run_dir, tel.run_dir)
         if diff["alerts"]["delta"] != 0 or diff["best_runtime"]["delta"] != 0.0:
             print("report-smoke: self-diff is not a no-op", file=sys.stderr)
