@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.config import MarsConfig
 from repro.gnn import GCNEncoder, GraphSAGEEncoder, pretrain_encoder
@@ -49,7 +48,6 @@ class EncoderPlacerPolicy(PolicyAgent):
         placer,
         features: Optional[np.ndarray] = None,
         feature_extractor: Optional[FeatureExtractor] = None,
-        encoder_adj: Optional[sp.spmatrix] = None,
     ):
         super().__init__()
         self.graph = graph
@@ -62,9 +60,7 @@ class EncoderPlacerPolicy(PolicyAgent):
         )
         self.encoder = encoder
         self.placer = placer
-        if encoder_adj is not None:
-            self.adj = encoder_adj
-        elif isinstance(encoder, GraphSAGEEncoder):
+        if isinstance(encoder, GraphSAGEEncoder):
             self.adj = adjacency_matrix(graph)
         else:
             self.adj = normalized_adjacency(graph)
@@ -118,9 +114,7 @@ class EncoderPlacerPolicy(PolicyAgent):
         self.pretrain_result = pretrain_encoder(
             self.encoder,
             self.features,
-            normalized_adjacency(self.graph)
-            if not isinstance(self.encoder, GraphSAGEEncoder)
-            else self.adj,
+            self.adj,
             iterations=config.iterations,
             lr=config.learning_rate,
             grad_clip=config.grad_clip,

@@ -14,6 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.gnn.dgi import DGI
+from repro.gnn.gcn import GCNEncoder
 from repro.nn import Adam, Module, clip_grad_norm
 from repro.telemetry import Telemetry, get_telemetry
 from repro.telemetry.tracing import span
@@ -57,6 +58,8 @@ def pretrain_encoder(
     """
     rng = new_rng(seed)
     tel = telemetry or get_telemetry()
+    # Every iteration's GCN backward shares one transpose of the adjacency.
+    adj_t = adj.T.tocsr() if isinstance(encoder, GCNEncoder) else None
     dgi = DGI(encoder, rng=rng)
     opt = Adam(dgi.parameters(), lr=lr)
     result = PretrainResult(best_loss=float("inf"), best_iteration=-1)
@@ -64,7 +67,7 @@ def pretrain_encoder(
     for it in range(iterations):
         with span("pretrain.step", telemetry=tel):
             opt.zero_grad()
-            loss = dgi.loss(x, adj, rng)
+            loss = dgi.loss(x, adj, rng, adj_t=adj_t)
             loss.backward()
             clip_grad_norm(dgi.parameters(), grad_clip)
             opt.step()

@@ -32,7 +32,7 @@ def adjacency_matrix(graph: CompGraph, undirected: bool = True) -> sp.csr_matrix
 
 
 def normalized_adjacency(graph: CompGraph, undirected: bool = True) -> sp.csr_matrix:
-    """``D̂^{-1/2} (A + I) D̂^{-1/2}`` as CSR, ready for ``spmm``."""
+    """``D̂^{-1/2} (A + I) D̂^{-1/2}`` as CSR, ready for the GCN layers."""
     a = adjacency_matrix(graph, undirected=undirected)
     a_hat = a + sp.identity(graph.num_nodes, format="csr")
     degrees = np.asarray(a_hat.sum(axis=1)).ravel()

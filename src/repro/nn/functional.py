@@ -55,16 +55,17 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True
 def spmm(adj: sp.spmatrix, x: Tensor) -> Tensor:
     """Sparse ``adj`` (constant) times dense ``x`` with autodiff on ``x``.
 
-    Used by GCN layers where the normalized adjacency is a fixed CSR matrix;
-    the backward pass is ``adjᵀ @ grad``.
+    Used by GraphSAGE layers, whose neighbor-mean adjacency is a fixed CSR
+    matrix; the backward pass is ``adjᵀ @ grad``, with the transpose built
+    only when a backward runs.
     """
-    adj = adj.tocsr()
+    if adj.format != "csr":
+        adj = adj.tocsr()
     out_data = adj @ x.data
-    adj_t = adj.T.tocsr()
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(adj_t @ g)
+            x._accumulate(adj.T.tocsr() @ g)
 
     return Tensor._make(np.asarray(out_data), (x,), backward)
 

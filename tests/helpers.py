@@ -77,6 +77,33 @@ def composed_attention(att, memory, query):
     return (memory * weights.reshape(T, B, 1)).sum(axis=0)
 
 
+def composed_gcn(layers, x, adj):
+    """``GCNEncoder.forward`` as ``Linear`` -> ``spmm`` -> ``PReLU`` per layer."""
+    from repro.nn.functional import spmm
+
+    h = x if isinstance(x, Tensor) else Tensor(x)
+    for layer in layers:
+        h = layer.act(spmm(adj, layer.linear(h)))
+    return h
+
+
+def composed_dgi_loss(dgi, x, adj, rng):
+    """``DGI.loss`` with a GCN encoder, written as a composition of tensor ops."""
+    from repro.gnn import node_permutation
+    from repro.nn import concat
+    from repro.nn.functional import bce_with_logits
+
+    x_neg = node_permutation(x, rng)
+    h_pos = composed_gcn(dgi.encoder.layers, x, adj)
+    h_neg = composed_gcn(dgi.encoder.layers, x_neg, adj)
+    summary = dgi.readout(h_pos)
+    logits_pos = dgi.discriminator_logits(h_pos, summary)
+    logits_neg = dgi.discriminator_logits(h_neg, summary)
+    logits = concat([logits_pos, logits_neg], axis=0)
+    labels = np.concatenate([np.ones(len(h_pos)), np.zeros(len(h_neg))])
+    return bce_with_logits(logits, labels)
+
+
 def tiny_graph():
     """A 6-op diamond DAG used across unit tests."""
     from repro.graph import CompGraph, OpNode
