@@ -25,6 +25,7 @@ bench-smoke:
 	PYTHONPATH=src python benchmarks/bench_distributed.py --smoke
 	PYTHONPATH=src python benchmarks/bench_serve.py --smoke
 	PYTHONPATH=src python benchmarks/bench_autograd.py --smoke
+	PYTHONPATH=src python benchmarks/bench_sim.py --smoke
 
 # Tiny telemetry run -> full report with --health/--attribution -> exit 0:
 # proves the report pipeline renders real run directories on every `make test`.

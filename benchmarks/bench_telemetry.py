@@ -13,10 +13,11 @@ enabled, so the *only* delta between them is the tracing machinery
 itself: span ids + a wall-clock read + one extra JSONL event per
 evaluation or batch. The budget is **<3% overhead** on both the
 evaluate path and the batch path (docs/performance.md). Each round times
-the untraced stream and then the traced one, so each traced round is
-paired with its untraced neighbour; the overhead is the median of the
-per-round traced/untraced ratios, minus one, which keeps drift on a
-shared host out of the gate.
+the untraced stream and the traced one back to back, alternating which
+goes first (as the end-to-end benchmark's pairs do), so each traced round
+is paired with its untraced neighbour and neither arm always pays the
+second slot; the overhead is the median of the per-round traced/untraced
+ratios, minus one, which keeps drift on a shared host out of the gate.
 
 Run it directly; results land in ``benchmarks/BENCH_telemetry.json``::
 
@@ -123,13 +124,15 @@ def run(args) -> int:
             eval_stream(False)
             eval_stream(True)
 
-            # Interleave the arms so drift (thermal, page cache) hits both.
+            # Interleave the arms so drift (thermal, page cache) hits both,
+            # and alternate which runs first so neither always goes second.
             eval_off, eval_on, batch_off, batch_on = [], [], [], []
-            for _ in range(args.rounds):
-                eval_off.append(eval_stream(False))
-                eval_on.append(eval_stream(True))
-                batch_off.append(batch_stream(False))
-                batch_on.append(batch_stream(True))
+            for r in range(args.rounds):
+                order = (False, True) if r % 2 == 0 else (True, False)
+                for traced in order:
+                    (eval_on if traced else eval_off).append(eval_stream(traced))
+                for traced in order:
+                    (batch_on if traced else batch_off).append(batch_stream(traced))
 
             spans_written = sum(
                 1 for e in read_events(tel.run_dir, types=("span",))

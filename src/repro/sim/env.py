@@ -32,7 +32,7 @@ from repro.sim.cluster import ClusterSpec
 from repro.sim.costmodel import CostModel
 from repro.sim.measurement import MeasurementProtocol, MeasurementResult
 from repro.sim.memory import MemoryModel
-from repro.sim.placement import Placement, resolve_placement
+from repro.sim.placement import Placement, PlacementConstraints
 from repro.telemetry import Telemetry, get_telemetry
 from repro.telemetry.tracing import span
 
@@ -80,6 +80,7 @@ class PlacementEnv:
         self.scheduler = self._evaluator.scheduler
         self._op_times = self._evaluator.op_times
         self._tables = self._evaluator.tables
+        self._constraints = PlacementConstraints(self.graph, self.cluster)
         # Bounded LRU result cache: one entry per unique placement, capped
         # so long searches hold constant memory (<=0 means unbounded).
         cap = (batch or BatchEvalConfig()).cache_capacity
@@ -100,7 +101,7 @@ class PlacementEnv:
         return len(self._cache)
 
     def resolve(self, actions: Sequence[int]) -> Placement:
-        return resolve_placement(actions, self.graph, self.cluster)
+        return self._constraints.resolve(actions)
 
     def makespan(self, placement: Placement) -> float:
         """Noise-free step time of a placement (no wall-clock charge)."""

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -65,32 +65,55 @@ class Placement:
         return f"Placement({', '.join(parts)}, cut={self.num_cut_edges()})"
 
 
+class PlacementConstraints:
+    """The environment-side constraints the real TF runtime enforces,
+    lowered to index arrays once per (graph, cluster):
+
+    * colocation groups land on the device chosen for their first member
+      (``devices[members] = devices[leaders]``), then
+    * ``cpu_only`` ops run on the CPU regardless of the agent's action
+      (mirrors "GPU incompatible operations run on CPU", Section 4.1), so
+      a ``cpu_only`` op inside a group goes to the CPU alone.
+
+    :class:`repro.sim.env.PlacementEnv` builds one and resolves every
+    placement it measures through it.
+    """
+
+    __slots__ = ("graph", "cluster", "members", "leaders", "cpu_only")
+
+    def __init__(self, graph: CompGraph, cluster: ClusterSpec):
+        members: List[int] = []
+        leaders: List[int] = []
+        cpu_only: List[int] = []
+        first: Dict[str, int] = {}
+        for i, node in enumerate(graph.nodes):
+            if node.colocation_group is not None:
+                members.append(i)
+                leaders.append(first.setdefault(node.colocation_group, i))
+            if node.cpu_only:
+                cpu_only.append(i)
+        self.graph = graph
+        self.cluster = cluster
+        self.members = np.array(members, dtype=np.intp)
+        self.leaders = np.array(leaders, dtype=np.intp)
+        self.cpu_only = np.array(cpu_only, dtype=np.intp)
+
+    def resolve(self, actions: Sequence[int]) -> Placement:
+        """Turn raw agent actions into a *feasible* placement."""
+        devices = np.array(actions, dtype=np.int64)
+        if devices.shape != (self.graph.num_nodes,):
+            raise ValueError("actions length mismatch")
+        devices[self.members] = devices[self.leaders]
+        devices[self.cpu_only] = self.cluster.cpu_index
+        return Placement(devices, self.graph, self.cluster)
+
+
 def resolve_placement(
     actions: Sequence[int], graph: CompGraph, cluster: ClusterSpec
 ) -> Placement:
-    """Turn raw agent actions into a *feasible* placement.
-
-    Applies the environment-side constraints the real TF runtime enforces:
-
-    * ``cpu_only`` ops run on the CPU regardless of the agent's action
-      (mirrors "GPU incompatible operations run on CPU", Section 4.1), and
-    * colocation groups land on the device chosen for their first member.
-    """
-    devices = np.asarray(actions, dtype=np.int64).copy()
-    if devices.shape != (graph.num_nodes,):
-        raise ValueError("actions length mismatch")
-    cpu = cluster.cpu_index
-
-    group_device: Dict[str, int] = {}
-    for i, node in enumerate(graph.nodes):
-        if node.colocation_group is not None:
-            if node.colocation_group not in group_device:
-                group_device[node.colocation_group] = int(devices[i])
-            devices[i] = group_device[node.colocation_group]
-    for i, node in enumerate(graph.nodes):
-        if node.cpu_only:
-            devices[i] = cpu
-    return Placement(devices, graph, cluster)
+    """Turn raw agent actions into a *feasible* placement (see
+    :class:`PlacementConstraints`)."""
+    return PlacementConstraints(graph, cluster).resolve(actions)
 
 
 def single_device_placement(

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import heapq
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -66,7 +66,9 @@ class ScheduleTables:
     float64 objects ``.tolist()`` produces, so the event loop's arithmetic
     is bit-identical to the cost model's. ``transfer[src][dst][op]`` is
     :meth:`CostModel.transfer_time` of ``op``'s output on that link (see
-    :meth:`CostModel.transfer_time_table`).
+    :meth:`CostModel.transfer_time_table`), and ``link_index[a][b]`` is
+    ``lo * D + hi`` for the undirected link between devices ``a`` and
+    ``b``. ``succ`` holds the graph's own successor lists, read-only.
     """
 
     __slots__ = (
@@ -77,6 +79,7 @@ class ScheduleTables:
         "in_degree",
         "out_bytes",
         "transfer",
+        "link_index",
         "step_overhead",
     )
 
@@ -91,7 +94,7 @@ class ScheduleTables:
         self.n = n
         self.num_devices = cluster.num_devices
         self.op_times: List[List[float]] = np.asarray(op_times, dtype=np.float64).tolist()
-        self.succ: List[List[int]] = [list(graph.successors(i)) for i in range(n)]
+        self.succ: List[List[int]] = [graph.successors(i) for i in range(n)]
         self.in_degree: List[int] = [len(graph.predecessors(i)) for i in range(n)]
         out_bytes = np.array([node.output_bytes for node in graph.nodes], dtype=np.float64)
         self.out_bytes: List[float] = out_bytes.tolist()
@@ -106,6 +109,10 @@ class ScheduleTables:
                 if key not in rows:
                     rows[key] = row.tolist()
                 self.transfer[-1].append(rows[key])
+        d = self.num_devices
+        self.link_index: List[List[int]] = [
+            [min(a, b) * d + max(a, b) for b in range(d)] for a in range(d)
+        ]
         self.step_overhead = cluster.step_overhead
 
 
@@ -116,12 +123,21 @@ def _simulate(
 ) -> ScheduleResult:
     """Run the event loop from the initial state to exhaustion.
 
-    Event heap entries are ``(time, seq, kind, payload)``: kind 0 is an op
-    completion (payload ``(op, device)``), kind 1 a tensor arrival
-    (payload ``(producer, dst_device)``). ``remaining[v]`` counts inputs
-    not yet arrived on v's device; an edge u->v with u on another device
-    completes only when the (u, dst) transfer arrives, which satisfies
-    every consumer of u on dst.
+    Event heap entries are ``(time, seq, code)``: ``code = op`` for the
+    completion of ``op`` on its device, ``code = ~(op * D + dst)`` for the
+    arrival of ``op``'s output on device ``dst`` (``D`` devices). ``seq``
+    is unique, so it alone breaks time ties and ``code`` is never compared.
+    ``remaining[v]`` counts inputs not yet arrived on v's device; an edge
+    u->v with u on another device completes only when the (u, dst)
+    transfer arrives, which satisfies every consumer of u on dst.
+
+    Two invariants keep the per-event work small:
+
+    * between events, an idle device has an empty ready queue, so an op
+      that becomes ready on an idle device starts at once, without a trip
+      through the queue;
+    * an idle device's last completion has already been popped, so an op
+      always starts at ``now``.
 
     ``transfers``, when given, receives a :class:`TransferRecord` per
     cross-device shipment.
@@ -132,21 +148,21 @@ def _simulate(
     succ = tables.succ
     out_bytes = tables.out_bytes
     transfer = tables.transfer
+    link_index = tables.link_index
     finish = [0.0] * n
     starts = [0.0] * n
-    device_free = [0.0] * num_devices
     device_busy = [0.0] * num_devices
     device_ready: List[List[int]] = [[] for _ in range(num_devices)]
     device_running = [False] * num_devices
-    link_free: Dict[Tuple[int, int], float] = {}
-    shipped: Set[Tuple[int, int]] = set()
+    link_free = [0.0] * (num_devices * num_devices)
     remaining = list(tables.in_degree)
-    events: List[tuple] = []
+    # (op * D + dst) -> consumers of op on dst waiting for its arrival.
+    waiting: Dict[int, List[int]] = {}
+    events: List[Tuple[float, int, int]] = []
     seq = 0
-    consumers_waiting: Dict[Tuple[int, int], List[int]] = {}
     comm_time = 0.0
     comm_bytes = 0.0
-    heappush, heappop = heapq.heappush, heapq.heappop
+    heappush, heappop, heappushpop = heapq.heappush, heapq.heappop, heapq.heappushpop
 
     # Source ops are ready at t=0: each device starts its first one and
     # queues the rest.
@@ -158,90 +174,86 @@ def _simulate(
             else:
                 duration = op_times[op][dev]
                 finish[op] = duration
-                device_free[dev] = duration
                 device_busy[dev] += duration
                 device_running[dev] = True
-                heappush(events, (duration, seq, 0, (op, dev)))
+                heappush(events, (duration, seq, op))
                 seq += 1
 
     while events:
-        now, _, kind, payload = heappop(events)
-        if kind == 0:  # op completed
-            op, dev = payload
+        now, _, code = heappop(events)
+        if code >= 0:  # op `code` completed
+            op = code
+            dev = devices[op]
             device_running[dev] = False
             for s in succ[op]:
                 dst = devices[s]
                 if dst == dev:
                     remaining[s] -= 1
                     if remaining[s] == 0:
-                        # mark ready, then start it if its device is idle
-                        heappush(device_ready[dst], s)
-                        if not device_running[dst]:
-                            ready_op = heappop(device_ready[dst])
-                            duration = op_times[ready_op][dst]
-                            start = now if now > device_free[dst] else device_free[dst]
-                            end = start + duration
-                            starts[ready_op] = start
-                            finish[ready_op] = end
-                            device_free[dst] = end
-                            device_busy[dst] += duration
-                            device_running[dst] = True
-                            heappush(events, (end, seq, 0, (ready_op, dst)))
-                            seq += 1
-                else:
-                    key = (op, dst)
-                    if key in shipped:
-                        consumers_waiting[key].append(s)
-                    else:
-                        shipped.add(key)
-                        consumers_waiting[key] = [s]
-                        nbytes = out_bytes[op]
-                        link = (dev, dst) if dev < dst else (dst, dev)
-                        duration = transfer[dev][dst][op]
-                        queued = link_free.get(link, 0.0)
-                        start = now if now > queued else queued
-                        link_free[link] = start + duration
-                        comm_time += duration
-                        comm_bytes += nbytes
-                        if transfers is not None:
-                            transfers.append(
-                                TransferRecord(op, dev, dst, start, start + duration, nbytes)
-                            )
-                        heappush(events, (start + duration, seq, 1, key))
+                        if device_running[dev]:
+                            heappush(device_ready[dev], s)
+                            continue
+                        # The freed device may still hold queued ops:
+                        # start the smallest of them and s.
+                        ready = device_ready[dev]
+                        nxt = heappushpop(ready, s) if ready else s
+                        duration = op_times[nxt][dev]
+                        end = now + duration
+                        starts[nxt] = now
+                        finish[nxt] = end
+                        device_busy[dev] += duration
+                        device_running[dev] = True
+                        heappush(events, (end, seq, nxt))
                         seq += 1
-            # Start the next ready op on the freed device. A same-device
-            # successor may have restarted the device inside the loop
-            # above, so the running check is load-bearing.
+                else:
+                    key = op * num_devices + dst
+                    consumers = waiting.get(key)
+                    if consumers is not None:
+                        consumers.append(s)
+                        continue
+                    waiting[key] = [s]
+                    link = link_index[dev][dst]
+                    duration = transfer[dev][dst][op]
+                    queued = link_free[link]
+                    start = now if now > queued else queued
+                    end = start + duration
+                    link_free[link] = end
+                    comm_time += duration
+                    comm_bytes += out_bytes[op]
+                    if transfers is not None:
+                        transfers.append(
+                            TransferRecord(op, dev, dst, start, end, out_bytes[op])
+                        )
+                    heappush(events, (end, seq, ~key))
+                    seq += 1
+            # Start the next queued op on the freed device, unless a
+            # same-device successor already restarted it above.
             if not device_running[dev] and device_ready[dev]:
-                ready_op = heappop(device_ready[dev])
-                duration = op_times[ready_op][dev]
-                start = now if now > device_free[dev] else device_free[dev]
-                end = start + duration
-                starts[ready_op] = start
-                finish[ready_op] = end
-                device_free[dev] = end
+                nxt = heappop(device_ready[dev])
+                duration = op_times[nxt][dev]
+                end = now + duration
+                starts[nxt] = now
+                finish[nxt] = end
                 device_busy[dev] += duration
                 device_running[dev] = True
-                heappush(events, (end, seq, 0, (ready_op, dev)))
+                heappush(events, (end, seq, nxt))
                 seq += 1
-        else:  # tensor arrived on a device
-            for s in consumers_waiting.pop(payload, ()):
+        else:  # a tensor arrived on a device
+            for s in waiting.pop(~code):
                 remaining[s] -= 1
                 if remaining[s] == 0:
                     dst = devices[s]
-                    heappush(device_ready[dst], s)
-                    if not device_running[dst]:
-                        ready_op = heappop(device_ready[dst])
-                        duration = op_times[ready_op][dst]
-                        start = now if now > device_free[dst] else device_free[dst]
-                        end = start + duration
-                        starts[ready_op] = start
-                        finish[ready_op] = end
-                        device_free[dst] = end
-                        device_busy[dst] += duration
-                        device_running[dst] = True
-                        heappush(events, (end, seq, 0, (ready_op, dst)))
-                        seq += 1
+                    if device_running[dst]:
+                        heappush(device_ready[dst], s)
+                        continue
+                    duration = op_times[s][dst]
+                    end = now + duration
+                    starts[s] = now
+                    finish[s] = end
+                    device_busy[dst] += duration
+                    device_running[dst] = True
+                    heappush(events, (end, seq, s))
+                    seq += 1
 
     if any(remaining):  # pragma: no cover - defensive
         raise RuntimeError("scheduler deadlock: graph has a cycle?")

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import heapq
+from typing import Dict, List, Optional, Set, Tuple
+
 import numpy as np
 
 from repro.nn import Tensor, stack
+from repro.sim.placement import Placement
+from repro.sim.scheduler import ScheduleResult, ScheduleTables, TransferRecord
 
 
 def numerical_gradient(f, x0: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -116,3 +121,175 @@ def tiny_graph():
     g.add_node(OpNode("d", "Concat", (4, 32)), inputs=["b", "c"])
     g.add_node(OpNode("loss", "CrossEntropy", (1,), flops=128), inputs=["d"])
     return g
+
+
+# The scheduler's event loop as it stood before its per-event work was cut
+# (push-then-pop through the ready queues, ``device_free``, tuple payloads,
+# a ``shipped`` set). Kept verbatim as the differential oracle: the current
+# ``scheduler._simulate`` must reproduce every output of it bit for bit.
+
+def reference_simulate(
+    tables: ScheduleTables,
+    devices: List[int],
+    transfers: Optional[List[TransferRecord]] = None,
+) -> ScheduleResult:
+    """Run the event loop from the initial state to exhaustion.
+
+    Event heap entries are ``(time, seq, kind, payload)``: kind 0 is an op
+    completion (payload ``(op, device)``), kind 1 a tensor arrival
+    (payload ``(producer, dst_device)``). ``remaining[v]`` counts inputs
+    not yet arrived on v's device; an edge u->v with u on another device
+    completes only when the (u, dst) transfer arrives, which satisfies
+    every consumer of u on dst.
+
+    ``transfers``, when given, receives a :class:`TransferRecord` per
+    cross-device shipment.
+    """
+    n = tables.n
+    num_devices = tables.num_devices
+    op_times = tables.op_times
+    succ = tables.succ
+    out_bytes = tables.out_bytes
+    transfer = tables.transfer
+    finish = [0.0] * n
+    starts = [0.0] * n
+    device_free = [0.0] * num_devices
+    device_busy = [0.0] * num_devices
+    device_ready: List[List[int]] = [[] for _ in range(num_devices)]
+    device_running = [False] * num_devices
+    link_free: Dict[Tuple[int, int], float] = {}
+    shipped: Set[Tuple[int, int]] = set()
+    remaining = list(tables.in_degree)
+    events: List[tuple] = []
+    seq = 0
+    consumers_waiting: Dict[Tuple[int, int], List[int]] = {}
+    comm_time = 0.0
+    comm_bytes = 0.0
+    heappush, heappop = heapq.heappush, heapq.heappop
+
+    # Source ops are ready at t=0: each device starts its first one and
+    # queues the rest.
+    for op in range(n):
+        if remaining[op] == 0:
+            dev = devices[op]
+            if device_running[dev]:
+                heappush(device_ready[dev], op)
+            else:
+                duration = op_times[op][dev]
+                finish[op] = duration
+                device_free[dev] = duration
+                device_busy[dev] += duration
+                device_running[dev] = True
+                heappush(events, (duration, seq, 0, (op, dev)))
+                seq += 1
+
+    while events:
+        now, _, kind, payload = heappop(events)
+        if kind == 0:  # op completed
+            op, dev = payload
+            device_running[dev] = False
+            for s in succ[op]:
+                dst = devices[s]
+                if dst == dev:
+                    remaining[s] -= 1
+                    if remaining[s] == 0:
+                        # mark ready, then start it if its device is idle
+                        heappush(device_ready[dst], s)
+                        if not device_running[dst]:
+                            ready_op = heappop(device_ready[dst])
+                            duration = op_times[ready_op][dst]
+                            start = now if now > device_free[dst] else device_free[dst]
+                            end = start + duration
+                            starts[ready_op] = start
+                            finish[ready_op] = end
+                            device_free[dst] = end
+                            device_busy[dst] += duration
+                            device_running[dst] = True
+                            heappush(events, (end, seq, 0, (ready_op, dst)))
+                            seq += 1
+                else:
+                    key = (op, dst)
+                    if key in shipped:
+                        consumers_waiting[key].append(s)
+                    else:
+                        shipped.add(key)
+                        consumers_waiting[key] = [s]
+                        nbytes = out_bytes[op]
+                        link = (dev, dst) if dev < dst else (dst, dev)
+                        duration = transfer[dev][dst][op]
+                        queued = link_free.get(link, 0.0)
+                        start = now if now > queued else queued
+                        link_free[link] = start + duration
+                        comm_time += duration
+                        comm_bytes += nbytes
+                        if transfers is not None:
+                            transfers.append(
+                                TransferRecord(op, dev, dst, start, start + duration, nbytes)
+                            )
+                        heappush(events, (start + duration, seq, 1, key))
+                        seq += 1
+            # Start the next ready op on the freed device. A same-device
+            # successor may have restarted the device inside the loop
+            # above, so the running check is load-bearing.
+            if not device_running[dev] and device_ready[dev]:
+                ready_op = heappop(device_ready[dev])
+                duration = op_times[ready_op][dev]
+                start = now if now > device_free[dev] else device_free[dev]
+                end = start + duration
+                starts[ready_op] = start
+                finish[ready_op] = end
+                device_free[dev] = end
+                device_busy[dev] += duration
+                device_running[dev] = True
+                heappush(events, (end, seq, 0, (ready_op, dev)))
+                seq += 1
+        else:  # tensor arrived on a device
+            for s in consumers_waiting.pop(payload, ()):
+                remaining[s] -= 1
+                if remaining[s] == 0:
+                    dst = devices[s]
+                    heappush(device_ready[dst], s)
+                    if not device_running[dst]:
+                        ready_op = heappop(device_ready[dst])
+                        duration = op_times[ready_op][dst]
+                        start = now if now > device_free[dst] else device_free[dst]
+                        end = start + duration
+                        starts[ready_op] = start
+                        finish[ready_op] = end
+                        device_free[dst] = end
+                        device_busy[dst] += duration
+                        device_running[dst] = True
+                        heappush(events, (end, seq, 0, (ready_op, dst)))
+                        seq += 1
+
+    if any(remaining):  # pragma: no cover - defensive
+        raise RuntimeError("scheduler deadlock: graph has a cycle?")
+    finish_arr = np.array(finish, dtype=np.float64)
+    makespan = float(finish_arr.max()) + tables.step_overhead if n else 0.0
+    return ScheduleResult(
+        makespan=makespan,
+        finish_times=finish_arr,
+        device_busy=np.array(device_busy, dtype=np.float64),
+        comm_time=float(comm_time),
+        comm_bytes=float(comm_bytes),
+        start_times=np.array(starts, dtype=np.float64),
+        transfers=transfers,
+    )
+
+
+def reference_resolve(actions, graph, cluster) -> Placement:
+    """``resolve_placement`` as the per-node loop it used to be: colocation
+    groups follow their first member, then ``cpu_only`` ops go to the CPU."""
+    devices = np.asarray(actions, dtype=np.int64).copy()
+    if devices.shape != (graph.num_nodes,):
+        raise ValueError("actions length mismatch")
+    group_device: Dict[str, int] = {}
+    for i, node in enumerate(graph.nodes):
+        if node.colocation_group is not None:
+            if node.colocation_group not in group_device:
+                group_device[node.colocation_group] = int(devices[i])
+            devices[i] = group_device[node.colocation_group]
+    for i, node in enumerate(graph.nodes):
+        if node.cpu_only:
+            devices[i] = cluster.cpu_index
+    return Placement(devices, graph, cluster)

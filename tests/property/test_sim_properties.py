@@ -6,9 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import critical_path
+from repro.core.annealing import AnnealingConfig, _propose
 from repro.graph import CompGraph, OpNode
-from repro.sim import ClusterSpec, MemoryModel, Placement, Scheduler
+from repro.sim import ClusterSpec, MemoryModel, Placement, PlacementEnv, Scheduler
 from repro.sim.placement import resolve_placement
+from repro.sim.scheduler import ScheduleTables
+from repro.workloads import get_workload
+from tests.helpers import reference_resolve, reference_simulate
 
 CLUSTER = ClusterSpec.default()
 SCHED = Scheduler()
@@ -206,3 +210,146 @@ def test_chain_critical_path_equals_makespan(case):
     g, cluster, placement = case
     total, _ = critical_path(g, cluster, placement)
     assert total + cluster.step_overhead == SCHED.run_step(placement).makespan
+
+
+# ----------------------------------------------------------------------
+# Differential test: the event loop against the reference loop
+# ----------------------------------------------------------------------
+def schedule_bits(res) -> tuple:
+    """Every field of a ``ScheduleResult``, as exact bits."""
+    return (
+        float(res.makespan).hex(),
+        res.finish_times.tobytes(),
+        res.start_times.tobytes(),
+        res.device_busy.tobytes(),
+        float(res.comm_time).hex(),
+        float(res.comm_bytes).hex(),
+        res.transfers,
+    )
+
+
+def assert_matches_reference(graph, cluster, devices, trace: bool) -> None:
+    placement = Placement(np.asarray(devices), graph, cluster)
+    tables = ScheduleTables(
+        graph, cluster, SCHED.cost_model, SCHED.cost_model.op_time_matrix(graph, cluster)
+    )
+    expected = reference_simulate(tables, placement.devices.tolist(), [] if trace else None)
+    actual = SCHED.run_step(placement, trace=trace)
+    assert schedule_bits(actual) == schedule_bits(expected)
+
+
+@st.composite
+def tied_dag_and_placement(draw):
+    """A random DAG whose op and transfer costs come from a few equal
+    classes, so completions and arrivals often fall at exactly the same
+    time and the heap's ``seq`` tie-break decides the order."""
+    cluster = draw(st.sampled_from([ClusterSpec.default(), ClusterSpec.nvlink()]))
+    n = draw(st.integers(1, 40))
+    g = CompGraph("tied")
+    for i in range(n):
+        g.add_node(
+            OpNode(
+                f"op{i}",
+                "MatMul",
+                output_shape=draw(st.sampled_from([(1,), (1,), (512, 512)])),
+                flops=draw(st.sampled_from([0.0, 0.0, 1e9, 3e9])),
+            )
+        )
+    for v in range(1, n):
+        for u in range(max(0, v - 6), v):
+            if draw(st.integers(0, 2)) == 0:
+                g.add_edge(f"op{u}", f"op{v}")
+    # Few devices in use: more shipments share a link, so the order of
+    # simultaneous events shows in the transfer start times.
+    used = draw(st.sampled_from([2, 2, 3, cluster.num_devices]))
+    devices = draw(st.lists(st.integers(0, used - 1), min_size=n, max_size=n))
+    return g, cluster, devices
+
+
+@given(tied_dag_and_placement(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_event_loop_matches_reference(case, trace):
+    """``run_step`` reproduces the reference event loop bit for bit: every
+    ``ScheduleResult`` field and, when tracing, the ``TransferRecord`` list."""
+    g, cluster, devices = case
+    assert_matches_reference(g, cluster, devices, trace)
+
+
+def anneal_placements(num_ops: int, num_devices: int, count: int, seed: int):
+    """``count`` successive annealing proposals from a seeded random start."""
+    rng = np.random.default_rng(seed)
+    actions = rng.integers(0, num_devices, num_ops)
+    out = [actions]
+    for _ in range(count - 1):
+        actions = _propose(actions, num_devices, AnnealingConfig(), rng)
+        out.append(actions)
+    return out
+
+
+@pytest.mark.parametrize(
+    "cluster", [ClusterSpec.default(), ClusterSpec.nvlink()], ids=["default", "nvlink"]
+)
+def test_event_loop_matches_reference_on_full_gnmt4(cluster):
+    """Full-size GNMT-4 (686 ops; the golden file pins it only at
+    ``scale=0.25``) over seeded anneal-style placements."""
+    graph = get_workload("gnmt4")
+    for i, actions in enumerate(anneal_placements(graph.num_nodes, cluster.num_devices, 24, 3)):
+        devices = resolve_placement(actions, graph, cluster).devices
+        assert_matches_reference(graph, cluster, devices, trace=i % 2 == 0)
+
+
+# ----------------------------------------------------------------------
+# Constraint resolution against the per-node reference loop
+# ----------------------------------------------------------------------
+@st.composite
+def constrained_dag_and_actions(draw):
+    """A random graph with colocation groups and ``cpu_only`` ops (also
+    inside groups), a cluster and raw actions for it."""
+    cluster = draw(
+        st.sampled_from(
+            [ClusterSpec.default(), ClusterSpec.nvlink(), ClusterSpec.default(num_gpus=1)]
+        )
+    )
+    n = draw(st.integers(0, 20))
+    g = CompGraph("constrained")
+    for i in range(n):
+        g.add_node(
+            OpNode(
+                f"op{i}",
+                "MatMul",
+                output_shape=(4,),
+                cpu_only=draw(st.integers(0, 3)) == 0,
+                colocation_group=draw(st.sampled_from([None, None, "a", "b", "c"])),
+            ),
+            inputs=[f"op{i - 1}"] if i and draw(st.booleans()) else [],
+        )
+    actions = draw(
+        st.lists(st.integers(0, cluster.num_devices - 1), min_size=n, max_size=n)
+    )
+    return g, cluster, np.array(actions, dtype=np.int64)
+
+
+@given(constrained_dag_and_actions())
+@settings(max_examples=150, deadline=None)
+def test_resolve_matches_reference(case):
+    g, cluster, actions = case
+    expected = reference_resolve(actions, g, cluster).devices
+    assert np.array_equal(resolve_placement(actions, g, cluster).devices, expected)
+    assert np.array_equal(PlacementEnv(g, cluster).resolve(actions).devices, expected)
+
+
+def test_resolve_cpu_only_wins_inside_colocation_group():
+    cluster = ClusterSpec.default()
+    g = CompGraph("group")
+    g.add_node(OpNode("lead", "MatMul", (4,), colocation_group="g"))
+    g.add_node(
+        OpNode("pinned", "Input", (4,), cpu_only=True, colocation_group="g"), inputs=["lead"]
+    )
+    g.add_node(OpNode("follow", "MatMul", (4,), colocation_group="g"), inputs=["pinned"])
+
+    for resolve in (lambda a: resolve_placement(a, g, cluster), PlacementEnv(g, cluster).resolve):
+        assert resolve([2, 1, 3]).devices.tolist() == [2, cluster.cpu_index, 2]
+        with pytest.raises(ValueError):
+            resolve([0, 0])
+        with pytest.raises(ValueError):
+            resolve([0, 0, 0, 0])
