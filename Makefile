@@ -29,8 +29,11 @@ bench-smoke:
 
 # Tiny telemetry run -> full report with --health/--attribution -> exit 0:
 # proves the report pipeline renders real run directories on every `make test`.
+# Then the placement-analysis example (report, attribution Gantt, checkpoint
+# round trip) must run to exit 0 (~7 s).
 report-smoke:
 	PYTHONPATH=src python tools/report_smoke.py
+	PYTHONPATH=src python examples/analyze_and_deploy.py
 
 # Train a few iterations -> real SIGTERM -> resume in a fresh process ->
 # compare against an uninterrupted run: proves crash-safe resume is

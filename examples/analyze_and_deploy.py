@@ -3,8 +3,9 @@
 After the search finishes, practitioners want to know *why* the chosen
 placement is fast: which device does what, how much time goes to
 communication, and where the critical path runs. This example trains a
-small agent, prints the full diagnostic report and an ASCII execution
-timeline, then saves the agent and reloads it for greedy (sample-free)
+small agent, prints the full diagnostic report and the step's
+attribution (per-device Gantt chart, top critical-path ops, cross-device
+traffic), then saves the agent and reloads it for greedy (sample-free)
 placement.
 
 Run:  python examples/analyze_and_deploy.py
@@ -14,12 +15,7 @@ import os
 import tempfile
 
 from repro import ClusterSpec, PlacementEnv, build_gnmt, fast_profile, optimize_placement
-from repro.analysis import (
-    analyze_placement,
-    build_timeline,
-    critical_path,
-    render_timeline,
-)
+from repro.analysis import analyze_placement, critical_path, render_attribution
 from repro.core import greedy_placement, load_agent, save_agent
 
 
@@ -44,8 +40,10 @@ def main():
     print(f"\ncritical path: {cp_placed * 1e3:.1f} ms placed "
           f"vs {cp_ideal * 1e3:.1f} ms best-device lower bound")
 
-    print("\n=== execution timeline (one training step) ===")
-    print(render_timeline(build_timeline(best), width=68))
+    print("\n=== attribution (one training step) ===")
+    print(render_attribution(
+        env.attribute(result.history.best_placement), graph, width=68
+    ))
 
     # --- Deploy --------------------------------------------------------
     with tempfile.TemporaryDirectory() as tmp:

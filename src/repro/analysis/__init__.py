@@ -1,12 +1,18 @@
 """Placement analysis and reporting tools.
 
 Everything a practitioner needs to understand *why* a placement is fast
-or slow: per-device utilization, communication breakdown, critical-path
-analysis, ASCII timelines, and CSV export of search curves.
+or slow. One traced schedule feeds every per-device view:
+``PlacementEnv.attribute`` / :func:`repro.sim.attribution.attribute_schedule`
+builds the per-device intervals, busy/idle time, op counts, traffic and
+realized critical path, and :func:`render_attribution` draws them as a
+Gantt chart with top-k critical-path ops and a traffic matrix.
+:func:`analyze_placement` adds memory and cut edges to that,
+:func:`placement_to_chrome_trace` exports the same intervals for
+Perfetto, :func:`critical_path` gives the cost-model lower bound, and
+:func:`curves_to_csv` exports search curves.
 """
 
 from repro.analysis.report import PlacementReport, analyze_placement
-from repro.analysis.timeline import DeviceTimeline, build_timeline, render_timeline
 from repro.analysis.critical_path import critical_path, critical_path_ops
 from repro.analysis.attribution import render_attribution, render_attribution_event
 from repro.analysis.export import curves_to_csv, history_to_rows
@@ -19,9 +25,6 @@ __all__ = [
     "render_attribution_event",
     "PlacementReport",
     "analyze_placement",
-    "DeviceTimeline",
-    "build_timeline",
-    "render_timeline",
     "critical_path",
     "critical_path_ops",
     "curves_to_csv",

@@ -1,18 +1,17 @@
 """Aggregate placement diagnostics.
 
-:func:`analyze_placement` simulates one placement and compiles a
-:class:`PlacementReport` (per-device busy time/utilization/memory,
-communication breakdown, cut edges, OOM check).
+:func:`analyze_placement` attributes one traced step
+(:func:`repro.sim.attribution.attribute_schedule`: busy time, op counts,
+communication) and adds what the schedule does not hold — per-device
+memory, the OOM check and cut edges — into a :class:`PlacementReport`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-import numpy as np
-
-from repro.sim import CostModel, MemoryModel, Placement, Scheduler
+from repro.sim import CostModel, MemoryModel, Placement, Scheduler, attribute_schedule
 
 
 @dataclass
@@ -51,30 +50,23 @@ def analyze_placement(
     cost_model: Optional[CostModel] = None,
     memory_model: Optional[MemoryModel] = None,
 ) -> PlacementReport:
-    """Run the simulator once and compile a :class:`PlacementReport`."""
-    cluster = placement.cluster
-    scheduler = Scheduler(cost_model)
-    result = scheduler.run_step(placement)
+    """Attribute one traced step and compile a :class:`PlacementReport`."""
+    attr = attribute_schedule(
+        placement, Scheduler(cost_model).run_step(placement, trace=True)
+    )
     memory = (memory_model or MemoryModel()).check(placement)
-
-    names = [d.name for d in cluster.devices]
-    counts = np.bincount(placement.devices, minlength=cluster.num_devices)
-    busy = {n: float(result.device_busy[i]) for i, n in enumerate(names)}
-    util = {
-        n: float(result.device_busy[i] / result.makespan) if result.makespan else 0.0
-        for i, n in enumerate(names)
-    }
-    mem = {n: float(memory.usage[i] / 2**30) for i, n in enumerate(names)}
-    ops = {n: int(counts[i]) for i, n in enumerate(names)}
+    names, makespan = attr.device_names, attr.makespan
+    busy = attr.device_busy.tolist()
     return PlacementReport(
-        makespan=result.makespan,
-        device_busy=busy,
-        device_utilization=util,
-        device_memory_gb=mem,
-        device_op_counts=ops,
-        comm_time=result.comm_time,
-        comm_bytes=result.comm_bytes,
+        makespan=makespan,
+        device_busy=dict(zip(names, busy)),
+        device_utilization={
+            n: b / makespan if makespan else 0.0 for n, b in zip(names, busy)
+        },
+        device_memory_gb=dict(zip(names, (memory.usage / 2**30).tolist())),
+        device_op_counts=dict(zip(names, attr.device_op_counts.tolist())),
+        comm_time=attr.comm_time,
+        comm_bytes=attr.comm_bytes,
         cut_edges=placement.num_cut_edges(),
         fits_memory=memory.fits,
     )
-

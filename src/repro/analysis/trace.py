@@ -4,9 +4,10 @@ Two exporters, both producing the Trace Event JSON format that loads in
 Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``:
 
 * :func:`placement_to_chrome_trace` — the per-device execution of **one
-  simulated training step**, one track per device, one slice per op.
-  Gives the interactive view that :func:`repro.analysis.timeline
-  .render_timeline`'s ASCII Gantt chart only sketches.
+  simulated training step**, one track per device, one slice per op
+  (the attribution's ``device_intervals``). Gives the interactive view
+  that :func:`repro.analysis.render_attribution`'s ASCII Gantt chart
+  only sketches.
 * :func:`events_to_chrome_trace` — a **whole search run** from telemetry
   JSONL events (see ``docs/observability.md``): environment measurements
   and policy iterations as slices on the simulated clock, with counter
@@ -36,8 +37,7 @@ import json
 import math
 from typing import Iterable, Optional
 
-from repro.analysis.timeline import build_timeline
-from repro.sim import CostModel, Placement
+from repro.sim import CostModel, Placement, Scheduler, attribute_schedule
 
 
 def placement_to_chrome_trace(
@@ -47,17 +47,22 @@ def placement_to_chrome_trace(
 ) -> dict:
     """Build (and optionally write) the trace document for one step."""
     graph = placement.graph
+    attr = attribute_schedule(
+        placement, Scheduler(cost_model).run_step(placement, trace=True)
+    )
     events = []
-    for pid, timeline in enumerate(build_timeline(placement, cost_model)):
+    for pid, (device, intervals) in enumerate(
+        zip(attr.device_names, attr.device_intervals)
+    ):
         events.append(
             {
                 "name": "process_name",
                 "ph": "M",
                 "pid": pid,
-                "args": {"name": timeline.device},
+                "args": {"name": device},
             }
         )
-        for op, start, end in timeline.intervals:
+        for op, start, end in intervals:
             node = graph.nodes[op]
             events.append(
                 {

@@ -227,12 +227,10 @@ def attribute_schedule(
 
     # Per-device interval lists, sorted by start time.
     intervals: List[List[Tuple[int, float, float]]] = [[] for _ in range(num_devices)]
-    for op in np.argsort(starts, kind="stable") if n else []:
-        op = int(op)
-        intervals[int(devices[op])].append((op, float(starts[op]), float(finishes[op])))
-    op_counts = np.zeros(num_devices, dtype=int)
-    for d in range(num_devices):
-        op_counts[d] = len(intervals[d])
+    dev_of, start_of, finish_of = devices.tolist(), starts.tolist(), finishes.tolist()
+    for op in np.argsort(starts, kind="stable").tolist():
+        intervals[dev_of[op]].append((op, start_of[op], finish_of[op]))
+    op_counts = np.bincount(devices, minlength=num_devices)
     idle = np.maximum(span - schedule.device_busy, 0.0)
 
     # Traffic matrix + transfer lookup keyed like the scheduler dedupes:
@@ -253,15 +251,14 @@ def attribute_schedule(
     if n:
         op = int(np.argmax(finishes))
         while True:
-            dev = int(devices[op])
-            s_op = float(starts[op])
+            dev = dev_of[op]
             # Candidates that could have released this op's start.
             best_time = -1.0
             best: Optional[Tuple[str, int]] = None  # (reason, predecessor op)
             for pred in graph.predecessors(op):
                 pred = int(pred)
-                if int(devices[pred]) == dev:
-                    t = float(finishes[pred])
+                if dev_of[pred] == dev:
+                    t = finish_of[pred]
                     if t > best_time:
                         best_time, best = t, ("dep", pred)
                 else:
@@ -269,8 +266,8 @@ def attribute_schedule(
                     if tr is not None and tr.end > best_time:
                         best_time, best = tr.end, ("comm", pred)
             prev = prev_on_device.get(op)
-            if prev is not None and float(finishes[prev]) > best_time + _EPS:
-                best_time, best = float(finishes[prev]), ("device", prev)
+            if prev is not None and finish_of[prev] > best_time + _EPS:
+                best_time, best = finish_of[prev], ("device", prev)
 
             reason = best[0] if best is not None and best_time > _EPS else "source"
             path.append(
@@ -278,8 +275,8 @@ def attribute_schedule(
                     kind="op",
                     op=op,
                     device=dev,
-                    start=s_op,
-                    end=float(finishes[op]),
+                    start=start_of[op],
+                    end=finish_of[op],
                     reason=reason,
                 )
             )
@@ -296,7 +293,7 @@ def attribute_schedule(
                         kind="comm",
                         op=pred,
                         device=tr.src,
-                        start=float(finishes[pred]),
+                        start=finish_of[pred],
                         end=tr.end,
                         reason="comm",
                         dst_device=tr.dst,

@@ -95,6 +95,9 @@ class TestAttributeSchedule:
         for d, ivals in enumerate(attr.device_intervals):
             busy = sum(e - s for _, s, e in ivals)
             assert busy == pytest.approx(attr.device_busy[d])
+            assert len(ivals) == attr.device_op_counts[d]
+            for (_, _, prev_end), (_, start, _) in zip(ivals, ivals[1:]):
+                assert prev_end <= start + 1e-12  # never overlap
 
     def test_top_critical_ops_sorted_desc(self):
         g = tiny_graph()
