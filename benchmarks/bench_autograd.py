@@ -8,6 +8,12 @@ Inception-V3 (302 ops) with the ``fast_profile`` agent:
 * **backward** — ``loss.backward()`` over that tape;
 * **sample** — ``sample(10)`` under ``no_grad`` (a rollout).
 
+and one layer inside them:
+
+* **encoder** — the placer's bi-LSTM encoder over every segment of the
+  op sequence, forward alone (building the tape, as ``evaluate`` does)
+  and forward plus ``backward()`` of a fixed linear loss on its outputs;
+
 and the step that runs before any of them:
 
 * **DGI pre-training** — seconds per iteration of ``pretrain_encoder``
@@ -44,7 +50,7 @@ import numpy as np
 from repro.config import fast_profile
 from repro.core import build_mars_agent
 from repro.gnn import DGI, pretrain_encoder
-from repro.nn import Tensor
+from repro.nn import Tensor, no_grad
 from repro.sim import ClusterSpec
 from repro.workloads import get_workload
 
@@ -80,6 +86,27 @@ def time_pretraining(agent, rounds: int, iterations: int) -> list:
     return per_iter
 
 
+def time_encoder(agent, rounds: int) -> tuple:
+    """Seconds of one encoder pass, forward and forward+backward, per round."""
+    placer = agent.placer
+    with no_grad():
+        reps = agent.node_representations().data
+        rng = np.random.default_rng(0)
+        weights = [rng.standard_normal(m.shape) for m in placer._encode(Tensor(reps))[0]]
+    forward, forward_backward = [], []
+    for _ in range(rounds):
+        seq = Tensor(reps, requires_grad=True)
+        t0 = time.perf_counter()
+        mems, _ = placer._encode(seq)
+        t1 = time.perf_counter()
+        placer.zero_grad()
+        sum((m * w).sum() for m, w in zip(mems, weights)).backward()
+        t2 = time.perf_counter()
+        forward.append(t1 - t0)
+        forward_backward.append(t2 - t0)
+    return forward, forward_backward
+
+
 def run(args) -> int:
     graph = get_workload("inception_v3")
     agent = build_mars_agent(graph, ClusterSpec.default(), fast_profile(seed=0))
@@ -94,6 +121,7 @@ def run(args) -> int:
         logp, entropy = agent.evaluate(rollout.internal)
         (-(logp.mean()) - 0.01 * entropy.mean()).backward()
         time_pretraining(agent, rounds=1, iterations=2)
+        time_encoder(agent, rounds=1)
         print(f"bench-autograd smoke OK ({nodes} nodes per evaluate, "
               f"{dgi_nodes} per DGI iteration)")
         return 0
@@ -112,6 +140,7 @@ def run(args) -> int:
         forward.append(t1 - t0)
         backward.append(t2 - t1)
         sample.append(t3 - t2)
+    encoder_fwd, encoder_fwd_bwd = time_encoder(agent, args.rounds)
     dgi_iter = time_pretraining(agent, args.rounds, DGI_ITERATIONS)
 
     doc = {
@@ -124,6 +153,8 @@ def run(args) -> int:
         "forward_median_s": statistics.median(forward),
         "backward_median_s": statistics.median(backward),
         "sample10_median_s": statistics.median(sample),
+        "encoder_forward_median_s": statistics.median(encoder_fwd),
+        "encoder_forward_backward_median_s": statistics.median(encoder_fwd_bwd),
         "dgi_iterations_per_round": DGI_ITERATIONS,
         "dgi_nodes_per_iteration": dgi_nodes,
         "dgi_iteration_median_s": statistics.median(dgi_iter),
@@ -135,8 +166,9 @@ def run(args) -> int:
     }
     for key in ("nodes_per_pass", "nodes_per_op", "forward_median_s",
                 "backward_median_s", "sample10_median_s",
+                "encoder_forward_median_s", "encoder_forward_backward_median_s",
                 "dgi_nodes_per_iteration", "dgi_iteration_median_s"):
-        print(f"{key:>23}: {doc[key]:.4g}")
+        print(f"{key:>33}: {doc[key]:.4g}")
     with open(args.json, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -71,14 +71,14 @@ def render_attribution_event(event: Dict, width: int = 64, top_k: int = 10) -> s
         lines.append("")
         lines.append(
             _table(
-                ["device", "ops", "busy ms", "idle ms", "busy %"],
+                ["device", "ops", "busy ms", "idle ms", "busy % of step"],
                 [
                     [
                         d["name"],
                         d.get("ops", 0),
                         f"{float(d.get('busy', 0.0)) * 1e3:.2f}",
                         f"{float(d.get('idle', 0.0)) * 1e3:.2f}",
-                        f"{float(d.get('busy', 0.0)) / span:.0%}" if span > 0 else "-",
+                        f"{float(d.get('busy', 0.0)) / makespan:.0%}" if makespan > 0 else "-",
                     ]
                     for d in devices
                 ],

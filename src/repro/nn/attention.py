@@ -11,6 +11,12 @@ softmax over time and context sum — is written once on raw arrays, in
 :func:`attention_step` and :func:`attention_step_backward`;
 :meth:`BahdanauAttention.forward` is one op over them, and a decoder that
 fuses its whole loop calls them directly.
+
+A memory ``(T,1,M)`` shared by the whole query batch (the placer's case)
+takes a cheaper path both ways: the context is one ``einsum`` over time,
+bit-identical to the broadcast multiply-and-sum a per-batch memory uses,
+and the backward contracts the batch axis with matmuls. Neither builds a
+``(T,B,M)`` temporary.
 """
 
 from __future__ import annotations
@@ -46,8 +52,12 @@ def attention_step(
     # Softmax over time, shifted by its (constant) max.
     e = np.exp(scores - scores.max(axis=0, keepdims=True))
     weights = e / e.sum(axis=0, keepdims=True)
-    T, B = weights.shape
-    context = (memory * weights.reshape(T, B, 1)).sum(axis=0)
+    if memory.shape[1] == 1:
+        # It adds the products in time order, as the mul-sum below does.
+        context = np.einsum("tb,tm->bm", weights, memory[:, 0])
+    else:
+        T, B = weights.shape
+        context = (memory * weights.reshape(T, B, 1)).sum(axis=0)
     return context, (query, s, weights)
 
 

@@ -5,18 +5,25 @@ the batch — the loop over time is irreducible but everything inside it is a
 vectorized NumPy kernel.
 
 The step's math lives once, in :func:`lstm_cell` and
-:func:`lstm_cell_backward`, which work on raw arrays. Two ops loop them:
+:func:`lstm_cell_backward`, which work on raw arrays with any leading
+axes: the decoder's ``(B, ·)`` state or a stack of ``K`` directions'
+``(K, B, ·)`` states with weights ``(K, H, 4H)``. A stacked recurrent
+matmul rounds each direction exactly as that direction's own product.
+Two ops loop them:
 
 * :meth:`LSTMCell.step` is one step: two tape nodes, ``(h, c)``.
-* :meth:`LSTM.forward` is a whole sequence: the forward loops the step
-  over time without building nodes, and the backward is hand-written
-  BPTT. The outputs ``(T, B, H)`` are one node, and the final ``h`` and
-  ``c`` are two more that hand their gradients to it.
+* :func:`lstm_sequence` runs ``K`` LSTMs over one sequence in one time
+  loop, as one op: each step is one stacked cell over all directions,
+  and the backward is hand-written BPTT over all of them in one reverse
+  loop. The outputs ``(T, B, K·H)`` are one node, and each direction's
+  final ``h`` and ``c`` are two more that hand their gradients to it.
+  :meth:`LSTM.forward` is the ``K = 1`` case and :meth:`BiLSTM.forward`
+  the ``K = 2`` case, its second direction reversed.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,16 +42,17 @@ def lstm_cell(
 
     ``gates_x`` is the input projection ``x @ w_ih + bias``; it and the
     state broadcast against each other over the batch axis. Gate order is
-    ``[input, forget, cell, output]``. ``cache`` is what
+    ``[input, forget, cell, output]``. Leading axes before the batch stack
+    directions, with ``w_hh`` stacked to match. ``cache`` is what
     :func:`lstm_cell_backward` needs.
     """
-    hs = w_hh.shape[0]
+    hs = w_hh.shape[-2]
     gates = gates_x + h_prev @ w_hh
     sig = stable_sigmoid(gates)  # elementwise: the cell block is unused
-    i = sig[:, 0 * hs : 1 * hs]
-    f = sig[:, 1 * hs : 2 * hs]
-    g = np.tanh(gates[:, 2 * hs : 3 * hs])
-    o = sig[:, 3 * hs : 4 * hs]
+    i = sig[..., 0 * hs : 1 * hs]
+    f = sig[..., 1 * hs : 2 * hs]
+    g = np.tanh(gates[..., 2 * hs : 3 * hs])
+    o = sig[..., 3 * hs : 4 * hs]
     c = f * c_prev + i * g
     tanh_c = np.tanh(c)
     return o * tanh_c, c, (h_prev, c_prev, i, f, g, o, tanh_c)
@@ -76,10 +84,13 @@ def lstm_cell_backward(
             dc * i * (1.0 - g**2),
             do,
         ),
-        axis=1,
+        axis=-1,
     )
-    dmm = _unbroadcast(dgates, (h_prev.shape[0], dgates.shape[1]))
-    return dgates, dmm @ w_hh.T, _unbroadcast(dc * f, c_prev.shape)
+    dmm = _unbroadcast(dgates, h_prev.shape[:-1] + dgates.shape[-1:])
+    # The transposed view makes the same BLAS call, and so the same
+    # rounding, as ``w_hh.T`` does in 2-D.
+    dh_prev = dmm @ np.swapaxes(w_hh, -1, -2)
+    return dgates, dh_prev, _unbroadcast(dc * f, c_prev.shape)
 
 
 class LSTMCell(Module):
@@ -151,6 +162,106 @@ class LSTMCell(Module):
         return h_new, c_new
 
 
+def lstm_sequence(
+    x: Tensor,
+    cells: Sequence[LSTMCell],
+    states: Sequence[State],
+    reverse: Sequence[bool],
+) -> Tuple[Tensor, List[State]]:
+    """``K = len(cells)`` LSTMs over one sequence ``x (T,B,D)``, as one op.
+
+    Direction ``k`` runs ``cells[k]`` from ``states[k]``, from the last
+    time step to the first if ``reverse[k]``. Returns the outputs
+    ``(T,B,K·H)``, direction ``k``'s in columns ``k·H:(k+1)·H`` and
+    aligned with ``x``, and each direction's final state (after step 0
+    for a reversed one). All directions advance in one time loop, one
+    stacked :func:`lstm_cell` per step. The first step's recurrent
+    product is at the states' own batch size; states whose batch sizes
+    differ are first broadcast to a common one, at which the smaller
+    one's product then rounds.
+    """
+    K, T, H = len(cells), x.shape[0], cells[0].hidden_size
+    flip = np.arange(T - 1, -1, -1)
+    xs = [x.data[flip] if r else x.data for r in reverse]  # in processing order
+    # One fused matmul per direction for the input projections of every step.
+    gx = [xk @ cell.w_ih.data + cell.bias.data for xk, cell in zip(xs, cells)]
+    gates_x = np.stack(gx, axis=1)  # (T, K, B, 4H)
+    w_hh = np.stack([cell.w_hh.data for cell in cells])  # (K, H, 4H)
+    h0 = np.stack(np.broadcast_arrays(*[h.data for h, _ in states]))
+    c0 = np.stack(np.broadcast_arrays(*[c.data for _, c in states]))
+    params = [p for cell in cells for p in (cell.w_ih, cell.bias, cell.w_hh)]
+    parents = (x, *params, *[t for state in states for t in state])
+    keep = is_grad_enabled() and any(p.requires_grad for p in parents)
+    h, c = h0, c0
+    hs, caches = [], []
+    for t in range(T):
+        h, c, cache = lstm_cell(gates_x[t], h, c, w_hh)
+        hs.append(h)
+        if keep:
+            caches.append(cache)
+    out_proc = np.stack(hs, axis=1)  # (K, T, B, H) in processing order
+    outs = [out_proc[k, flip] if r else out_proc[k] for k, r in enumerate(reverse)]
+    out_data = outs[0] if K == 1 else np.concatenate(outs, axis=-1)
+    # Each final c's gradient, handed to the outputs node's backward.
+    d_c: List[Optional[np.ndarray]] = [None] * K
+
+    def backward(g: np.ndarray) -> None:
+        cols = [g[..., k * H : (k + 1) * H] for k in range(K)]
+        g = np.stack([gk[flip] if r else gk for gk, r in zip(cols, reverse)], axis=1)
+        dh = dc = None
+        if any(d is not None for d in d_c):
+            dc = np.stack([np.zeros_like(c[k]) if d is None else d for k, d in enumerate(d_c)])
+            d_c[:] = [None] * K
+        dgates = []
+        for t in range(T - 1, -1, -1):
+            dh = g[t] if dh is None else g[t] + dh
+            dg, dh, dc = lstm_cell_backward(dh, dc, caches[t], w_hh)
+            dgates.append(dg)
+        dgates = np.stack(dgates[::-1], axis=1)  # (K, T, B, 4H) in processing order
+        H4 = dgates.shape[-1]
+        for k, cell in enumerate(cells):
+            (h0_k, c0_k), dg = states[k], dgates[k]
+            w_ih, bias, w_hh_k = cell.w_ih, cell.bias, cell.w_hh
+            if h0_k.requires_grad:
+                h0_k._accumulate(_unbroadcast(dh[k], h0_k.shape))
+            if c0_k.requires_grad:
+                c0_k._accumulate(_unbroadcast(dc[k], c0_k.shape))
+            if w_hh_k.requires_grad:
+                # Step 0's previous state may broadcast; every later one has
+                # the full batch, so their products fold into one matmul.
+                dw = h0[k].T @ _unbroadcast(dg[0], (h0.shape[1], H4))
+                dw += out_proc[k, :-1].reshape(-1, H).T @ dg[1:].reshape(-1, H4)
+                w_hh_k._accumulate(dw)
+            dgx = _unbroadcast(dg, gx[k].shape)
+            if bias.requires_grad:
+                bias._accumulate(_unbroadcast(dgx, bias.shape))
+            if w_ih.requires_grad:
+                w_ih._accumulate(xs[k].reshape(-1, xs[k].shape[-1]).T @ dgx.reshape(-1, H4))
+            if x.requires_grad:
+                dx = dgx @ w_ih.data.T
+                x._accumulate(dx[flip] if reverse[k] else dx)
+
+    out = Tensor._make(out_data, parents, backward)
+
+    def final_state(k: int) -> State:
+        # The final h is the output of the direction's last processed step.
+        last, cols = (0 if reverse[k] else T - 1), slice(k * H, (k + 1) * H)
+
+        def backward_h(dh: np.ndarray) -> None:
+            if out.grad is None:
+                out.grad = np.zeros_like(out_data)
+            out.grad[last, :, cols] += dh
+
+        def backward_c(dc: np.ndarray) -> None:
+            d_c[k] = dc
+            if out.grad is None:
+                out.grad = np.zeros_like(out_data)
+
+        return Tensor._make(h[k], (out,), backward_h), Tensor._make(c[k], (out,), backward_c)
+
+    return out, [final_state(k) for k in range(K)]
+
+
 class LSTM(Module):
     """Unidirectional LSTM over a time-major sequence ``(T, B, D)``."""
 
@@ -168,76 +279,10 @@ class LSTM(Module):
         ``outputs`` stay aligned with ``x`` and the final state is the one
         after step 0.
         """
-        cell = self.cell
         if state is None:
-            state = cell.init_state(x.shape[1])
-        h0, c0 = state
-        w_ih, bias, w_hh = cell.w_ih, cell.bias, cell.w_hh
-        T = x.shape[0]
-        flip = np.arange(T - 1, -1, -1)
-        xs = x.data[flip] if reverse else x.data  # in processing order
-        # One fused matmul for the input projections of every time step.
-        gates_x = xs @ w_ih.data + bias.data
-        parents = (x, w_ih, bias, w_hh, h0, c0)
-        keep = is_grad_enabled() and any(p.requires_grad for p in parents)
-        h, c = h0.data, c0.data
-        hs, caches = [], []
-        for t in range(T):
-            h, c, cache = lstm_cell(gates_x[t], h, c, w_hh.data)
-            hs.append(h)
-            if keep:
-                caches.append(cache)
-        out_proc = np.stack(hs)
-        out_data = out_proc[flip] if reverse else out_proc
-        # The final c's gradient, handed to the outputs node's backward.
-        d_c: list = []
-
-        def backward(g: np.ndarray) -> None:
-            if reverse:
-                g = g[flip]
-            dh = dc = None
-            if d_c:
-                dc = d_c.pop()
-            dgates = []
-            for t in range(T - 1, -1, -1):
-                dh = g[t] if dh is None else g[t] + dh
-                dg, dh, dc = lstm_cell_backward(dh, dc, caches[t], w_hh.data)
-                dgates.append(dg)
-            dgates = np.stack(dgates[::-1])  # (T, B, 4H) in processing order
-            if h0.requires_grad:
-                h0._accumulate(dh)
-            if c0.requires_grad:
-                c0._accumulate(dc)
-            if w_hh.requires_grad:
-                # Step 0's previous state may broadcast; every later one has
-                # the full batch, so their products fold into one matmul.
-                H4 = dgates.shape[2]
-                dw = h0.data.T @ _unbroadcast(dgates[0], (h0.shape[0], H4))
-                dw += out_proc[:-1].reshape(-1, self.hidden_size).T @ dgates[1:].reshape(-1, H4)
-                w_hh._accumulate(dw)
-            dgx = _unbroadcast(dgates, gates_x.shape)
-            if bias.requires_grad:
-                bias._accumulate(_unbroadcast(dgx, bias.shape))
-            if w_ih.requires_grad:
-                w_ih._accumulate(xs.reshape(-1, xs.shape[-1]).T @ dgx.reshape(-1, dgx.shape[-1]))
-            if x.requires_grad:
-                dx = dgx @ w_ih.data.T
-                x._accumulate(dx[flip] if reverse else dx)
-
-        out = Tensor._make(out_data, parents, backward)
-
-        def backward_h(dh: np.ndarray) -> None:
-            # The final h is the output of the last processed step.
-            if out.grad is None:
-                out.grad = np.zeros_like(out_data)
-            out.grad[0 if reverse else T - 1] += dh
-
-        def backward_c(dc: np.ndarray) -> None:
-            d_c.append(dc)
-            if out.grad is None:
-                out.grad = np.zeros_like(out_data)
-
-        return out, (Tensor._make(h, (out,), backward_h), Tensor._make(c, (out,), backward_c))
+            state = self.cell.init_state(x.shape[1])
+        out, (final,) = lstm_sequence(x, (self.cell,), (state,), (reverse,))
+        return out, final
 
 
 class BiLSTM(Module):
@@ -263,14 +308,18 @@ class BiLSTM(Module):
         x: Tensor,
         state: Optional[Tuple[State, State]] = None,
     ) -> Tuple[Tensor, Tuple[State, State]]:
-        """Return ``(outputs (T,B,H), (fwd_state, bwd_state))``."""
-        fwd_state = bwd_state = None
-        if state is not None:
-            fwd_state, bwd_state = state
-        out_f, fwd_final = self.fwd(x, fwd_state)
-        out_b, bwd_final = self.bwd(x, bwd_state, reverse=True)
-        outputs = concat([out_f, out_b], axis=2)
-        return outputs, (fwd_final, bwd_final)
+        """Return ``(outputs (T,B,H), (fwd_state, bwd_state))``.
+
+        Both directions run in one :func:`lstm_sequence` op. A missing
+        state starts at zeros with one row, which broadcasts against the
+        input and the other direction's state.
+        """
+        cells = (self.fwd.cell, self.bwd.cell)
+        if state is None:
+            state = (None, None)
+        states = [s if s is not None else cell.init_state(1) for s, cell in zip(state, cells)]
+        outputs, finals = lstm_sequence(x, cells, states, (False, True))
+        return outputs, tuple(finals)
 
     @staticmethod
     def merge_state(states: Tuple[State, State]) -> State:

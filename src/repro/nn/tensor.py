@@ -80,12 +80,12 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function without overflow.
 
     ``1 / (1 + exp(-x))`` where ``x >= 0`` and ``exp(x) / (1 + exp(x))``
-    elsewhere: both branches share ``z = exp(-|x|)``, so the value is
-    computed elementwise, without masked gathers and scatters.
+    elsewhere: both branches share ``z = exp(-|x|)`` and the denominator
+    ``1 + z``, so the value is one elementwise select and one divide,
+    without masked gathers and scatters.
     """
     z = np.exp(-np.abs(x))
-    d = 1.0 + z
-    return np.where(x >= 0, 1.0 / d, z / d)
+    return np.where(x >= 0, 1.0, z) / (1.0 + z)
 
 
 class Tensor:

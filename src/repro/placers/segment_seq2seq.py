@@ -11,10 +11,11 @@ decisions when predicting the placement of the next segment".
 With ``segment_size=None`` the whole sequence is one segment, which is
 exactly the *plain* seq2seq placer of the comparison in Table 1.
 
-The tape is segment-level: each segment's encoder directions are one
-sequence op each (:meth:`repro.nn.LSTM.forward`), and the decoder over all
-segments is one op whose forward loops raw arrays through the shared
-LSTM-cell and attention helpers and whose backward is hand-written BPTT.
+The tape is segment-level: each segment's encoder is one op that runs
+both directions in one time loop (:func:`repro.nn.rnn.lstm_sequence`),
+and the decoder over all segments is one op whose forward loops raw
+arrays through the shared LSTM-cell and attention helpers and whose
+backward is hand-written BPTT.
 The loop samples, argmaxes or teacher-forces each choice, so ``sample``
 (under ``no_grad``, keeping no caches) and ``evaluate`` run the same code.
 """
@@ -106,25 +107,31 @@ class SegmentSeq2SeqPlacer(Placer):
             if actions.size and (actions.min() < 0 or actions.max() >= self.num_devices):
                 raise ValueError(f"actions must be device indices in [0, {self.num_devices})")
 
-        # The representation sequence is shared across the sample batch;
-        # keep it at batch 1 and let broadcasting against the batched
-        # decoder state do the fan-out (gradients sum back correctly).
-        seq = reps.reshape(n_ops, 1, self.input_dim)
+        mems, state = self._encode(reps)
+        logits, chosen = self._decode(mems, state, B, actions, rng, greedy)
+        # Score every op in one stacked softmax.
+        _, logp, ent = logits_to_choice(logits, None, actions=chosen)
+        return PlacerOutput(actions=chosen, log_probs=logp, entropy=ent)
 
-        # The encoder's forward state carries across segments; the first
-        # segment's final states seed the decoder.
+    def _encode(self, reps: Tensor) -> Tuple[List[Tensor], Tuple[Tensor, Tensor]]:
+        """The bi-LSTM encoder over every segment: ``(memories, (h0, c0))``.
+
+        The representation sequence is shared across the sample batch, so
+        it stays at batch 1 and broadcasting against the batched decoder
+        state does the fan-out (gradients sum back correctly). The
+        encoder's forward state carries across segments; the first
+        segment's final states, merged, seed the decoder.
+        """
+        n_ops = reps.shape[0]
+        seq = reps.reshape(n_ops, 1, self.input_dim)
         mems: List[Tensor] = []
         fwd_state = None
         for seg in self._segments(n_ops):
             mem, (fwd_state, bwd_state) = self.encoder(seq[seg], (fwd_state, None))
             if not mems:
-                h0, c0 = BiLSTM.merge_state((fwd_state, bwd_state))
+                state = BiLSTM.merge_state((fwd_state, bwd_state))
             mems.append(mem)
-
-        logits, chosen = self._decode(mems, (h0, c0), B, actions, rng, greedy)
-        # Score every op in one stacked softmax.
-        _, logp, ent = logits_to_choice(logits, None, actions=chosen)
-        return PlacerOutput(actions=chosen, log_probs=logp, entropy=ent)
+        return mems, state
 
     def _decode(
         self,

@@ -142,6 +142,22 @@ class TestRenderAttribution:
             for row in rows:
                 assert len(row.split("|")[1]) == width
 
+    def test_device_busy_percent_is_report_utilization(self):
+        """The table's ``busy % of step`` is busy ÷ makespan, the
+        utilization the report and the header use."""
+        p = next(_random_placements(n=1))
+        attr = _attribute(p)
+        assert attr.critical_path_time != attr.makespan
+        report = analyze_placement(p)
+        rows = {}
+        for line in render_attribution(attr, p.graph).splitlines():
+            cells = [cell.strip() for cell in line.split(" | ")]
+            if len(cells) == 5 and cells[0] in report.device_utilization:
+                rows[cells[0]] = cells[4]
+        assert rows == {
+            name: f"{u:.0%}" for name, u in report.device_utilization.items()
+        }
+
     def test_render_empty(self):
         g, c = CompGraph("empty"), ClusterSpec.default()
         text = render_attribution(_attribute(Placement([], g, c)), g)

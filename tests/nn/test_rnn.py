@@ -1,9 +1,11 @@
-"""Tests for LSTM / BiLSTM layers."""
+"""Tests for LSTM / BiLSTM layers and the step kernels their loops run."""
 
 import numpy as np
 import pytest
 
-from repro.nn import BiLSTM, LSTM, LSTMCell, Tensor
+from repro.nn import BiLSTM, LSTM, LSTMCell, Tensor, concat
+from repro.nn.attention import attention_step
+from repro.nn.tensor import stable_sigmoid
 from tests.helpers import check_gradient, composed_lstm, composed_lstm_step as composed_step
 
 rng = np.random.default_rng(5)
@@ -282,3 +284,130 @@ class TestBiLSTM:
         _, (fwd_a, _) = bi(x[:3], (None, None))
         _, (fwd_b, _) = bi(x[np.arange(3, 6)], (fwd_a, None))
         assert np.allclose(fwd_full[0].data, fwd_b[0].data, atol=1e-12)
+
+
+def composed_bilstm(bi, x, states):
+    """``BiLSTM.forward`` as its two directions, each a loop of composed steps."""
+    out_f, fwd = composed_lstm(bi.fwd, x, states[0])
+    out_b, bwd = composed_lstm(bi.bwd, x, states[1], reverse=True)
+    return concat([out_f, out_b], axis=2), (fwd, bwd)
+
+
+class TestStackedBiLSTM:
+    """``BiLSTM.forward`` runs both directions in one time loop, as one op:
+    against the two directions composed step by step, the same forward
+    bits and gradients equal up to summation order."""
+
+    T, D, H = 5, 3, 8  # H splits into 4 per direction
+
+    def _run(self, forward, bi, x0, states0, r):
+        x = Tensor(x0, requires_grad=True)
+        states = [
+            None if s is None else tuple(Tensor(a, requires_grad=True) for a in s)
+            for s in states0
+        ]
+        bi.zero_grad()
+        out, ((hf, cf), (hb, cb)) = forward(bi, x, states)
+        loss = (
+            (out * r[0]).sum()
+            + (hf * r[1]).sum()
+            + (cf * cf).sum()
+            + (hb * r[2]).sum()
+            + (cb * r[1]).sum()
+        )
+        loss.backward()
+        leaves = [x] + [t for s in states if s is not None for t in s]
+        grads = [t.grad for t in leaves] + [p.grad for p in bi.parameters()]
+        return [out.data, hf.data, cf.data, hb.data, cb.data], grads
+
+    @pytest.mark.parametrize(
+        "x_batch,fwd_batch,bwd_batch",
+        [
+            (1, 1, None),  # the placer: a carried fwd state, a fresh bwd one
+            (3, 1, 1),  # step 0's recurrent products at the states' batch
+            (3, None, None),
+            # States of different batch sizes broadcast to a common one
+            # first, so the smaller one's step-0 product rounds at that batch.
+            (3, 3, 1),
+        ],
+    )
+    def test_matches_composed_directions(self, x_batch, fwd_batch, bwd_batch):
+        bi = BiLSTM(self.D, self.H, rng=20)
+        half = self.H // 2
+        B = max(b for b in (x_batch, fwd_batch, bwd_batch) if b is not None)
+        x0 = rng.standard_normal((self.T, x_batch, self.D)) * 2.0
+        states0 = [
+            None if b is None else tuple(rng.standard_normal((b, half)) for _ in "hc")
+            for b in (fwd_batch, bwd_batch)
+        ]
+        r = (
+            rng.standard_normal((self.T, B, self.H)),
+            rng.standard_normal((B, half)),
+            rng.standard_normal((B, half)),
+        )
+        stacked = self._run(lambda bi, x, s: bi(x, tuple(s)), bi, x0, states0, r)
+        composed = self._run(composed_bilstm, bi, x0, states0, r)
+        exact = None in (fwd_batch, bwd_batch) or fwd_batch == bwd_batch
+        for a, b in zip(stacked[0], composed[0]):
+            assert np.array_equal(a, b) if exact else np.allclose(a, b, rtol=1e-13, atol=0)
+        for a, b in zip(stacked[1], composed[1]):
+            assert a.shape == b.shape
+            assert np.allclose(a, b, rtol=1e-10, atol=1e-14)
+
+    def test_gradcheck_initial_states(self):
+        """Both directions' initial ``h`` and ``c`` get their gradients."""
+        bi = BiLSTM(self.D, self.H, rng=21)
+        x = Tensor(rng.standard_normal((self.T, 1, self.D)))
+        r = rng.standard_normal((self.T, 1, self.H))
+
+        def f(s):  # s: (h0 fwd, c0 fwd, h0 bwd, c0 bwd)
+            out, ((hf, cf), (hb, cb)) = bi(x, ((s[0], s[1]), (s[2], s[3])))
+            return (out * r).sum() + (hf * cb).sum() + (cf * hb).sum()
+
+        check_gradient(f, rng.standard_normal((4, 1, self.H // 2)), tol=1e-4)
+
+    def test_one_op_and_four_state_nodes_per_call(self, monkeypatch):
+        bi = BiLSTM(self.D, self.H, rng=22)
+        x = Tensor(rng.standard_normal((self.T, 1, self.D)), requires_grad=True)
+        make = Tensor._make
+        made = []
+
+        def counting_make(*args):
+            made.append(make(*args))
+            return made[-1]
+
+        monkeypatch.setattr(Tensor, "_make", staticmethod(counting_make))
+        out, ((hf, cf), (hb, cb)) = bi(x)
+        assert made == [out, hf, cf, hb, cb]
+        assert all(t._parents == (out,) for t in (hf, cf, hb, cb))
+        cells = (bi.fwd.cell, bi.bwd.cell)
+        assert out._parents == (x, *[p for c in cells for p in (c.w_ih, c.bias, c.w_hh)])
+
+
+class TestStepKernels:
+    """Cheaper formulas inside the placer's loops keep every bit."""
+
+    def test_shared_memory_context_equals_mul_sum(self):
+        """Over a memory shared by the query batch, the context is an
+        einsum over time; it equals the broadcast multiply-and-sum."""
+        for trial in range(60):
+            T = int(rng.integers(1, 140))
+            B = int(rng.choice([1, 3, 10]))
+            M, A = int(rng.choice([8, 48, 96])), 6
+            memory = rng.standard_normal((T, 1, M)) * 10.0 ** rng.integers(-3, 4)
+            keys = rng.standard_normal((T, 1, A))
+            query = rng.standard_normal((B, 5))
+            w_q, b_q, v = (rng.standard_normal(s) for s in ((5, A), (A,), (A,)))
+            context, (_, _, weights) = attention_step(memory, keys, query, w_q, b_q, v)
+            mul_sum = (memory * weights.reshape(T, B, 1)).sum(axis=0)
+            assert np.array_equal(context, mul_sum), (T, B, M)
+
+    def test_stable_sigmoid_equals_two_divide_formula(self):
+        """One divide of the selected numerator: the old formula's bits,
+        signed zeros, infinities, under- and overflow and NaN included."""
+        x = np.array([0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 1e-300, -1e-300, np.nan])
+        x = np.concatenate([x, rng.standard_normal(200) * 30.0])
+        z = np.exp(-np.abs(x))
+        d = 1.0 + z
+        old = np.where(x >= 0, 1.0 / d, z / d)
+        assert np.array_equal(stable_sigmoid(x).view(np.uint64), old.view(np.uint64))

@@ -4,10 +4,10 @@ The update's wall time is interpreter overhead per autograd node, not
 FLOPs, so the number of nodes one teacher-forced ``evaluate`` builds is a
 deterministic proxy for its cost. Composed from elementwise tensor ops,
 the placer built ~69 nodes per op; with fused LSTM and attention steps,
-~17. With a segment-level tape (one op per encoder direction and segment,
-one op for the whole decoder) and one op per GCN encoder pass, the count
-no longer grows per op: 58 nodes for Inception-V3's 140 ops at this
-scale.
+~17. With a segment-level tape (one op per encoder segment, both
+directions in one time loop, and one op for the whole decoder) and one
+op per GCN encoder pass, the count no longer grows per op: 48 nodes for
+Inception-V3's 140 ops at this scale.
 """
 
 import numpy as np
