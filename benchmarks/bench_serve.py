@@ -1,9 +1,13 @@
 """Benchmarks for the placement service (``repro.serve``).
 
-Times the three request paths a deployment actually sees — cache hit,
-greedy miss (one argmax decode + one simulation) and refined miss
-(greedy + ``budget`` sampled candidates through ``evaluate_batch``) —
-plus a **duplicate-heavy open-loop load test**: thundering herds of
+Times the request paths a deployment actually sees — cache hit, greedy
+miss (one argmax decode + one simulation), refined miss (greedy +
+``budget`` sampled candidates through ``evaluate_batch``) and a greedy
+miss on a never-seen graph (a new fingerprint on every call, so the
+registry binds the graph and the service builds its environment) — the
+two registry layers under a never-seen graph (``policy_load``: one
+checkpoint read + build, once per policy; ``graph_bind``: binding the
+loaded parameters to another graph) — plus a **duplicate-heavy open-loop load test**: thundering herds of
 identical requests fired on a fixed arrival schedule (open loop — the
 load does not wait for responses) against the full queue + worker
 stack, with coalescing on vs off at the same offered load. One run of
@@ -37,7 +41,7 @@ import pytest
 JSON_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_serve.json")
 
 from repro.config import fast_profile
-from repro.core import save_agent
+from repro.core import load_agent, save_agent
 from repro.core.search import build_agent
 from repro.graph import CompGraph, OpNode, graph_to_dict
 from repro.serve import (
@@ -49,7 +53,7 @@ from repro.serve import (
     ServiceOverloaded,
 )
 from repro.sim import ClusterSpec
-from repro.workloads import build_vgg16
+from repro.workloads import build_resnet50, build_vgg16
 
 CLUSTER = ClusterSpec.default()
 
@@ -325,6 +329,7 @@ def main(argv=None) -> int:
 
     graph = build_vgg16(scale=0.25, batch_size=4)
     graph_doc = graph_to_dict(graph)
+    other = build_resnet50(scale=0.25, batch_size=4)
     cfg = fast_profile(seed=0)
     with tempfile.TemporaryDirectory(prefix="serve-bench-") as ckpt_dir:
         agent, _ = build_agent("mars_no_pretrain", graph, CLUSTER, cfg, None)
@@ -332,10 +337,18 @@ def main(argv=None) -> int:
             os.path.join(ckpt_dir, "mars__vgg"), agent, "mars",
             workload=graph.name, config=cfg,
         )
-        svc = PlacementService(PolicyRegistry(ckpt_dir), config=ServeConfig())
+        registry = PolicyRegistry(ckpt_dir)
+        svc = PlacementService(registry, config=ServeConfig())
+        # One renamed copy of the graph per call: same content, new
+        # fingerprint, built before the clock starts.
+        never_seen = iter(
+            [dict(graph_doc, name=f"{graph.name}-{i}") for i in range(args.rounds)]
+        )
+        spec = registry.get("mars__vgg")
         try:
             # Warm the agent/env caches so timings see steady state.
             svc.handle(PlacementRequest(graph=graph_doc))
+            params, _ = load_agent(spec.path, graph, CLUSTER)
             paths = {
                 "cache_hit": lambda: svc.handle(PlacementRequest(graph=graph_doc)),
                 "greedy_miss": lambda: svc.handle(
@@ -344,18 +357,25 @@ def main(argv=None) -> int:
                 "refined_miss": lambda: svc.handle(
                     PlacementRequest(graph=graph_doc, budget=args.budget, use_cache=False)
                 ),
+                "never_seen_greedy_miss": lambda: svc.handle(
+                    PlacementRequest(graph=next(never_seen))
+                ),
+                "policy_load": lambda: load_agent(spec.path, graph, CLUSTER),
+                "graph_bind": lambda: params.bind(other, CLUSTER),
             }
             results = {name: _time_path(fn, args.rounds) for name, fn in paths.items()}
         finally:
             svc.close()
-    print(f"{'path':<14} {'best_ms':>10} {'median_ms':>10}")
+    print(f"{'path':<24} {'best_ms':>10} {'median_ms':>10}")
     for name, row in results.items():
-        print(f"{name:<14} {row['best_s'] * 1e3:>10.3f} {row['median_s'] * 1e3:>10.3f}")
+        print(f"{name:<24} {row['best_s'] * 1e3:>10.3f} {row['median_s'] * 1e3:>10.3f}")
     duplicate_heavy = run_duplicate_heavy(smoke=False)
     doc = {
         "benchmark": "serve",
         "workload": graph.name,
         "ops": int(graph.num_nodes),
+        "bind_workload": other.name,
+        "bind_ops": int(other.num_nodes),
         "rounds": int(args.rounds),
         "budget": int(args.budget),
         "paths": results,

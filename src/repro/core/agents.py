@@ -70,6 +70,18 @@ class EncoderPlacerPolicy(PolicyAgent):
         #: study (Table 1).
         self.freeze_encoder = False
 
+    def bind(self, graph: CompGraph, cluster: ClusterSpec) -> "EncoderPlacerPolicy":
+        self.check_cluster(cluster)
+        bound = EncoderPlacerPolicy(
+            graph,
+            cluster,
+            self.encoder,
+            self.placer,
+            feature_extractor=self.feature_extractor,
+        )
+        bound.freeze_encoder = self.freeze_encoder
+        return bound
+
     def parameters(self):
         if self.freeze_encoder:
             return self.placer.parameters()

@@ -22,45 +22,57 @@ from repro.sim.cluster import ClusterSpec
 from repro.utils.rng import new_rng
 
 
+def group_count(num_groups: int, num_ops: int) -> int:
+    """The grouper's output width over a graph of ``num_ops`` ops: the
+    configured ``num_groups``, capped at the op count (at least 2)."""
+    return min(num_groups, max(2, num_ops))
+
+
 class GrouperPlacerAgent(PolicyAgent):
     """The hierarchical grouper-placer policy [20] over one workload graph.
 
     Decisions are factored into per-op group choices (MLP grouper) and
     per-group device choices (seq2seq placer with attention).
+    ``num_groups`` is the configured group count; the grouper must output
+    :func:`group_count` of it for ``graph``.
     """
 
     def __init__(
         self,
         graph: CompGraph,
         cluster: ClusterSpec,
+        grouper: MLPGrouper,
+        placer: SegmentSeq2SeqPlacer,
         num_groups: int = 64,
-        grouper_hidden: int = 64,
-        placer_hidden: int = 64,
-        action_embed_dim: int = 16,
         feature_extractor: FeatureExtractor = None,
-        rng=None,
     ):
         super().__init__()
-        rng = new_rng(rng)
         self.graph = graph
         self.cluster = cluster
         self.num_ops = graph.num_nodes
         self.num_devices = cluster.num_devices
-        self.num_groups = min(num_groups, max(2, graph.num_nodes))
-        fx = feature_extractor or FeatureExtractor()
-        self.features = fx(graph)
-        self.grouper = MLPGrouper(
-            self.features.shape[1], self.num_groups, hidden_size=grouper_hidden, rng=rng
-        )
-        # The hierarchical model's placer is a plain seq2seq with attention
-        # over the (short) group sequence.
-        self.placer = SegmentSeq2SeqPlacer(
-            self.features.shape[1],
-            self.num_devices,
-            hidden_size=placer_hidden,
-            segment_size=None,
-            action_embed_dim=action_embed_dim,
-            rng=rng,
+        self.max_groups = num_groups
+        self.num_groups = group_count(num_groups, graph.num_nodes)
+        if grouper.num_groups != self.num_groups:
+            raise ValueError(
+                f"the grouper assigns {grouper.num_groups} groups, but a "
+                f"{graph.num_nodes}-op graph needs {self.num_groups} "
+                f"(num_groups={num_groups})"
+            )
+        self.feature_extractor = feature_extractor or FeatureExtractor()
+        self.features = self.feature_extractor(graph)
+        self.grouper = grouper
+        self.placer = placer
+
+    def bind(self, graph: CompGraph, cluster: ClusterSpec) -> "GrouperPlacerAgent":
+        self.check_cluster(cluster)
+        return GrouperPlacerAgent(
+            graph,
+            cluster,
+            self.grouper,
+            self.placer,
+            num_groups=self.max_groups,
+            feature_extractor=self.feature_extractor,
         )
 
     # ------------------------------------------------------------------
@@ -112,13 +124,29 @@ def build_grouper_placer_agent(
     feature_extractor: FeatureExtractor = None,
 ) -> GrouperPlacerAgent:
     """Construct the grouper-placer baseline from a :class:`MarsConfig`."""
+    rng = new_rng(config.seed)
+    fx = feature_extractor or FeatureExtractor()
+    grouper = MLPGrouper(
+        fx.dim,
+        group_count(config.grouper.num_groups, graph.num_nodes),
+        hidden_size=config.grouper.hidden_size,
+        rng=rng,
+    )
+    # The hierarchical model's placer is a plain seq2seq with attention
+    # over the (short) group sequence.
+    placer = SegmentSeq2SeqPlacer(
+        fx.dim,
+        cluster.num_devices,
+        hidden_size=config.placer.hidden_size,
+        segment_size=None,
+        action_embed_dim=config.placer.action_embed_dim,
+        rng=rng,
+    )
     return GrouperPlacerAgent(
         graph,
         cluster,
+        grouper,
+        placer,
         num_groups=config.grouper.num_groups,
-        grouper_hidden=config.grouper.hidden_size,
-        placer_hidden=config.placer.hidden_size,
-        action_embed_dim=config.placer.action_embed_dim,
-        feature_extractor=feature_extractor,
-        rng=config.seed,
+        feature_extractor=fx,
     )

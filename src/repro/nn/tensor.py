@@ -21,6 +21,7 @@ runs their backward closures in reverse creation order.
 from __future__ import annotations
 
 import itertools
+import threading
 from operator import attrgetter
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -30,7 +31,15 @@ ArrayLike = Union[np.ndarray, float, int, "Tensor"]
 
 _DEFAULT_DTYPE = np.float64
 
-_GRAD_ENABLED = True
+
+class _GradMode(threading.local):
+    """Per-thread grad mode: every thread starts with tape construction on,
+    so a ``no_grad`` in one thread never changes what another records."""
+
+    enabled = True
+
+
+_grad_mode = _GradMode()
 
 # Creation sequence numbers. Only a counter is global: the tape itself is
 # the graph of ``_parents`` links, alive exactly as long as its nodes.
@@ -43,22 +52,21 @@ class no_grad:
 
     Inside the context every op produces a detached tensor — used for
     action sampling in RL rollouts, where gradients are recomputed later by
-    teacher-forcing the stored actions.
+    teacher-forcing the stored actions. The flag is per thread: concurrent
+    serve workers each enter and exit their own.
     """
 
     def __enter__(self) -> "no_grad":
-        global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = False
+        self._prev = _grad_mode.enabled
+        _grad_mode.enabled = False
         return self
 
     def __exit__(self, *exc) -> None:
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
+        _grad_mode.enabled = self._prev
 
 
 def is_grad_enabled() -> bool:
-    return _GRAD_ENABLED
+    return _grad_mode.enabled
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -194,7 +202,7 @@ class Tensor:
         parents: Sequence["Tensor"],
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
-        if _GRAD_ENABLED:
+        if _grad_mode.enabled:
             live = tuple([p for p in parents if p.requires_grad])
             if live:
                 return Tensor(data, requires_grad=True, _parents=live, _backward=backward)

@@ -6,6 +6,12 @@ grouper + placer) and exposes two operations:
 * :meth:`PolicyAgent.sample` — draw ``n`` placements (gradient-free), and
 * :meth:`PolicyAgent.evaluate` — re-score stored decisions differentiably.
 
+:meth:`PolicyAgent.bind` splits an agent in two: its modules are the
+*parameters*, and the graph's features, adjacency and op count are a
+*graph binding*. Binding a new graph builds a new agent over the same
+module objects, with no initialization and no disk read; the serving
+registry loads each checkpoint once and binds every graph to it.
+
 Decisions are *factored*: a sample consists of K categorical decisions
 (one per op for encoder-placer agents; one per op plus one per group for
 the grouper-placer). PPO operates on per-decision ratios, which is far
@@ -67,6 +73,23 @@ class PolicyAgent(Module):
         if features is None:
             return 0
         return int(features.shape[1])
+
+    def bind(self, graph, cluster) -> "PolicyAgent":
+        """This agent's modules over ``graph``/``cluster``: a new agent that
+        shares them (updating one updates both), with only the per-graph
+        inputs computed. Raises ``ValueError`` where the modules cannot
+        serve the graph, e.g. a device count the output head was not
+        sized for."""
+        raise NotImplementedError  # pragma: no cover
+
+    def check_cluster(self, cluster) -> None:
+        """Raise ``ValueError`` unless ``cluster`` has this agent's device
+        count, which sizes the placer's output head."""
+        if cluster.num_devices != self.num_devices:
+            raise ValueError(
+                f"the policy places onto {self.num_devices} devices, "
+                f"cluster has {cluster.num_devices}"
+            )
 
     def sample(self, n_samples: int, rng, greedy: bool = False) -> AgentRollout:
         raise NotImplementedError  # pragma: no cover

@@ -17,16 +17,17 @@ An invalidation therefore always wins over a computation that was
 already in flight: a hot reload can never be undone by a result computed
 from the policy it replaced.
 
-``repro.serve`` keeps three instances, each keyed by content
-fingerprints:
+``repro.serve`` keeps four instances, each keyed by content
+fingerprints or checkpoint identity:
 
 * the service's result cache, keyed by graph content hash + cluster
   signature + policy id + refinement budget, with the optional TTL for
   operators who hot-reload checkpoints in place;
 * the service's environment cache, keyed by graph content hash + cluster
   signature, which calls each dropped env's ``close_pool()``;
-* the registry's built-agent cache, keyed by policy id + sidecar mtime +
-  graph content hash + cluster signature.
+* the registry's parameter cache, keyed by policy id + sidecar mtime;
+* the registry's graph-binding cache, keyed by policy id + sidecar
+  mtime + graph content hash + cluster signature.
 """
 
 from __future__ import annotations

@@ -3,19 +3,29 @@
 A checkpoint directory (written by :func:`repro.core.save_agent`) holds
 ``<stem>.npz`` parameter archives with ``<stem>.json`` sidecars. The
 registry scans the sidecars — cheap, no parameter I/O — and indexes the
-policies by ``(agent_kind, workload, num_devices)``. Agents are only
-rebuilt (via :func:`repro.core.load_agent`) when a request first needs
-them, and the built agent is cached per ``(policy, sidecar mtime, graph
-fingerprint, cluster signature)`` in a :class:`FingerprintCache`, so
-repeated requests against the same graph reuse the same in-memory
-network and concurrent first requests build it once.
+policies by ``(agent_kind, workload, num_devices)``.
+
+Two :class:`FingerprintCache` instances materialize them lazily:
+
+* **parameters**, keyed ``(policy, sidecar mtime)``: the agent
+  :func:`repro.core.load_agent` rebuilds from the checkpoint when a
+  request first needs the policy — one checkpoint read and one random
+  init per policy, however many graphs it serves;
+* **graph bindings**, keyed ``(policy, sidecar mtime, graph fingerprint,
+  cluster signature)``: :meth:`~repro.rl.policy.PolicyAgent.bind` of the
+  cached parameters to the request's graph — features, adjacency and op
+  count over the *same* modules, no init and no disk.
+
+Repeated requests against one graph reuse one binding, and concurrent
+first requests build each entry once.
 
 Hot reload: :meth:`PolicyRegistry.refresh` rescans the directory. New
 sidecars become servable immediately; removed ones disappear; a sidecar
 whose mtime changed (a retrained checkpoint saved over the old stem)
-invalidates every loaded agent built from it, including one whose build
-is still in flight. ``save_agent`` writes atomically and sidecar-last,
-so a concurrent refresh never observes a half-written checkpoint.
+invalidates its parameters and every binding built from them, including
+loads still in flight. ``save_agent`` writes atomically and
+sidecar-last, so a concurrent refresh never observes a half-written
+checkpoint.
 """
 
 from __future__ import annotations
@@ -37,9 +47,10 @@ logger = get_logger("repro.serve.registry")
 
 __all__ = ["PolicySpec", "PolicyRegistry", "LoadedPolicy"]
 
-#: Loaded-agent cache entries kept per registry. An entry is one built
-#: agent (+ its graph/cluster); rebuilding on miss is seconds, holding
-#: hundreds is memory, so the default favors small.
+#: Entries kept per registry in each of its two caches: loaded parameter
+#: sets, and graph bindings to them. Loading a policy costs 5-10 ms and a
+#: binding 1-3 ms on the benchmarks' graphs, while holding hundreds
+#: is memory, so the default favors small.
 DEFAULT_AGENT_CACHE = 8
 
 
@@ -70,11 +81,14 @@ class PolicySpec:
 
 @dataclass
 class LoadedPolicy:
-    """A built agent plus the lock serializing inference on it.
+    """A graph binding plus the lock serializing inference on its modules.
 
-    Sampling is a NumPy forward pass under a process-global ``no_grad``
-    flag, so concurrent workers must not drive the same agent at once;
-    each worker takes ``lock`` around ``agent.sample``.
+    Every binding of one parameter set shares its modules and its lock:
+    a run mutates module state (``TransformerXLPlacer`` rewrites its
+    segment memory), so concurrent workers must not drive the same
+    modules at once, through any graph; each worker takes ``lock``
+    around ``agent.sample``. (The ``no_grad`` flag sampling runs under
+    is per thread, so it needs no lock.)
     """
 
     spec: PolicySpec
@@ -101,6 +115,7 @@ class PolicyRegistry:
         self.agent_cache_size = max(1, int(agent_cache_size))
         self._lock = threading.Lock()
         self._specs: Dict[str, PolicySpec] = {}
+        self._params = FingerprintCache(capacity=self.agent_cache_size)
         self._agents = FingerprintCache(capacity=self.agent_cache_size)
         self.refresh()
 
@@ -135,8 +150,8 @@ class PolicyRegistry:
 
     def refresh(self) -> int:
         """Rescan the checkpoint directory; returns the number of servable
-        policies. Loaded agents whose checkpoint disappeared or changed
-        mtime are dropped (the next request rebuilds from the new file)."""
+        policies. Parameters and bindings whose checkpoint disappeared or
+        changed mtime are dropped (the next request loads the new file)."""
         fresh = self._scan()
         with self._lock:
             stale = {
@@ -146,8 +161,10 @@ class PolicyRegistry:
             }
             self._specs = fresh
         if stale:
-            # Builds still in flight are dropped too, so none of them can
-            # re-insert an agent from the replaced checkpoint.
+            # Loads still in flight are dropped too, so none of them can
+            # re-insert parameters or a binding from the replaced
+            # checkpoint.
+            self._params.discard(lambda key: key[0] in stale)
             self._agents.discard(lambda key: key[0] in stale)
             logger.info(
                 "registry refresh: %d policies, %d invalidated", len(fresh), len(stale)
@@ -203,14 +220,23 @@ class PolicyRegistry:
     # Materialization
     # ------------------------------------------------------------------
     def load(
-        self, spec: PolicySpec, graph: CompGraph, cluster: ClusterSpec
+        self,
+        spec: PolicySpec,
+        graph: CompGraph,
+        cluster: ClusterSpec,
+        fingerprint: Optional[str] = None,
     ) -> LoadedPolicy:
-        """The built agent for ``spec`` over ``graph``/``cluster`` (LRU
-        cached). Raises ``ValueError`` on device/feature mismatches, with
-        the message from :func:`repro.core.load_agent`."""
-        key = (spec.policy_id, spec.mtime, graph.fingerprint(), cluster.signature())
+        """The binding of ``spec``'s parameters to ``graph``/``cluster``
+        (LRU cached). ``fingerprint`` is ``graph.fingerprint()`` when the
+        caller already has it. Raises ``ValueError`` on device, feature or
+        group-count mismatches."""
+        if fingerprint is None:
+            fingerprint = graph.fingerprint()
+        key = (spec.policy_id, spec.mtime, fingerprint, cluster.signature())
 
-        def build() -> LoadedPolicy:
+        def load_parameters() -> LoadedPolicy:
+            # The agent load_agent builds over this graph holds the
+            # parameters; every binding shares its modules and its lock.
             from repro.core.checkpoint import load_agent
 
             agent, _ = load_agent(
@@ -222,7 +248,18 @@ class PolicyRegistry:
             )
             return LoadedPolicy(spec=spec, agent=agent, graph=graph)
 
+        def bind() -> LoadedPolicy:
+            params, _ = self._params.get_or_compute(
+                (spec.policy_id, spec.mtime), load_parameters
+            )
+            return LoadedPolicy(
+                spec=spec,
+                agent=params.agent.bind(graph, cluster),
+                graph=graph,
+                lock=params.lock,
+            )
+
         # Built outside any lock: concurrent callers for one key wait on a
         # single build, and unrelated requests are never serialized.
-        loaded, _ = self._agents.get_or_compute(key, build)
+        loaded, _ = self._agents.get_or_compute(key, bind)
         return loaded

@@ -368,9 +368,10 @@ class PlacementService:
         env_key: str,
     ) -> PlacementResponse:
         try:
-            loaded: LoadedPolicy = self.registry.load(spec, graph, cluster)
+            loaded: LoadedPolicy = self.registry.load(spec, graph, cluster, fingerprint)
         except (ValueError, KeyError, OSError) as exc:
-            # Device-count/feature-dim mismatch, deleted checkpoint, ...
+            # Device-count/feature-dim/group-count mismatch, deleted
+            # checkpoint, ...
             raise BadRequest(
                 f"policy {spec.policy_id!r} cannot serve this request: {exc}"
             ) from exc

@@ -158,6 +158,21 @@ class TestRenderAttribution:
             name: f"{u:.0%}" for name, u in report.device_utilization.items()
         }
 
+    def test_device_busy_plus_idle_is_step_time(self):
+        """Each device row's ``busy ms`` + ``idle ms`` is the step time
+        (the makespan), to the table's two decimals."""
+        for p in _random_placements(n=3):
+            attr = _attribute(p)
+            step_ms = attr.makespan * 1e3
+            rows = 0
+            for line in render_attribution(attr, p.graph).splitlines():
+                cells = [cell.strip() for cell in line.split(" | ")]
+                if len(cells) == 5 and cells[0] in {d.name for d in p.cluster.devices}:
+                    busy, idle = float(cells[2]), float(cells[3])
+                    assert busy + idle == pytest.approx(step_ms, abs=0.011)
+                    rows += 1
+            assert rows == p.cluster.num_devices
+
     def test_render_empty(self):
         g, c = CompGraph("empty"), ClusterSpec.default()
         text = render_attribution(_attribute(Placement([], g, c)), g)

@@ -1,5 +1,7 @@
 """Unit + gradient-check tests for the autodiff tensor core."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -276,6 +278,46 @@ class TestAutodiffMachinery:
             with no_grad():
                 pass
             assert not is_grad_enabled()
+        assert is_grad_enabled()
+
+    def test_no_grad_is_per_thread(self):
+        """Two threads interleave ``no_grad`` enter and exit, in lock step:
+        neither sees the other's flag, and both end with grad mode on."""
+        x = Tensor(np.ones(2), requires_grad=True)
+        barrier = threading.Barrier(2, timeout=10.0)
+        seen = {}
+
+        def first():
+            with no_grad():
+                barrier.wait()  # 1: first is inside, second is not
+                barrier.wait()  # 2: second records, then enters
+                barrier.wait()  # 3: both inside
+            barrier.wait()  # 4: first has left, second is still inside
+            barrier.wait()  # 5: second has left
+            seen["first_after"] = is_grad_enabled()
+
+        def second():
+            barrier.wait()  # 1
+            seen["outside_tape"] = (x * 2).requires_grad
+            barrier.wait()  # 2
+            with no_grad():
+                barrier.wait()  # 3
+                barrier.wait()  # 4
+                seen["inside_tape"] = (x * 2).requires_grad
+            barrier.wait()  # 5
+            seen["second_after"] = is_grad_enabled()
+
+        threads = [threading.Thread(target=first), threading.Thread(target=second)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30.0)
+        assert seen == {
+            "outside_tape": True,
+            "inside_tape": False,
+            "first_after": True,
+            "second_after": True,
+        }
         assert is_grad_enabled()
 
     def test_comparisons_return_arrays(self):

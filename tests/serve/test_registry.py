@@ -241,3 +241,132 @@ class TestConcurrentLoad:
         assert len(builds) == 1
         assert len(results) == 8
         assert all(loaded is results[0] for loaded in results)
+
+
+def _copy_policy(ckpt_dir, dest, stem="mars__tiny"):
+    for ext in (".json", ".npz"):
+        shutil.copy(os.path.join(ckpt_dir, stem + ext), str(dest / (stem + ext)))
+
+
+def _bump_mtime(sidecar) -> float:
+    mtime = os.path.getmtime(sidecar) + 5
+    os.utime(sidecar, (mtime, mtime))
+    return mtime
+
+
+@pytest.fixture
+def npz_reads(monkeypatch):
+    """Every checkpoint parameter read (``load_state_dict`` of an .npz),
+    by path."""
+    import repro.core.checkpoint as checkpoint
+
+    reads = []
+    real = checkpoint.load_state_dict
+
+    def counting(path):
+        reads.append(path)
+        return real(path)
+
+    monkeypatch.setattr(checkpoint, "load_state_dict", counting)
+    return reads
+
+
+class TestParameterCache:
+    """Parameters load once per (policy, mtime); graphs bind to them."""
+
+    def test_distinct_graphs_read_the_checkpoint_once(self, serve_setup, npz_reads):
+        ckpt_dir, cluster, _ = serve_setup
+        registry = PolicyRegistry(ckpt_dir)
+        spec = registry.get("mars__tiny")
+        graphs = [tiny_graph()] + [chain_graph(f"c{n}", length=n) for n in range(3, 9)]
+        loaded = [registry.load(spec, g, cluster) for g in graphs]
+        assert len(npz_reads) == 1
+        assert len({id(x) for x in loaded}) == len(graphs)
+        # One parameter set: every binding shares its modules and its lock.
+        assert all(x.agent.placer is loaded[0].agent.placer for x in loaded)
+        assert all(x.lock is loaded[0].lock for x in loaded)
+        for x, g in zip(loaded, graphs):
+            rollout = x.agent.sample(1, np.random.default_rng(0), greedy=True)
+            assert rollout.placements.shape == (1, g.num_nodes)
+
+    def test_each_policy_has_its_own_parameters(self, serve_setup, npz_reads):
+        ckpt_dir, cluster, _ = serve_setup
+        registry = PolicyRegistry(ckpt_dir)
+        graph = tiny_graph()
+        a = registry.load(registry.get("mars__tiny"), graph, cluster)
+        b = registry.load(registry.get("mars__chain"), graph, cluster)
+        assert len(npz_reads) == 2
+        assert a.agent.placer is not b.agent.placer
+        assert a.lock is not b.lock
+
+    def test_passed_fingerprint_is_the_cache_key(self, serve_setup):
+        ckpt_dir, cluster, _ = serve_setup
+        registry = PolicyRegistry(ckpt_dir)
+        spec = registry.get("mars__tiny")
+        graph = tiny_graph()
+        first = registry.load(spec, graph, cluster, graph.fingerprint())
+        assert registry.load(spec, tiny_graph(), cluster) is first
+
+    def test_mtime_change_reads_the_checkpoint_again(
+        self, serve_setup, tmp_path, npz_reads
+    ):
+        ckpt_dir, cluster, _ = serve_setup
+        _copy_policy(ckpt_dir, tmp_path)
+        registry = PolicyRegistry(str(tmp_path))
+        graph, other = tiny_graph(), chain_graph("other")
+        stale = registry.load(registry.get("mars__tiny"), graph, cluster)
+        registry.load(registry.get("mars__tiny"), other, cluster)
+        assert len(npz_reads) == 1
+        _bump_mtime(tmp_path / "mars__tiny.json")
+        registry.refresh()
+        fresh = registry.load(registry.get("mars__tiny"), other, cluster)
+        assert len(npz_reads) == 2
+        assert fresh.agent.placer is not stale.agent.placer
+        registry.load(registry.get("mars__tiny"), graph, cluster)
+        assert len(npz_reads) == 2
+
+    def test_parameter_load_in_flight_during_refresh_is_never_reused(
+        self, serve_setup, tmp_path, npz_reads, monkeypatch
+    ):
+        """A refresh while the old checkpoint's parameters are still
+        loading: that load answers its own request and nothing else."""
+        import repro.core.checkpoint as checkpoint
+
+        ckpt_dir, cluster, _ = serve_setup
+        _copy_policy(ckpt_dir, tmp_path)
+        registry = PolicyRegistry(str(tmp_path))
+        entered, release = threading.Event(), threading.Event()
+        counting = checkpoint.load_state_dict
+
+        def hold_first(path):
+            if not entered.is_set():
+                entered.set()
+                assert release.wait(timeout=30.0)
+            return counting(path)
+
+        monkeypatch.setattr(checkpoint, "load_state_dict", hold_first)
+        stale_spec = registry.get("mars__tiny")
+        loaded = {}
+        loader = threading.Thread(
+            target=lambda: loaded.update(
+                stale=registry.load(stale_spec, tiny_graph(), cluster)
+            )
+        )
+        loader.start()
+        try:
+            assert entered.wait(timeout=30.0)
+            mtime = _bump_mtime(tmp_path / "mars__tiny.json")
+            registry.refresh()
+        finally:
+            release.set()
+            loader.join(timeout=30.0)
+        assert len(npz_reads) == 1
+        stale_modules = loaded["stale"].agent.placer
+        # Neither the old spec nor the new one binds to the in-flight load.
+        again = registry.load(stale_spec, chain_graph("again"), cluster)
+        assert len(npz_reads) == 2
+        assert again.agent.placer is not stale_modules
+        fresh = registry.load(registry.get("mars__tiny"), chain_graph("fresh"), cluster)
+        assert len(npz_reads) == 3
+        assert fresh.spec.mtime == mtime
+        assert fresh.agent.placer is not stale_modules

@@ -254,3 +254,43 @@ class TestTelemetry:
         assert counters["serve.cache_hits"]["value"] == 1
         assert snapshot["gauges"]["serve.cache_size"]["value"] == 1
         assert snapshot["histograms"]["serve.latency_ms"]["count"] == 2
+
+
+class TestGroupCountMismatch:
+    """A grouper's output width is fixed by its parameters; a graph with
+    fewer ops than its groups cannot bind to them."""
+
+    @pytest.fixture(scope="class")
+    def grouper_dir(self, serve_setup, tmp_path_factory):
+        from repro.core import save_agent
+        from repro.core.search import build_agent
+
+        _, cluster, cfg = serve_setup
+        ckpt_dir = tmp_path_factory.mktemp("grouper")
+        graph = chain_graph("long", length=cfg.grouper.num_groups + 4)
+        agent, _ = build_agent("grouper_placer", graph, cluster, cfg, None)
+        save_agent(
+            str(ckpt_dir / "grouper__long"), agent, "grouper_placer",
+            workload=graph.name, config=cfg,
+        )
+        return str(ckpt_dir)
+
+    def test_small_graph_is_a_bad_request_before_parameters_load(self, grouper_dir):
+        service = PlacementService(PolicyRegistry(grouper_dir))
+        with pytest.raises(BadRequest, match="grouper__long") as err:
+            service.handle(tiny_request())
+        assert err.value.status == 400
+
+    def test_small_graph_is_a_bad_request_after_parameters_load(
+        self, serve_setup, grouper_dir
+    ):
+        _, _, cfg = serve_setup
+        service = PlacementService(PolicyRegistry(grouper_dir))
+        long_doc = graph_to_dict(chain_graph("other", length=cfg.grouper.num_groups + 1))
+        assert service.handle(PlacementRequest(graph=long_doc)).valid
+        with pytest.raises(BadRequest, match="groups") as err:
+            service.handle(tiny_request())
+        assert err.value.status == 400
+        # The failed binding leaves the loaded parameters serving.
+        again = service.handle(PlacementRequest(graph=long_doc, use_cache=False))
+        assert again.policy_id == "grouper__long"

@@ -6,8 +6,11 @@ server on an ephemeral port, and drives it the way a real deployment
 gets driven:
 
 * 8 client threads issue 64 requests (mixed graph documents, workload
-  names and refinement budgets) and every response is checked for a
-  policy id, a positive latency and a complete placement;
+  names and refinement budgets; half of them graphs no earlier request
+  sent) and every response is checked for a policy id, a positive
+  latency and a complete placement;
+* each policy's parameter archive (``.npz``) is read exactly once for
+  the whole run: never-seen graphs bind to the loaded parameters;
 * responses with identical fingerprints must carry identical placements
   (the cache-consistency contract), and the duplicate-heavy mix must
   produce a non-zero cache hit rate;
@@ -31,6 +34,7 @@ regression before a user does. See docs/serving.md for the guide.
 
 from __future__ import annotations
 
+import collections
 import json
 import os
 import sys
@@ -43,6 +47,7 @@ import urllib.request
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
+import repro.core.checkpoint as checkpoint  # noqa: E402
 from repro.config import fast_profile  # noqa: E402
 from repro.core import save_agent  # noqa: E402
 from repro.core.search import build_agent  # noqa: E402
@@ -117,8 +122,36 @@ def fail(message: str) -> None:
     sys.exit(1)
 
 
+def count_npz_reads() -> collections.Counter:
+    """Count checkpoint parameter reads per policy from now on."""
+    reads: collections.Counter = collections.Counter()
+    real = checkpoint.load_state_dict
+
+    def counting(path):
+        reads[os.path.basename(path)] += 1
+        return real(path)
+
+    checkpoint.load_state_dict = counting
+    return reads
+
+
+def check_npz_reads(reads: collections.Counter, when: str) -> None:
+    expected = {"mars__tiny": 1, "mars__chain": 1}
+    if dict(reads) != expected:
+        fail(f"{when}: checkpoint reads per policy {dict(reads)}, expected {expected}")
+    print(f"serve-smoke: {when}: each policy's parameters read once")
+
+
+def never_seen_body(thread_idx: int, i: int) -> dict:
+    """A graph no other request sends, named for one of the two policies."""
+    name = ("tiny", "chain")[thread_idx % 2]
+    length = 2 + thread_idx * N_REQUESTS // N_THREADS + i
+    return {"graph": graph_to_dict(chain_graph(name, length)), "budget": 0}
+
+
 def concurrent_traffic(url: str) -> None:
-    """64 mixed requests from 8 threads; verify every response invariant."""
+    """64 mixed requests from 8 threads; verify every response invariant.
+    Every other request of each thread sends a never-seen graph."""
     bodies = [
         {"graph": graph_to_dict(tiny_graph()), "budget": 0},
         {"graph": graph_to_dict(tiny_graph()), "budget": 4},
@@ -130,7 +163,10 @@ def concurrent_traffic(url: str) -> None:
 
     def client(thread_idx: int) -> None:
         for i in range(N_REQUESTS // N_THREADS):
-            body = bodies[(thread_idx + i) % len(bodies)]
+            if i % 2:
+                body = never_seen_body(thread_idx, i)
+            else:
+                body = bodies[(thread_idx + i) % len(bodies)]
             try:
                 status, doc = post(url, body)
             except Exception as exc:  # noqa: BLE001 - smoke must report, not crash
@@ -349,6 +385,7 @@ def run() -> int:
     with tempfile.TemporaryDirectory() as ckpt_dir, \
             tempfile.TemporaryDirectory() as tel_dir:
         build_checkpoints(ckpt_dir, cluster)
+        reads = count_npz_reads()
         registry = PolicyRegistry(ckpt_dir)
         if len(registry) != 2:
             fail(f"expected a 2-policy registry, got {len(registry)}")
@@ -365,6 +402,7 @@ def run() -> int:
             ).start()
             try:
                 concurrent_traffic(server.address)
+                check_npz_reads(reads, "concurrent traffic")
                 scrape_metrics(server.address)
             finally:
                 server.shutdown()
@@ -373,6 +411,7 @@ def run() -> int:
         check_span_tree(tel.run_dir)
         overload_traffic(registry)
         thundering_herd(registry)
+        check_npz_reads(reads, "whole run")
     print("serve-smoke: OK")
     return 0
 
