@@ -78,7 +78,8 @@ def graph_doc():
 
 
 def test_serve_cache_hit(benchmark, service, graph_doc):
-    """The steady-state path for repeated graphs: a dictionary lookup."""
+    """The steady-state path for repeated graphs: one hash of the
+    document and a dictionary lookup, no graph build."""
     response = benchmark(
         lambda: service.handle(PlacementRequest(graph=graph_doc))
     )
@@ -86,7 +87,7 @@ def test_serve_cache_hit(benchmark, service, graph_doc):
 
 
 def test_serve_greedy_miss(benchmark, service, graph_doc):
-    """Uncached greedy request: fingerprint + decode + one simulation."""
+    """Uncached greedy request: hash + parse + decode + one simulation."""
     response = benchmark(
         lambda: service.handle(PlacementRequest(graph=graph_doc, use_cache=False))
     )
@@ -105,11 +106,10 @@ def test_serve_refined_miss(benchmark, service, graph_doc):
 
 
 def test_fingerprint_only(benchmark, graph_doc):
-    """The hash itself, for scale context (dominates tiny cache hits)."""
-    from repro.graph import graph_from_dict
+    """The document hash alone, for scale context (most of a cache hit)."""
+    from repro.graph import document_fingerprint
 
-    graph = graph_from_dict(graph_doc)
-    fp = benchmark(graph.fingerprint)
+    fp, _ = benchmark(document_fingerprint, graph_doc)
     assert len(fp) == 64
 
 

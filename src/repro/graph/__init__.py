@@ -11,13 +11,20 @@ from repro.graph.graph import CompGraph
 from repro.graph.features import FeatureExtractor, OpTypeVocabulary
 from repro.graph.adjacency import normalized_adjacency, adjacency_matrix
 from repro.graph.partition import topological_groups, group_contiguous
-from repro.graph.io import save_graph, load_graph, graph_to_dict, graph_from_dict
+from repro.graph.io import (
+    save_graph,
+    load_graph,
+    graph_to_dict,
+    graph_from_dict,
+    document_fingerprint,
+)
 
 __all__ = [
     "save_graph",
     "load_graph",
     "graph_to_dict",
     "graph_from_dict",
+    "document_fingerprint",
     "OpNode",
     "CompGraph",
     "FeatureExtractor",

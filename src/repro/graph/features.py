@@ -91,13 +91,6 @@ class OpTypeVocabulary:
         return vec
 
 
-def _pad_shape(shape: Tuple[int, ...], rank: int = SHAPE_RANK) -> np.ndarray:
-    arr = np.zeros(rank)
-    trimmed = shape[-rank:] if len(shape) > rank else shape
-    arr[: len(trimmed)] = trimmed
-    return arr
-
-
 class FeatureExtractor:
     """Builds the node-feature matrix ``X`` for a :class:`CompGraph`."""
 
@@ -128,33 +121,40 @@ class FeatureExtractor:
         n = graph.num_nodes
         if n == 0:
             return np.zeros((0, self.dim))
+        nodes = graph.nodes
+        preds = [graph.predecessors(i) for i in range(n)]
 
         # Largest dimension across all op outputs — the paper's shape
         # normalizer — guarded to at least 1.
-        max_dim = 1.0
-        for node in graph.nodes:
-            if node.output_shape:
-                max_dim = max(max_dim, float(max(node.output_shape)))
+        max_dim = max(
+            [1.0] + [float(max(node.output_shape)) for node in nodes if node.output_shape]
+        )
+        # Output shapes, keeping the last SHAPE_RANK dims, zero-padded.
+        shapes = np.zeros((n, SHAPE_RANK))
+        for i, node in enumerate(nodes):
+            trimmed = node.output_shape[-SHAPE_RANK:]
+            shapes[i, : len(trimmed)] = trimmed
+        shapes /= max_dim
+        # Each op's input shape is its first producer's output shape.
+        first_pred = np.array([p[0] if p else -1 for p in preds])
 
         x = np.zeros((n, self.dim))
         type_width = len(self.vocab)
-        for i, node in enumerate(graph.nodes):
-            col = 0
-            x[i, self.vocab.index(node.op_type)] = 1.0
-            col += type_width
-            x[i, col : col + SHAPE_RANK] = _pad_shape(node.output_shape) / max_dim
-            col += SHAPE_RANK
-            preds = graph.predecessors(i)
-            if preds:
-                in_shape = graph.nodes[preds[0]].output_shape
-                x[i, col : col + SHAPE_RANK] = _pad_shape(in_shape) / max_dim
-            col += SHAPE_RANK
-            if self.include_costs:
-                x[i, col] = np.log1p(node.flops) / 40.0
-                x[i, col + 1] = np.log1p(node.param_bytes) / 40.0
-                x[i, col + 2] = np.log1p(node.activation_bytes) / 40.0
-                col += 3
-            if self.include_degrees:
-                x[i, col] = len(graph.predecessors(i)) / 8.0
-                x[i, col + 1] = len(graph.successors(i)) / 8.0
+        x[np.arange(n), [self.vocab.index(node.op_type) for node in nodes]] = 1.0
+        col = type_width
+        x[:, col : col + SHAPE_RANK] = shapes
+        col += SHAPE_RANK
+        has_input = first_pred >= 0
+        x[has_input, col : col + SHAPE_RANK] = shapes[first_pred[has_input]]
+        col += SHAPE_RANK
+        if self.include_costs:
+            costs = np.array(
+                [(node.flops, node.param_bytes, node.activation_bytes) for node in nodes],
+                dtype=float,
+            )
+            x[:, col : col + 3] = np.log1p(costs) / 40.0
+            col += 3
+        if self.include_degrees:
+            x[:, col] = np.array([len(p) for p in preds]) / 8.0
+            x[:, col + 1] = np.array([len(graph.successors(i)) for i in range(n)]) / 8.0
         return x

@@ -146,27 +146,23 @@ class CompGraph:
     def fingerprint(self) -> str:
         """Stable content hash of the graph (hex sha256).
 
-        Built from the canonical serialization (``graph_to_dict``) with
-        nodes sorted by name and edges sorted by endpoint names, so the
-        hash is independent of insertion order and of Python's per-process
-        ``hash()`` salting: the same graph content always produces the
-        same fingerprint, in any process, on any platform. Any change to
-        the name, a node attribute, or the edge set changes the hash.
+        :func:`repro.graph.io.document_fingerprint` of the canonical
+        serialization (``graph_to_dict``): nodes sorted by name and edges
+        by endpoint names, so the hash is independent of insertion order
+        and of Python's per-process ``hash()`` salting. The same graph
+        content always produces the same fingerprint, in any process, on
+        any platform. Any change to the name, a node attribute, or the
+        edge set changes the hash.
 
         This is the cache identity the serving layer keys results by
         (``repro.serve``, docs/serving.md): two requests carrying
-        semantically identical graphs never re-run inference.
+        semantically identical graphs never re-run inference, and a
+        request's document is hashed to the same value without building
+        the graph.
         """
-        import hashlib
-        import json
+        from repro.graph.io import document_fingerprint, graph_to_dict
 
-        from repro.graph.io import graph_to_dict
-
-        doc = graph_to_dict(self)
-        doc["nodes"] = sorted(doc["nodes"], key=lambda n: n["name"])
-        doc["edges"] = sorted(doc["edges"])
-        payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return document_fingerprint(graph_to_dict(self))[0]
 
     # ------------------------------------------------------------------
     # Interop

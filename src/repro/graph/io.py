@@ -6,12 +6,16 @@ custom workloads or import graphs produced by external tracers::
     {"name": ..., "nodes": [{"name", "op_type", "output_shape", "flops",
      "param_bytes", "activation_bytes", "cpu_only", "colocation_group"}...],
      "edges": [[src_name, dst_name], ...]}
+
+:func:`document_fingerprint` hashes such a document without building the
+graph; it is the one implementation of :meth:`CompGraph.fingerprint`.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
-from typing import Union
+from typing import Any, Tuple, Union
 
 from repro.graph.graph import CompGraph
 from repro.graph.node import OpNode
@@ -35,6 +39,55 @@ def graph_to_dict(graph: CompGraph) -> dict:
         ],
         "edges": [[graph.nodes[u].name, graph.nodes[v].name] for u, v in graph.edges()],
     }
+
+
+def document_fingerprint(doc: dict) -> Tuple[str, Any]:
+    """``(graph_from_dict(doc).fingerprint(), graph name)`` without
+    building the graph.
+
+    Each node is normalized exactly as ``graph_to_dict(graph_from_dict(doc))``
+    would: omitted fields take their defaults, ``output_shape`` entries
+    become ``int``, extra keys are dropped, and every other value passes
+    through as given. Edges name their endpoints as the nodes do and
+    repeated edges count once. The hex SHA-256 is over the JSON with
+    nodes sorted by name, edges sorted by endpoint names and keys sorted,
+    so it does not depend on document order or on Python's per-process
+    ``hash()`` salt.
+
+    Hashing does not validate: a document ``graph_from_dict`` rejects for
+    its content (a duplicate name, a cycle, a negative cost) still gets a
+    hash. A document too malformed to normalize (a node without a name,
+    an edge to an unknown node) raises ``KeyError``, ``TypeError`` or
+    ``ValueError``.
+    """
+    nodes = []
+    names = {}
+    for spec in doc["nodes"]:
+        name = spec["name"]
+        names.setdefault(name, name)
+        get = spec.get
+        # Keys in sorted order, so the encoder need not sort them.
+        nodes.append(
+            {
+                "activation_bytes": get("activation_bytes", 0.0),
+                "colocation_group": get("colocation_group"),
+                "cpu_only": get("cpu_only", False),
+                "flops": get("flops", 0.0),
+                "name": name,
+                "op_type": spec["op_type"],
+                "output_shape": [int(s) for s in get("output_shape", ())],
+                "param_bytes": get("param_bytes", 0.0),
+            }
+        )
+    edges = {(names[src], names[dst]) for src, dst in doc.get("edges", ())}
+    graph_name = doc.get("name", "graph")
+    canonical = {
+        "edges": sorted(edges),
+        "name": graph_name,
+        "nodes": sorted(nodes, key=lambda n: n["name"]),
+    }
+    payload = json.dumps(canonical, separators=(",", ":"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest(), graph_name
 
 
 def graph_from_dict(doc: dict) -> CompGraph:

@@ -20,7 +20,8 @@ from the policy it replaced.
 ``repro.serve`` keeps four instances, each keyed by content
 fingerprints or checkpoint identity:
 
-* the service's result cache, keyed by graph content hash + cluster
+* the service's result cache, keyed by graph content hash (hashed from
+  the request's graph document, so a hit builds no graph) + cluster
   signature + policy id + refinement budget, with the optional TTL for
   operators who hot-reload checkpoints in place;
 * the service's environment cache, keyed by graph content hash + cluster

@@ -14,7 +14,9 @@ Two :class:`FingerprintCache` instances materialize them lazily:
 * **graph bindings**, keyed ``(policy, sidecar mtime, graph fingerprint,
   cluster signature)``: :meth:`~repro.rl.policy.PolicyAgent.bind` of the
   cached parameters to the request's graph — features, adjacency and op
-  count over the *same* modules, no init and no disk.
+  count over the *same* modules, no init and no disk. The graph whose
+  request loaded the parameters binds to the agent ``load_agent`` built
+  over it, so a cold graph's features are computed once.
 
 Repeated requests against one graph reuse one binding, and concurrent
 first requests build each entry once.
@@ -249,9 +251,13 @@ class PolicyRegistry:
             return LoadedPolicy(spec=spec, agent=agent, graph=graph)
 
         def bind() -> LoadedPolicy:
-            params, _ = self._params.get_or_compute(
+            params, state = self._params.get_or_compute(
                 (spec.policy_id, spec.mtime), load_parameters
             )
+            if state == "miss":
+                # load_agent just built this agent over this graph and
+                # cluster: it is the binding.
+                return params
             return LoadedPolicy(
                 spec=spec,
                 agent=params.agent.bind(graph, cluster),

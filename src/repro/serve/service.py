@@ -21,8 +21,11 @@ Two paths:
   is worth (Placeto/GDP's amortized-inference serving mode).
 
 Results are cached by a composite fingerprint — graph content hash
-(:meth:`CompGraph.fingerprint`) + policy id + cluster signature + budget
-— so identical graphs never re-run inference. The cache
+(:func:`~repro.graph.io.document_fingerprint` of the request's graph
+document, equal to :meth:`CompGraph.fingerprint` of the graph it
+describes) + policy id + cluster signature + budget — so identical
+graphs never re-run inference, and a hit never builds the graph: it
+costs one hash and one lookup. The cache
 (:mod:`repro.serve.cache`) holds a pending future for each computation
 in flight, so identical concurrent requests coalesce: one herd, one
 computation, the rest wait on that future and answer with
@@ -37,11 +40,11 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.graph import CompGraph, graph_from_dict
+from repro.graph import CompGraph, document_fingerprint, graph_from_dict
 from repro.serve.cache import FingerprintCache
 from repro.serve.registry import LoadedPolicy, PolicyRegistry, PolicySpec
 from repro.sim.cluster import ClusterSpec
@@ -135,6 +138,23 @@ class ServeConfig:
 # ----------------------------------------------------------------------
 # Request / response
 # ----------------------------------------------------------------------
+_STRING_OR_NULL = ((str, type(None)), "a string or null")
+_OBJECT_OR_NULL = ((dict, type(None)), "an object or null")
+#: The JSON type each request field accepts, and its name in the 400.
+_FIELD_TYPES: Dict[str, Tuple[tuple, str]] = {
+    "graph": _OBJECT_OR_NULL,
+    "workload": _STRING_OR_NULL,
+    "workload_kwargs": ((dict,), "an object"),
+    "cluster": _OBJECT_OR_NULL,
+    "policy_id": _STRING_OR_NULL,
+    "agent_kind": _STRING_OR_NULL,
+    "budget": ((int,), "an integer"),
+    "use_cache": ((bool,), "a boolean"),
+    "request_id": _STRING_OR_NULL,
+    "trace": _OBJECT_OR_NULL,
+}
+
+
 @dataclass
 class PlacementRequest:
     """One placement query. Exactly one of ``graph`` (a document in the
@@ -162,15 +182,20 @@ class PlacementRequest:
     def from_json(cls, doc: dict) -> "PlacementRequest":
         if not isinstance(doc, dict):
             raise BadRequest(f"request must be a JSON object, got {type(doc).__name__}")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = sorted(set(doc) - known)
+        unknown = sorted(set(doc) - set(_FIELD_TYPES))
         if unknown:
             raise BadRequest(f"unknown request field(s): {', '.join(unknown)}")
-        try:
-            req = cls(**doc)
-        except TypeError as exc:
-            raise BadRequest(str(exc)) from exc
-        return req
+        for name, value in doc.items():
+            types, expected = _FIELD_TYPES[name]
+            # bool is an int subclass: a ``true`` budget is a type error.
+            if not isinstance(value, types) or (
+                isinstance(value, bool) and bool not in types
+            ):
+                raise BadRequest(
+                    f"request field {name!r} must be {expected}, "
+                    f"got {type(value).__name__}"
+                )
+        return cls(**doc)
 
 
 @dataclass
@@ -287,8 +312,6 @@ class PlacementService:
     # Request resolution
     # ------------------------------------------------------------------
     def _resolve_graph(self, request: PlacementRequest) -> CompGraph:
-        if (request.graph is None) == (request.workload is None):
-            raise BadRequest("exactly one of 'graph' or 'workload' must be set")
         if request.graph is not None:
             try:
                 return graph_from_dict(request.graph)
@@ -300,6 +323,24 @@ class PlacementService:
             return get_workload(request.workload, **request.workload_kwargs)
         except (KeyError, TypeError) as exc:
             raise BadRequest(str(exc)) from exc
+
+    def _identify(self, request: PlacementRequest) -> Tuple[Optional[CompGraph], str, Any]:
+        """``(graph, fingerprint, graph name)`` for the request. A graph
+        document is hashed without building it (``graph`` is ``None``),
+        so only a computation pays for the parse; a workload is built,
+        since its name alone does not fix its content."""
+        if (request.graph is None) == (request.workload is None):
+            raise BadRequest("exactly one of 'graph' or 'workload' must be set")
+        if request.graph is None:
+            graph = self._resolve_graph(request)
+            return graph, graph.fingerprint(), graph.name
+        try:
+            fingerprint, name = document_fingerprint(request.graph)
+        except (ValueError, KeyError, TypeError) as exc:
+            # Too malformed to hash: the parser's message names the fault.
+            self._resolve_graph(request)
+            raise BadRequest(f"invalid graph document: {exc}") from exc
+        return None, fingerprint, name
 
     def _resolve_cluster(self, request: PlacementRequest) -> ClusterSpec:
         doc = request.cluster
@@ -319,7 +360,7 @@ class PlacementService:
         raise BadRequest(f"unknown cluster kind {kind!r} (default|nvlink)")
 
     def _select_policy(
-        self, request: PlacementRequest, graph: CompGraph, cluster: ClusterSpec
+        self, request: PlacementRequest, graph_name: Any, cluster: ClusterSpec
     ) -> PolicySpec:
         if request.policy_id is not None:
             spec = self.registry.get(request.policy_id)
@@ -336,7 +377,7 @@ class PlacementService:
             return spec
         spec = self.registry.select(
             num_devices=cluster.num_devices,
-            workload=graph.name,
+            workload=graph_name,
             agent_kind=request.agent_kind,
         )
         if spec is None:
@@ -457,18 +498,19 @@ class PlacementService:
                     f"got {request.budget}"
                 )
             try:
-                graph = self._resolve_graph(request)
+                graph, fingerprint, graph_name = self._identify(request)
                 cluster = self._resolve_cluster(request)
-                spec = self._select_policy(request, graph, cluster)
-                fingerprint = graph.fingerprint()
+                spec = self._select_policy(request, graph_name, cluster)
                 cluster_sig = cluster.signature()
                 key = f"{fingerprint}:{cluster_sig}:{spec.policy_id}:{request.budget}"
 
-
                 def compute() -> PlacementResponse:
+                    # An invalid document fails here, inside the single
+                    # flight: its 400 reaches every coalesced twin and no
+                    # cache entry is left behind.
                     response = self._compute(
                         request,
-                        graph,
+                        graph if graph is not None else self._resolve_graph(request),
                         cluster,
                         spec,
                         fingerprint,

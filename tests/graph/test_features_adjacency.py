@@ -10,7 +10,8 @@ from repro.graph import (
     normalized_adjacency,
 )
 from repro.graph.features import CANONICAL_OP_TYPES, SHAPE_RANK
-from tests.helpers import tiny_graph
+from repro.workloads import WORKLOADS, get_workload
+from tests.helpers import reference_features, tiny_graph
 
 
 class TestVocabulary:
@@ -81,6 +82,34 @@ class TestFeatureExtractor:
         in_shape_block = x[g.index_of("b"), type_w + SHAPE_RANK : type_w + 2 * SHAPE_RANK]
         # b's predecessor is a with output (4,16); max dim in graph is 32.
         assert np.allclose(in_shape_block[:2], [4 / 32, 16 / 32])
+
+
+class TestFeaturesMatchReferenceLoop:
+    """The array version of ``features`` reproduces the per-node loop
+    (``tests/helpers.py::reference_features``) bit for bit."""
+
+    EXTRACTORS = [
+        FeatureExtractor(),
+        FeatureExtractor(include_costs=False, include_degrees=False),
+        FeatureExtractor(vocab=OpTypeVocabulary(["MatMul", "Input"])),
+    ]
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_every_builtin_workload(self, name):
+        graph = get_workload(name)
+        for fx in self.EXTRACTORS:
+            assert fx(graph).tobytes() == reference_features(fx, graph).tobytes()
+
+    def test_ranks_above_and_below_shape_rank(self):
+        from repro.graph import CompGraph, OpNode
+
+        g = CompGraph("ranks")
+        g.add_node(OpNode("in", "Input", (2, 3, 5, 7, 11, 13)))
+        g.add_node(OpNode("scalar", "Reduce", (), flops=3), inputs=["in"])
+        g.add_node(OpNode("zero", "Mystery", (0, 9)), inputs=["scalar", "in"])
+        g.add_node(OpNode("lonely", "Add", (64,), param_bytes=10))
+        for fx in self.EXTRACTORS:
+            assert fx(g).tobytes() == reference_features(fx, g).tobytes()
 
 
 class TestAdjacency:

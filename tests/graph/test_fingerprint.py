@@ -4,7 +4,15 @@ import json
 import subprocess
 import sys
 
-from repro.graph import CompGraph, OpNode, graph_from_dict, graph_to_dict
+import pytest
+
+from repro.graph import (
+    CompGraph,
+    OpNode,
+    document_fingerprint,
+    graph_from_dict,
+    graph_to_dict,
+)
 from tests.helpers import tiny_graph
 
 
@@ -24,7 +32,27 @@ def shuffled_doc(graph: CompGraph, seed: int = 3) -> dict:
     return doc
 
 
+#: ``tiny_graph().fingerprint()`` as recorded before the hash moved to
+#: ``document_fingerprint``. The serving layer seeds refinement sampling
+#: from the hex, so it must never change.
+TINY_FINGERPRINT = "bdaa52b42a7c35fd74fe8f3f3f690eff6b55937ac986ad7eff7c3c83a14f02b2"
+
+
 class TestFingerprint:
+    def test_pinned_hex(self):
+        assert tiny_graph().fingerprint() == TINY_FINGERPRINT
+        doc = json.loads(json.dumps(graph_to_dict(tiny_graph())))
+        assert document_fingerprint(doc) == (TINY_FINGERPRINT, "tiny")
+
+    def test_document_too_malformed_to_hash_raises(self):
+        doc = graph_to_dict(tiny_graph())
+        doc["edges"].append(["ghost", "loss"])
+        with pytest.raises(KeyError):
+            document_fingerprint(doc)
+        del doc["nodes"][0]["name"]
+        with pytest.raises(KeyError):
+            document_fingerprint(doc)
+
     def test_stable_across_instances(self):
         assert tiny_graph().fingerprint() == tiny_graph().fingerprint()
 

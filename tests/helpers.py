@@ -293,3 +293,45 @@ def reference_resolve(actions, graph, cluster) -> Placement:
         if node.cpu_only:
             devices[i] = cluster.cpu_index
     return Placement(devices, graph, cluster)
+
+
+def reference_features(extractor, graph) -> np.ndarray:
+    """``FeatureExtractor.features`` as the per-node loop it used to be.
+    The array version must reproduce it bit for bit."""
+    from repro.graph.features import SHAPE_RANK
+
+    def pad_shape(shape):
+        arr = np.zeros(SHAPE_RANK)
+        trimmed = shape[-SHAPE_RANK:] if len(shape) > SHAPE_RANK else shape
+        arr[: len(trimmed)] = trimmed
+        return arr
+
+    n = graph.num_nodes
+    if n == 0:
+        return np.zeros((0, extractor.dim))
+    max_dim = 1.0
+    for node in graph.nodes:
+        if node.output_shape:
+            max_dim = max(max_dim, float(max(node.output_shape)))
+    x = np.zeros((n, extractor.dim))
+    type_width = len(extractor.vocab)
+    for i, node in enumerate(graph.nodes):
+        col = 0
+        x[i, extractor.vocab.index(node.op_type)] = 1.0
+        col += type_width
+        x[i, col : col + SHAPE_RANK] = pad_shape(node.output_shape) / max_dim
+        col += SHAPE_RANK
+        preds = graph.predecessors(i)
+        if preds:
+            in_shape = graph.nodes[preds[0]].output_shape
+            x[i, col : col + SHAPE_RANK] = pad_shape(in_shape) / max_dim
+        col += SHAPE_RANK
+        if extractor.include_costs:
+            x[i, col] = np.log1p(node.flops) / 40.0
+            x[i, col + 1] = np.log1p(node.param_bytes) / 40.0
+            x[i, col + 2] = np.log1p(node.activation_bytes) / 40.0
+            col += 3
+        if extractor.include_degrees:
+            x[i, col] = len(graph.predecessors(i)) / 8.0
+            x[i, col + 1] = len(graph.successors(i)) / 8.0
+    return x

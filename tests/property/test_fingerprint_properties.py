@@ -13,7 +13,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import graph_from_dict, graph_to_dict
+from repro.graph import document_fingerprint, graph_from_dict, graph_to_dict
 
 from tests.property.test_graph_io_properties import random_graph
 
@@ -64,3 +64,45 @@ def test_fingerprint_is_canonical_hex(g):
     fp = g.fingerprint()
     assert len(fp) == 64 and int(fp, 16) >= 0
     assert fp == g.fingerprint()  # pure: no hidden mutable state
+
+
+@st.composite
+def graph_document(draw):
+    """A loadable graph document as a client might write it: optional
+    node fields omitted, integral costs and shapes as JSON numbers of
+    either kind, extra keys, repeated edges, the graph name omitted."""
+    doc = graph_to_dict(draw(random_graph()))
+    for node in doc["nodes"]:
+        for key in ("output_shape", "flops", "param_bytes", "activation_bytes",
+                    "cpu_only", "colocation_group"):
+            if draw(st.integers(0, 3)) == 0:
+                del node[key]
+        for key in ("flops", "param_bytes", "activation_bytes"):
+            if key in node and draw(st.booleans()):
+                node[key] = int(node[key])
+        if "output_shape" in node and draw(st.booleans()):
+            node["output_shape"] = [float(s) for s in node["output_shape"]]
+        if draw(st.booleans()):
+            node["comment"] = draw(st.text(max_size=5))
+    if doc["edges"] and draw(st.booleans()):
+        doc["edges"].append(list(doc["edges"][0]))
+    if not doc["edges"] and draw(st.booleans()):
+        del doc["edges"]
+    if draw(st.booleans()):
+        del doc["name"]
+    if draw(st.booleans()):
+        doc["source"] = "tracer"
+    return doc
+
+
+@given(graph_document())
+@settings(max_examples=80, deadline=None)
+def test_document_fingerprint_equals_built_graph_fingerprint(doc):
+    """Hashing a document is hashing the graph it describes: the serving
+    cache keys requests by the first and placements are computed from
+    the second."""
+    fingerprint, name = document_fingerprint(doc)
+    graph = graph_from_dict(doc)
+    assert fingerprint == graph.fingerprint()
+    assert name == graph.name
+    assert document_fingerprint(json.loads(json.dumps(doc))) == (fingerprint, name)

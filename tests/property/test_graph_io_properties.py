@@ -71,3 +71,13 @@ def test_roundtrip_preserves_features_and_adjacency(g):
 def test_roundtrip_is_idempotent(g):
     once = graph_to_dict(graph_from_dict(graph_to_dict(g)))
     assert once == graph_to_dict(g)
+
+
+@given(random_graph(), st.booleans(), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_features_match_reference_loop(g, costs, degrees):
+    from repro.graph import FeatureExtractor
+    from tests.helpers import reference_features
+
+    fx = FeatureExtractor(include_costs=costs, include_degrees=degrees)
+    assert fx(g).tobytes() == reference_features(fx, g).tobytes()

@@ -339,6 +339,57 @@ class TestServiceCoalescing:
         finally:
             service.close()
 
+    def test_invalid_document_fails_every_coalesced_twin(self, serve_setup, monkeypatch):
+        """An invalid document is hashed, not parsed, before the lookup:
+        the parse fails inside the flight, once, for the whole herd."""
+        import repro.serve.service as service_mod
+
+        ckpt_dir, _, _ = serve_setup
+        service = make_service(ckpt_dir)
+        entered, release, parses = threading.Event(), threading.Event(), []
+        real = service_mod.graph_from_dict
+
+        def gated(doc):
+            parses.append(threading.get_ident())
+            entered.set()
+            assert release.wait(timeout=30.0), "test gate never opened"
+            return real(doc)
+
+        monkeypatch.setattr(service_mod, "graph_from_dict", gated)
+        doc = graph_to_dict(tiny_graph())
+        doc["edges"].append(["loss", "in"])  # a cycle
+        errors = []
+        lock = threading.Lock()
+
+        def fire():
+            try:
+                service.handle(PlacementRequest(graph=doc))
+            except Exception as exc:  # noqa: BLE001 - recorded for assertions
+                with lock:
+                    errors.append(exc)
+
+        try:
+            threads = [threading.Thread(target=fire) for _ in range(3)]
+            threads[0].start()
+            assert entered.wait(timeout=30.0)
+            for t in threads[1:]:
+                t.start()
+            deadline = time.perf_counter() + 30.0
+            while service.cache.stats.coalesced < 2:
+                assert time.perf_counter() < deadline, "twins never joined the flight"
+                time.sleep(0.005)
+            release.set()
+            for t in threads:
+                t.join(timeout=30.0)
+            assert len(parses) == 1
+            assert len(errors) == 3
+            assert all(isinstance(e, BadRequest) and e.status == 400 for e in errors)
+            assert len({str(e) for e in errors}) == 1
+            assert len(service.cache) == 0
+        finally:
+            release.set()
+            service.close()
+
 
 # ----------------------------------------------------------------------
 # Hot reload x an in-flight computation

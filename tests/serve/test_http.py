@@ -181,6 +181,31 @@ class TestRoutes:
         status, doc = post(server, "/place", {"workload": "vgg16", "bogus": 1})
         assert status == 400 and "bogus" in doc["message"]
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"workload": "vgg16", "budget": "5"},
+            {"workload": "vgg16", "budget": 1.5},
+            {"workload": "vgg16", "budget": True},
+            {"graph": [1, 2]},
+            {"workload": "vgg16", "cluster": "nvlink"},
+            {"workload": "vgg16", "workload_kwargs": [0.25]},
+            {"workload": "vgg16", "use_cache": "no"},
+            {"workload": ["vgg16"]},
+            {"workload": "vgg16", "policy_id": 3},
+        ],
+    )
+    def test_mistyped_fields_get_a_typed_400(self, server, body):
+        status, doc = post(server, "/place", body)
+        assert status == 400 and doc["error"] == "bad_request"
+        assert "must be" in doc["message"]
+
+    def test_unhashable_graph_document_gets_a_typed_400(self, server):
+        body = {"graph": {"name": "g", "nodes": [{"name": "a", "op_type": "Add"},
+                                                 {"name": 1, "op_type": "Add"}]}}
+        status, doc = post(server, "/place", body)
+        assert status == 400 and doc["error"] == "bad_request"
+
     def test_reload_clears_cache(self, server):
         body = {"graph": graph_to_dict(tiny_graph())}
         post(server, "/place", body)

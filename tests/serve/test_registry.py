@@ -299,6 +299,29 @@ class TestParameterCache:
         assert a.agent.placer is not b.agent.placer
         assert a.lock is not b.lock
 
+    def test_cold_first_request_computes_features_once(self, serve_setup, monkeypatch):
+        """The graph that loads the parameters binds to the agent
+        load_agent built over it; it is not featurized a second time."""
+        from repro.graph import FeatureExtractor
+
+        ckpt_dir, cluster, _ = serve_setup
+        calls = []
+        real = FeatureExtractor.features
+
+        def counting(self, graph):
+            calls.append(graph.name)
+            return real(self, graph)
+
+        monkeypatch.setattr(FeatureExtractor, "features", counting)
+        registry = PolicyRegistry(ckpt_dir)
+        spec = registry.get("mars__tiny")
+        first = registry.load(spec, tiny_graph(), cluster)
+        assert calls == ["tiny"]
+        assert registry.load(spec, tiny_graph(), cluster) is first
+        assert calls == ["tiny"]
+        registry.load(spec, chain_graph(), cluster)  # a second graph binds
+        assert calls == ["tiny", "chain"]
+
     def test_passed_fingerprint_is_the_cache_key(self, serve_setup):
         ckpt_dir, cluster, _ = serve_setup
         registry = PolicyRegistry(ckpt_dir)

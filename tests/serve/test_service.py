@@ -151,6 +151,128 @@ class TestErrors:
         with pytest.raises(BadRequest, match="JSON object"):
             PlacementRequest.from_json([1, 2])
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("budget", "5"),
+            ("budget", 1.5),
+            ("budget", True),
+            ("budget", None),
+            ("graph", [1, 2]),
+            ("graph", "tiny"),
+            ("cluster", [4]),
+            ("workload_kwargs", None),
+            ("workload_kwargs", ["scale"]),
+            ("use_cache", "yes"),
+            ("use_cache", 1),
+            ("workload", 16),
+            ("policy_id", ["mars__tiny"]),
+            ("agent_kind", 1),
+            ("request_id", 7),
+            ("trace", "abc"),
+        ],
+    )
+    def test_from_json_rejects_mistyped_fields(self, field, value):
+        with pytest.raises(BadRequest, match=f"{field!r} must be"):
+            PlacementRequest.from_json({"workload": "vgg16", field: value})
+
+    def test_from_json_accepts_every_field(self):
+        request = PlacementRequest.from_json(
+            {
+                "graph": None,
+                "workload": "vgg16",
+                "workload_kwargs": {"scale": 0.25},
+                "cluster": {"kind": "default"},
+                "policy_id": None,
+                "agent_kind": "mars",
+                "budget": 3,
+                "use_cache": False,
+                "request_id": "r-1",
+                "trace": None,
+            }
+        )
+        assert request.budget == 3 and request.use_cache is False
+
+    def test_field_types_cover_every_request_field(self):
+        from repro.serve.service import _FIELD_TYPES
+
+        assert set(_FIELD_TYPES) == set(PlacementRequest.__dataclass_fields__)
+
+
+def count_parses(monkeypatch) -> list:
+    """Record every graph document the service parses."""
+    import repro.serve.service as service_mod
+
+    parsed = []
+    real = service_mod.graph_from_dict
+
+    def counting(doc):
+        parsed.append(doc.get("name"))
+        return real(doc)
+
+    monkeypatch.setattr(service_mod, "graph_from_dict", counting)
+    return parsed
+
+
+class TestDocumentKeying:
+    """Requests are keyed by a hash of their graph document; the graph is
+    built only when a placement must be computed."""
+
+    def test_hit_never_builds_the_graph(self, serve_setup, monkeypatch):
+        ckpt_dir, _, _ = serve_setup
+        svc = PlacementService(PolicyRegistry(ckpt_dir))
+        parsed = count_parses(monkeypatch)
+        first = svc.handle(tiny_request())
+        assert first.cache == "miss" and parsed == ["tiny"]
+        for _ in range(3):
+            assert svc.handle(tiny_request()).cache == "hit"
+        assert parsed == ["tiny"]
+        assert first.fingerprint == tiny_graph().fingerprint()
+        svc.close()
+
+    def test_uncached_requests_build_the_graph(self, serve_setup, monkeypatch):
+        ckpt_dir, _, _ = serve_setup
+        svc = PlacementService(PolicyRegistry(ckpt_dir))
+        parsed = count_parses(monkeypatch)
+        svc.handle(tiny_request())
+        svc.handle(tiny_request(use_cache=False))
+        svc.handle(tiny_request(budget=1))
+        assert parsed == ["tiny"] * 3
+        svc.close()
+
+    def test_document_name_selects_the_policy(self, service):
+        doc = graph_to_dict(chain_graph())
+        assert service.handle(PlacementRequest(graph=doc)).policy_id == "mars__chain"
+        del doc["name"]  # an unnamed graph has no exact match: transfer
+        assert service.handle(PlacementRequest(graph=doc)).workload == "graph"
+
+    def test_invalid_document_is_a_400_every_time_and_never_cached(
+        self, serve_setup, monkeypatch
+    ):
+        ckpt_dir, _, _ = serve_setup
+        svc = PlacementService(PolicyRegistry(ckpt_dir))
+        parsed = count_parses(monkeypatch)
+        doc = graph_to_dict(tiny_graph())
+        doc["edges"].append(["loss", "in"])  # a cycle: hashable, not loadable
+        for _ in range(2):
+            with pytest.raises(BadRequest, match="invalid graph document") as err:
+                svc.handle(PlacementRequest(graph=doc))
+            assert err.value.status == 400
+        assert parsed == ["tiny", "tiny"]  # parsed, and failed, each time
+        assert len(svc.cache) == 0
+        assert svc.cache.stats.failures == 2
+        svc.close()
+
+    def test_unhashable_document_keeps_the_parser_message(self, service):
+        doc = graph_to_dict(tiny_graph())
+        del doc["nodes"][2]["op_type"]
+        with pytest.raises(BadRequest, match="invalid graph document: 'op_type'"):
+            service.handle(PlacementRequest(graph=doc))
+        doc = {"name": "mixed", "nodes": [{"name": "a", "op_type": "Add"},
+                                          {"name": 1, "op_type": "Add"}]}
+        with pytest.raises(BadRequest, match="invalid graph document"):
+            service.handle(PlacementRequest(graph=doc))
+
 
 class TestEnvCache:
     def test_env_for_builds_once_under_concurrency(self, serve_setup, monkeypatch):

@@ -11,6 +11,9 @@ gets driven:
   latency and a complete placement;
 * each policy's parameter archive (``.npz``) is read exactly once for
   the whole run: never-seen graphs bind to the loaded parameters;
+* the service builds a graph from a request's document only to compute
+  a placement: graph parses equal computed misses, and cache hits and
+  coalesced waits build nothing;
 * responses with identical fingerprints must carry identical placements
   (the cache-consistency contract), and the duplicate-heavy mix must
   produce a non-zero cache hit rate;
@@ -48,6 +51,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 import repro.core.checkpoint as checkpoint  # noqa: E402
+import repro.serve.service as service_module  # noqa: E402
 from repro.config import fast_profile  # noqa: E402
 from repro.core import save_agent  # noqa: E402
 from repro.core.search import build_agent  # noqa: E402
@@ -142,6 +146,26 @@ def check_npz_reads(reads: collections.Counter, when: str) -> None:
     print(f"serve-smoke: {when}: each policy's parameters read once")
 
 
+def count_graph_parses() -> list:
+    """Count the service's graph-document parses from now on."""
+    parses = [0]
+    real = service_module.graph_from_dict
+
+    def counting(doc):
+        parses[0] += 1
+        return real(doc)
+
+    service_module.graph_from_dict = counting
+    return parses
+
+
+def check_graph_parses(parses: list, misses: int, when: str) -> None:
+    if parses[0] != misses:
+        fail(f"{when}: {parses[0]} graph parses for {misses} computed misses")
+    print(f"serve-smoke: {when}: graph parses = computed misses = {misses}")
+    parses[0] = 0
+
+
 def never_seen_body(thread_idx: int, i: int) -> dict:
     """A graph no other request sends, named for one of the two policies."""
     name = ("tiny", "chain")[thread_idx % 2]
@@ -149,9 +173,10 @@ def never_seen_body(thread_idx: int, i: int) -> dict:
     return {"graph": graph_to_dict(chain_graph(name, length)), "budget": 0}
 
 
-def concurrent_traffic(url: str) -> None:
+def concurrent_traffic(url: str) -> int:
     """64 mixed requests from 8 threads; verify every response invariant.
-    Every other request of each thread sends a never-seen graph."""
+    Every other request of each thread sends a never-seen graph. Returns
+    the number of computed misses."""
     bodies = [
         {"graph": graph_to_dict(tiny_graph()), "budget": 0},
         {"graph": graph_to_dict(tiny_graph()), "budget": 4},
@@ -215,6 +240,7 @@ def concurrent_traffic(url: str) -> None:
         f"serve-smoke: {len(results)} requests over {N_THREADS} threads, "
         f"{hits} cache hits, {len(by_fingerprint)} distinct (fingerprint, budget) keys"
     )
+    return sum(doc["cache"] == "miss" for _, doc in results)
 
 
 def scrape_metrics(url: str) -> None:
@@ -281,8 +307,9 @@ def check_span_tree(run_dir: str) -> None:
     )
 
 
-def overload_traffic(registry: PolicyRegistry) -> None:
-    """Flood an undersized service; overload must be a fast typed 503."""
+def overload_traffic(registry: PolicyRegistry) -> int:
+    """Flood an undersized service; overload must be a fast typed 503.
+    Returns the number of computed misses."""
     service = PlacementService(
         registry, config=ServeConfig(workers=1, max_queue=1, max_batch=1)
     )
@@ -319,9 +346,10 @@ def overload_traffic(registry: PolicyRegistry) -> None:
         )
     finally:
         server.shutdown()
+    return len(served)  # use_cache=False: every served request computed
 
 
-def thundering_herd(registry: PolicyRegistry) -> None:
+def thundering_herd(registry: PolicyRegistry) -> int:
     """64 identical concurrent requests must compute exactly once.
 
     The cache's pending entries guarantee this structurally: the first
@@ -378,6 +406,7 @@ def thundering_herd(registry: PolicyRegistry) -> None:
         )
     finally:
         server.shutdown()
+    return misses
 
 
 def run() -> int:
@@ -386,6 +415,7 @@ def run() -> int:
             tempfile.TemporaryDirectory() as tel_dir:
         build_checkpoints(ckpt_dir, cluster)
         reads = count_npz_reads()
+        parses = count_graph_parses()
         registry = PolicyRegistry(ckpt_dir)
         if len(registry) != 2:
             fail(f"expected a 2-policy registry, got {len(registry)}")
@@ -401,16 +431,17 @@ def run() -> int:
                 service, port=0, queue=RequestQueue(service)
             ).start()
             try:
-                concurrent_traffic(server.address)
+                misses = concurrent_traffic(server.address)
                 check_npz_reads(reads, "concurrent traffic")
+                check_graph_parses(parses, misses, "concurrent traffic")
                 scrape_metrics(server.address)
             finally:
                 server.shutdown()
         finally:
             tel.close()
         check_span_tree(tel.run_dir)
-        overload_traffic(registry)
-        thundering_herd(registry)
+        check_graph_parses(parses, overload_traffic(registry), "overload")
+        check_graph_parses(parses, thundering_herd(registry), "thundering herd")
         check_npz_reads(reads, "whole run")
     print("serve-smoke: OK")
     return 0
