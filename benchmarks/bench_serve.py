@@ -9,12 +9,10 @@ two registry layers under a never-seen graph (``policy_load``: one
 checkpoint read + build, once per policy; ``graph_bind``: binding the
 loaded parameters to another graph) — plus a **duplicate-heavy open-loop load test**: thundering herds of
 identical requests fired on a fixed arrival schedule (open loop — the
-load does not wait for responses) against the full queue + worker
-stack, with coalescing on vs off at the same offered load. One run of
-the herd load is noisy on a small host, so the full benchmark runs
-several off/on pairs and gates the *median* p99 ratio; the coalescing
-row in ``BENCH_serve.json`` backs the ≥2× p99 claim in docs/serving.md
-§4. Two entry points:
+load does not wait for responses) through the admission gate
+(``PlacementService.submit``) from a bounded client pool, recording
+how many requests computed, coalesced or hit the cache and the
+client-perceived latency. Two entry points:
 
 * ``pytest benchmarks/bench_serve.py --benchmark-only`` — the
   pytest-benchmark harness (calibrated statistics, nice terminal table);
@@ -22,8 +20,8 @@ row in ``BENCH_serve.json`` backs the ≥2× p99 claim in docs/serving.md
   runner that times the same paths with ``time.perf_counter`` and writes
   ``benchmarks/BENCH_serve.json``, the machine-readable record the
   cross-PR perf trajectory accumulates (docs/performance.md).
-  ``--smoke`` runs a shrunken herd comparison with correctness asserts
-  and no JSON write (wired into ``make bench-smoke``).
+  ``--smoke`` runs a shrunken herd load with correctness asserts and no
+  JSON write (wired into ``make bench-smoke``).
 """
 
 import json
@@ -32,8 +30,8 @@ import platform
 import statistics
 import sys
 import tempfile
-import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -48,7 +46,6 @@ from repro.serve import (
     PlacementRequest,
     PlacementService,
     PolicyRegistry,
-    RequestQueue,
     ServeConfig,
     ServiceOverloaded,
 )
@@ -126,7 +123,7 @@ def _time_path(fn, rounds: int):
 
 
 # ----------------------------------------------------------------------
-# Duplicate-heavy open-loop load test (coalescing A/B)
+# Duplicate-heavy open-loop load test
 # ----------------------------------------------------------------------
 def _dup_graph(index: int, length: int):
     """Small distinct chain graphs — the duplicate-heavy request mix."""
@@ -150,162 +147,89 @@ def _percentile(values, pct: float) -> float:
     return float(ordered[rank])
 
 
-def _run_herd_mode(registry, docs, *, coalesce, waves, herd, interval_s, ttl, budget, workers):
+def run_duplicate_heavy(smoke: bool = False):
     """Fire ``waves`` herds of ``herd`` identical requests on a fixed
     open-loop schedule (arrivals never wait for responses) and measure
     client-perceived latency. ``ttl`` is shorter than a key's revisit
     interval, so every wave starts cold — the thundering-herd scenario
-    coalescing exists for."""
-    config = ServeConfig(
-        workers=workers, max_queue=4096, max_batch=4, cache_ttl=ttl, coalesce=coalesce
-    )
-    service = PlacementService(registry, config=config)
-    queue = RequestQueue(service)
-    lock = threading.Lock()
-    latencies, states = [], []
-    rejected = 0
-    expected = 0
-    try:
-        for doc in docs:  # build agents/envs outside the timed window
-            queue.submit_and_wait(PlacementRequest(graph=doc, budget=budget), timeout=120.0)
-        time.sleep(ttl * 2)  # let the warmup entries expire
-
-        def record(future, arrival):
-            latency_ms = (time.perf_counter() - arrival) * 1e3
-            with lock:
-                try:
-                    response = future.result()
-                except Exception:
-                    states.append("error")
-                else:
-                    latencies.append(latency_ms)
-                    states.append(response.cache)
-
-        t0 = time.perf_counter()
-        for wave in range(waves):
-            delay = t0 + wave * interval_s - time.perf_counter()
-            if delay > 0:
-                time.sleep(delay)
-            doc = docs[wave % len(docs)]
-            for _ in range(herd):
-                arrival = time.perf_counter()
-                try:
-                    future = queue.submit(PlacementRequest(graph=doc, budget=budget))
-                except ServiceOverloaded:
-                    rejected += 1
-                    continue
-                expected += 1
-                future.add_done_callback(
-                    lambda f, arrival=arrival: record(f, arrival)
-                )
-        deadline = time.perf_counter() + 120.0
-        while time.perf_counter() < deadline:
-            with lock:
-                if len(states) == expected:
-                    break
-            time.sleep(0.01)
-        else:
-            raise RuntimeError("herd requests never drained")
-    finally:
-        queue.shutdown()
-        service.close()
-    if not latencies:
-        raise RuntimeError("no successful herd responses recorded")
-    return {
-        "coalesce": bool(coalesce),
-        "requests": int(expected),
-        "rejected": int(rejected),
-        "errors": int(states.count("error")),
-        "computes": int(states.count("miss")),
-        "coalesced": int(states.count("coalesced")),
-        "hits": int(states.count("hit")),
-        "p50_ms": _percentile(latencies, 50),
-        "p99_ms": _percentile(latencies, 99),
-        "mean_ms": float(statistics.fmean(latencies)),
-    }
-
-
-#: Off/on pairs the full herd benchmark runs; the p99 gate reads their
-#: median ratio, so one noisy run can neither fail nor carry it.
-HERD_PAIRS = 5
-
-
-def run_duplicate_heavy(smoke: bool = False):
-    """A/B the duplicate-heavy herd load with coalescing off vs on at
-    the same offered load. Returns the BENCH_serve.json row."""
+    coalescing exists for. A pool of ``herd`` client threads makes the
+    calls; an arrival the pool cannot take at once waits in it, and
+    that wait counts in its latency. Returns the BENCH_serve.json row."""
     if smoke:
         params = dict(waves=6, herd=12, interval_s=0.06, ttl=0.03, budget=8, workers=2)
         lengths = (5, 6)
-        pairs = 1
     else:
         params = dict(waves=24, herd=24, interval_s=0.08, ttl=0.05, budget=16, workers=6)
         lengths = (6, 7)
-        pairs = HERD_PAIRS
+    waves, herd, budget = params["waves"], params["herd"], params["budget"]
     docs = [graph_to_dict(_dup_graph(i, n)) for i, n in enumerate(lengths)]
 
     cfg = fast_profile(seed=0)
     anchor = _dup_graph(0, lengths[0])
-    runs = []
     with tempfile.TemporaryDirectory(prefix="serve-herd-") as ckpt_dir:
         agent, _ = build_agent("mars_no_pretrain", anchor, CLUSTER, cfg, None)
         save_agent(
             os.path.join(ckpt_dir, "mars__dup"), agent, "mars",
             workload=anchor.name, config=cfg,
         )
-        registry = PolicyRegistry(ckpt_dir)  # shared: agents load once
-        for pair in range(pairs):
-            # Alternate which mode runs first so drift favours neither.
-            order = (False, True) if pair % 2 == 0 else (True, False)
-            rows = {mode: _run_herd_mode(registry, docs, coalesce=mode, **params)
-                    for mode in order}
-            runs.append((rows[False], rows[True]))
+        config = ServeConfig(workers=params["workers"], max_queue=4096, cache_ttl=params["ttl"])
+        service = PlacementService(PolicyRegistry(ckpt_dir), config=config)
 
-    def ratio(off, on):
-        return off["p99_ms"] / on["p99_ms"] if on["p99_ms"] > 0 else float("inf")
+        def call(doc, arrival):
+            """One client call: (cache state or failure, latency in ms)."""
+            try:
+                response = service.submit(PlacementRequest(graph=doc, budget=budget))
+            except ServiceOverloaded:
+                return "rejected", 0.0
+            except Exception:  # noqa: BLE001 - counted as an error
+                return "error", 0.0
+            return response.cache, (time.perf_counter() - arrival) * 1e3
 
-    ratios = [ratio(off, on) for off, on in runs]
-    improvement = float(statistics.median(ratios))
-    print(f"\nduplicate-heavy open-loop load "
-          f"({params['waves']} waves x {params['herd']} dup requests, "
-          f"{params['interval_s'] * 1e3:.0f} ms interval, budget={params['budget']}, "
-          f"{pairs} off/on pairs)")
-    print(f"{'pair':<5} {'mode':<14} {'computes':>9} {'coalesced':>10} {'hits':>6} "
-          f"{'p50_ms':>9} {'p99_ms':>9}")
-    for pair, (off, on) in enumerate(runs):
-        for row in (off, on):
-            mode = "coalesce_on" if row["coalesce"] else "coalesce_off"
-            print(f"{pair:<5} {mode:<14} {row['computes']:>9} {row['coalesced']:>10} "
-                  f"{row['hits']:>6} {row['p50_ms']:>9.2f} {row['p99_ms']:>9.2f}")
-    print("p99 improvement per pair: " + ", ".join(f"{r:.2f}x" for r in ratios))
-    print(f"median p99 improvement: {improvement:.2f}x")
+        try:
+            for doc in docs:  # build agents/envs outside the timed window
+                service.submit(PlacementRequest(graph=doc, budget=budget))
+            time.sleep(params["ttl"] * 2)  # let the warmup entries expire
+            with ThreadPoolExecutor(max_workers=herd) as pool:
+                futures = []
+                t0 = time.perf_counter()
+                for wave in range(waves):
+                    delay = t0 + wave * params["interval_s"] - time.perf_counter()
+                    if delay > 0:
+                        time.sleep(delay)
+                    doc = docs[wave % len(docs)]
+                    for _ in range(herd):
+                        futures.append(pool.submit(call, doc, time.perf_counter()))
+                outcomes = [f.result(timeout=120.0) for f in futures]
+        finally:
+            service.close()
 
-    for off, on in runs:
-        for row in (off, on):
-            assert row["errors"] == 0, f"herd requests failed: {row}"
-            assert row["rejected"] == 0, f"herd requests rejected: {row}"
-        assert on["computes"] < off["computes"], (
-            f"coalescing did not reduce computes: {on['computes']} vs {off['computes']}"
-        )
-        assert on["coalesced"] > 0, "no request ever coalesced"
-    if not smoke:
-        assert improvement >= 2.0, (
-            f"median p99 improvement {improvement:.2f}x below the 2x acceptance bar"
-        )
-    # The recorded rows are the pair whose ratio is the median.
-    off, on = runs[sorted(range(pairs), key=ratios.__getitem__)[pairs // 2]]
-    return {
-        "herd": int(params["herd"]),
-        "waves": int(params["waves"]),
+    states = [state for state, _ in outcomes]
+    assert "error" not in states, f"{states.count('error')} herd requests failed"
+    assert "rejected" not in states, f"{states.count('rejected')} herd requests rejected"
+    assert "coalesced" in states, "no request ever coalesced"
+    latencies = [ms for _, ms in outcomes]
+    row = {
+        "herd": int(herd),
+        "waves": int(waves),
         "interval_ms": float(params["interval_s"] * 1e3),
-        "budget": int(params["budget"]),
+        "budget": int(budget),
         "workers": int(params["workers"]),
         "cache_ttl_s": float(params["ttl"]),
-        "pairs": int(pairs),
-        "coalesce_off": off,
-        "coalesce_on": on,
-        "p99_improvements": [float(r) for r in ratios],
-        "p99_improvement": improvement,
+        "requests": len(outcomes),
+        "computes": states.count("miss"),
+        "coalesced": states.count("coalesced"),
+        "hits": states.count("hit"),
+        "p50_ms": _percentile(latencies, 50),
+        "p99_ms": _percentile(latencies, 99),
+        "mean_ms": float(statistics.fmean(latencies)),
     }
+    print(f"\nduplicate-heavy open-loop load ({waves} waves x {herd} dup requests, "
+          f"{row['interval_ms']:.0f} ms interval, budget={budget}, "
+          f"{row['workers']} slots)")
+    print(f"{'computes':>9} {'coalesced':>10} {'hits':>6} {'p50_ms':>9} {'p99_ms':>9}")
+    print(f"{row['computes']:>9} {row['coalesced']:>10} {row['hits']:>6} "
+          f"{row['p50_ms']:>9.2f} {row['p99_ms']:>9.2f}")
+    return row
 
 
 def main(argv=None) -> int:

@@ -19,11 +19,11 @@ Layers, bottom up:
   out (placement, predicted step time, policy id, cache status, latency);
   greedy fast path, bounded refinement via ``evaluate_batch``, and a
   fingerprint result cache that also coalesces identical in-flight
-  requests.
-* :class:`RequestQueue` — worker threads, micro-batching, bounded-queue
-  admission control with the typed :class:`ServiceOverloaded` error,
-  graceful draining shutdown.
-* :class:`PlacementServer` — the stdlib HTTP endpoint; ``python -m
+  requests. :meth:`PlacementService.submit` adds admission control: at
+  most ``workers`` requests compute at once, a bounded line waits for a
+  slot, and overload is the typed :class:`ServiceOverloaded` error.
+* :class:`PlacementServer` — the stdlib HTTP endpoint, whose handler
+  threads compute their own requests through ``submit``; ``python -m
   repro.serve`` runs it standalone.
 
 Quickstart::
@@ -38,7 +38,6 @@ Quickstart::
 
 from repro.serve.cache import CacheStats, FingerprintCache
 from repro.serve.http import PlacementServer
-from repro.serve.queue import RequestQueue
 from repro.serve.registry import LoadedPolicy, PolicyRegistry, PolicySpec
 from repro.serve.service import (
     BadRequest,
@@ -50,6 +49,7 @@ from repro.serve.service import (
     ServiceClosed,
     ServiceError,
     ServiceOverloaded,
+    ServiceTimeout,
 )
 
 __all__ = [
@@ -64,9 +64,9 @@ __all__ = [
     "PolicyNotFound",
     "PolicyRegistry",
     "PolicySpec",
-    "RequestQueue",
     "ServeConfig",
     "ServiceClosed",
     "ServiceError",
     "ServiceOverloaded",
+    "ServiceTimeout",
 ]

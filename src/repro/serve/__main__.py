@@ -23,7 +23,6 @@ import sys
 from typing import List, Optional
 
 from repro.serve.http import PlacementServer
-from repro.serve.queue import RequestQueue
 from repro.serve.registry import PolicyRegistry
 from repro.serve.service import PlacementService, ServeConfig
 from repro.telemetry import HealthConfig, start_run, use_telemetry
@@ -46,22 +45,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8080)
     parser.add_argument(
-        "--workers", type=int, default=2, help="queue worker threads (default 2)"
+        "--workers", type=int, default=2, help="requests computed at once (default 2)"
     )
     parser.add_argument(
         "--max-queue",
         type=int,
         default=64,
         metavar="N",
-        help="admission limit: pending requests beyond N are rejected "
-        "with the typed 503 overload error (default 64)",
-    )
-    parser.add_argument(
-        "--max-batch",
-        type=int,
-        default=8,
-        metavar="N",
-        help="requests a worker drains per micro-batch (default 8)",
+        help="admission limit: with N requests already waiting for a "
+        "compute slot, more are rejected with the typed 503 overload "
+        "error (default 64)",
     )
     parser.add_argument(
         "--cache-capacity",
@@ -100,12 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="how often the live run directory's metrics.json and event "
         "buffers are flushed to disk (default 30; <=0 disables; only "
         "meaningful with --telemetry-dir)",
-    )
-    parser.add_argument(
-        "--no-coalesce",
-        action="store_true",
-        help="disable single-flight coalescing of identical in-flight "
-        "requests (on by default; see docs/serving.md §4)",
     )
     parser.add_argument(
         "--warm",
@@ -147,11 +134,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     config = ServeConfig(
         workers=args.workers,
         max_queue=args.max_queue,
-        max_batch=args.max_batch,
         cache_capacity=args.cache_capacity,
         cache_ttl=args.cache_ttl,
         max_budget=args.max_budget,
-        coalesce=not args.no_coalesce,
     )
     registry = PolicyRegistry(args.checkpoint_dir)
     if not len(registry):
@@ -170,9 +155,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         with use_telemetry(telemetry):
             warmed = service.warm(budget=args.warm_budget)
         logger.info("--warm pre-populated %d cache entries", warmed)
-    server = PlacementServer(
-        service, host=args.host, port=args.port, queue=RequestQueue(service)
-    )
+    server = PlacementServer(service, host=args.host, port=args.port)
     logger.info(
         "serving %d policies from %s on %s (workers=%d, max_queue=%d)",
         len(registry),

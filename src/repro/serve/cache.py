@@ -107,17 +107,11 @@ class FingerprintCache:
             return len(self._entries)
 
     # ------------------------------------------------------------------
-    def get_or_compute(
-        self, key: Hashable, compute: Callable[[], Any], coalesce: bool = True
-    ) -> Tuple[Any, str]:
+    def get_or_compute(self, key: Hashable, compute: Callable[[], Any]) -> Tuple[Any, str]:
         """The value for ``key`` and how it was found: ``"hit"``,
         ``"coalesced"`` (waited on a concurrent caller's computation) or
-        ``"miss"`` (``compute()`` ran in this thread).
-
-        With ``coalesce=False`` a miss computes without publishing a
-        pending entry — concurrent misses each compute — and then stores
-        its value unconditionally."""
-        future, state = self.claim(key, publish=coalesce)
+        ``"miss"`` (``compute()`` ran in this thread)."""
+        future, state = self.claim(key)
         if state != "miss":
             return future.result(), state
         try:
@@ -125,21 +119,18 @@ class FingerprintCache:
         except BaseException as exc:
             self.resolve(key, future, exception=exc)
             raise
-        if coalesce:
-            self.resolve(key, future, value)
-        else:
-            self.put(key, value)
+        self.resolve(key, future, value)
         return value, "miss"
 
-    def claim(self, key: Hashable, publish: bool = True) -> Tuple[Future, str]:
+    def claim(self, key: Hashable) -> Tuple[Future, str]:
         """Look ``key`` up: ``(future, state)``.
 
         ``"hit"``: the future is resolved. ``"coalesced"``: another
         caller is computing it; wait on the future. ``"miss"``: the
-        caller owns a new future, published as the key's pending entry
-        unless ``publish`` is false, and **must** settle it exactly once
-        with :meth:`resolve` — an unsettled pending entry would park
-        every waiter forever. An expired entry counts as a miss.
+        caller owns a new future, published as the key's pending entry,
+        and **must** settle it exactly once with :meth:`resolve` — an
+        unsettled pending entry would park every waiter forever. An
+        expired entry counts as a miss.
         """
         dropped: List[Any] = []
         with self._lock:
@@ -160,8 +151,7 @@ class FingerprintCache:
             else:
                 self.stats.misses += 1
                 future, state = Future(), "miss"
-                if publish:
-                    self._pending[key] = future
+                self._pending[key] = future
         self._drop(dropped)
         return future, state
 

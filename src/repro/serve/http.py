@@ -4,8 +4,8 @@ Routes (all JSON; see docs/serving.md for the full schema):
 
 * ``POST /place``    — body is a :class:`PlacementRequest` document;
   200 with a :class:`PlacementResponse` body, or the typed error status
-  (400 bad request, 404 no matching policy, 503 overloaded/closed) with
-  ``{"error": code, "message": ...}``.
+  (400 bad request, 404 no matching policy, 503 overloaded/closed, 504
+  no compute slot in time) with ``{"error": code, "message": ...}``.
 * ``GET /healthz``   — liveness + uptime/pid + queue depth + cache/policy
   counts + SLO status (p99 latency, error burn rate; docs/serving.md §5).
 * ``GET /metrics``   — live Prometheus text exposition of the service's
@@ -15,8 +15,9 @@ Routes (all JSON; see docs/serving.md for the full schema):
   clear the result cache.
 
 Built on ``http.server.ThreadingHTTPServer``: each connection gets a
-handler thread which blocks in :meth:`RequestQueue.submit_and_wait`;
-concurrency and admission control live in the queue, not in HTTP.
+handler thread, which serves its ``/place`` requests itself through
+:meth:`PlacementService.submit`; admission control lives in the
+service, not in HTTP.
 """
 
 from __future__ import annotations
@@ -25,11 +26,9 @@ import json
 import os
 import threading
 import time
-from concurrent.futures import TimeoutError as FutureTimeout
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
-from repro.serve.queue import RequestQueue
 from repro.serve.service import PlacementRequest, PlacementService, ServiceError
 from repro.telemetry import SCHEMA_VERSION
 from repro.telemetry.prometheus import render_prometheus
@@ -52,7 +51,7 @@ class _Handler(BaseHTTPRequestHandler):
     # for the ACK of the headers, which a keep-alive client delays ~40 ms.
     disable_nagle_algorithm = True
 
-    # The ThreadingHTTPServer instance carries .queue/.service/.registry.
+    # The ThreadingHTTPServer instance carries .service/.request_timeout.
     def _send_json(self, status: int, doc: dict) -> None:
         body = json.dumps(doc, default=float).encode("utf-8")
         self.send_response(status)
@@ -74,32 +73,19 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(
                 200,
                 {
-                    "status": "ok" if self.server.queue.running else "draining",
+                    "status": "draining" if service.closed else "ok",
                     "uptime_s": time.perf_counter() - self.server.started_perf,
                     "pid": os.getpid(),
                     "schema_version": SCHEMA_VERSION,
                     "policies": len(service.registry),
-                    "queue_depth": self.server.queue.depth,
+                    "queue_depth": service.queue_depth,
                     "cache": service.cache.stats.to_dict(),
                     "slo": service.watchdog.slo_status(),
                 },
             )
         elif self.path == "/metrics":
-            service = self.server.service
-            # MetricsRegistry has no internal locking; a snapshot during
-            # concurrent metric *creation* can raise RuntimeError. Retry a
-            # few times — creation is rare after warm-up.
-            for attempt in range(5):
-                try:
-                    text = render_prometheus(service._tel().metrics.snapshot())
-                    break
-                except RuntimeError:
-                    if attempt == 4:
-                        self._send_error(
-                            503, "busy", "metrics snapshot raced; retry"
-                        )
-                        return
-            body = text.encode("utf-8")
+            snapshot = self.server.service._tel().metrics.snapshot()
+            body = render_prometheus(snapshot).encode("utf-8")
             self.send_response(200)
             self.send_header("Content-Type", "text/plain; version=0.0.4")
             self.send_header("Content-Length", str(len(body)))
@@ -138,28 +124,17 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             doc = json.loads(body)
             request = PlacementRequest.from_json(doc)
-            # Root span for the whole request path. Its context rides on
-            # the request so the queue worker and service spans (other
-            # threads — the ambient stack is thread-local) parent to it.
-            with span(
-                "http.request",
-                telemetry=self.server.service._tel(),
-                new_trace=True,
-                path=self.path,
-            ) as http_span:
-                if http_span.context is not None and request.trace is None:
-                    request.trace = http_span.context.to_dict()
-                response = self.server.queue.submit_and_wait(
-                    request, timeout=self.server.request_timeout
-                )
+            service: PlacementService = self.server.service
+            # Root span for the whole request path; the slot wait and the
+            # service's spans, on this same thread, nest under it.
+            with span("http.request", telemetry=service._tel(), new_trace=True,
+                      path=self.path):
+                response = service.submit(request, timeout=self.server.request_timeout)
         except ServiceError as exc:
             self._send_error(exc.status, exc.code, str(exc))
             return
         except json.JSONDecodeError as exc:
             self._send_error(400, "bad_request", f"body is not valid JSON: {exc}")
-            return
-        except (TimeoutError, FutureTimeout):
-            self._send_error(504, "timeout", "request timed out in the queue")
             return
         self._send_json(200, response.to_json())
 
@@ -173,22 +148,19 @@ class _HTTPServer(ThreadingHTTPServer):
 
 
 class PlacementServer:
-    """Owns the HTTP server, the queue and (optionally) a server thread."""
+    """Owns the HTTP server and (optionally) a server thread."""
 
     def __init__(
         self,
         service: PlacementService,
         host: str = "127.0.0.1",
         port: int = 8080,
-        queue: Optional[RequestQueue] = None,
         request_timeout: float = 120.0,
     ):
         self.service = service
-        self.queue = queue or RequestQueue(service)
         self._httpd = _HTTPServer((host, port), _Handler)
         self._httpd.daemon_threads = True
         self._httpd.service = service
-        self._httpd.queue = self.queue
         self._httpd.request_timeout = request_timeout
         self._httpd.started_perf = time.perf_counter()
         self._thread: Optional[threading.Thread] = None
@@ -215,13 +187,13 @@ class PlacementServer:
         self._httpd.serve_forever()
 
     def shutdown(self) -> None:
-        """Stop accepting connections, drain the queue, release envs."""
+        """Stop accepting connections, then close the service: it finishes
+        every admitted request and releases its envs."""
         self._httpd.shutdown()
         if self._thread is not None:
             self._thread.join(timeout=10.0)
             self._thread = None
         self._httpd.server_close()
-        self.queue.shutdown()
         self.service.close()
 
     def __enter__(self) -> "PlacementServer":

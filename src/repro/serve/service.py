@@ -1,7 +1,7 @@
 """The placement service: request in, placement out.
 
 :class:`PlacementService` is the programmatic core of ``repro.serve``
-(the HTTP endpoint and the micro-batching queue are thin layers over it).
+(the HTTP endpoint is a thin layer over it).
 One request names a graph — inline JSON in the ``graph/io.py`` schema, or
 a registered workload name — plus a cluster spec, an optional policy
 selector and a per-request refinement budget. The response carries the
@@ -39,8 +39,9 @@ import re
 import threading
 import time
 import uuid
+from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -61,6 +62,7 @@ __all__ = [
     "PolicyNotFound",
     "ServiceOverloaded",
     "ServiceClosed",
+    "ServiceTimeout",
     "ServeConfig",
     "PlacementRequest",
     "PlacementResponse",
@@ -93,7 +95,8 @@ class PolicyNotFound(ServiceError):
 
 
 class ServiceOverloaded(ServiceError):
-    """Admission control rejected the request: the queue is full.
+    """Admission control rejected the request: every compute slot is busy
+    and ``ServeConfig.max_queue`` requests already wait for one.
 
     This is deliberate backpressure, not a transient bug — clients should
     back off and retry; operators should raise ``--workers`` or
@@ -110,6 +113,14 @@ class ServiceClosed(ServiceError):
     code = "closed"
 
 
+class ServiceTimeout(ServiceError):
+    """No compute slot freed up within the caller's timeout. The request
+    was never computed."""
+
+    status = 504
+    code = "timeout"
+
+
 # ----------------------------------------------------------------------
 # Configuration
 # ----------------------------------------------------------------------
@@ -117,22 +128,18 @@ class ServiceClosed(ServiceError):
 class ServeConfig:
     """Capacity knobs for one service process (see docs/serving.md)."""
 
-    workers: int = 2  # queue worker threads draining micro-batches
-    max_queue: int = 64  # admission limit; beyond it -> ServiceOverloaded
-    max_batch: int = 8  # requests drained per micro-batch
+    workers: int = 2  # requests computed at once
+    max_queue: int = 64  # requests waiting for a slot; beyond -> ServiceOverloaded
     cache_capacity: int = 1024  # fingerprint result cache entries
     cache_ttl: Optional[float] = None  # seconds; None = never expires
     max_budget: int = 64  # per-request refinement budget ceiling
     env_cache_size: int = 8  # built PlacementEnvs kept per service
-    coalesce: bool = True  # single-flight identical in-flight requests
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.max_queue < 1:
             raise ValueError("max_queue must be >= 1")
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
 
 
 # ----------------------------------------------------------------------
@@ -172,10 +179,10 @@ class PlacementRequest:
     budget: int = 0  # sampled candidates to refine over (0 = greedy only)
     use_cache: bool = True
     request_id: str = ""
-    #: Serialized :class:`SpanContext` (``{"trace_id", "span_id"}``) from
-    #: the caller — the HTTP layer plants its root span here so service
-    #: spans parent across the queue's thread hop. ``None`` starts a new
-    #: trace inside :meth:`PlacementService.handle`.
+    #: Serialized :class:`SpanContext` (``{"trace_id", "span_id"}``) of
+    #: the caller's span, for a caller on another thread or process.
+    #: ``None`` joins the calling thread's current span (the HTTP
+    #: layer's ``http.request``), or starts a new trace if there is none.
     trace: Optional[dict] = None
 
     @classmethod
@@ -231,8 +238,8 @@ class PlacementService:
 
     Thread-safe: the fingerprint cache and telemetry emission are locked,
     and inference on a loaded agent is serialized per policy by the
-    registry. Callers wanting concurrency + admission control wrap it in
-    :class:`repro.serve.queue.RequestQueue`.
+    registry. :meth:`handle` serves a request unconditionally;
+    :meth:`submit` first passes it through the admission gate.
     """
 
     def __init__(
@@ -256,15 +263,30 @@ class PlacementService:
         self._envs = FingerprintCache(
             capacity=self.config.env_cache_size, on_evict=lambda env: env.close_pool()
         )
+        # Admission gate (see submit): slots taken, and one event per
+        # request waiting for a slot, oldest first.
+        self._gate = threading.Condition()
+        self._running = 0
+        self._waiters: Deque[threading.Event] = deque()
+        self._closed = False
 
     # ------------------------------------------------------------------
     def _tel(self) -> Telemetry:
         return self._telemetry if self._telemetry is not None else get_telemetry()
 
+    @property
+    def queue_depth(self) -> int:
+        """Admitted requests waiting for a compute slot."""
+        return len(self._waiters)
+
+    @property
+    def closed(self) -> bool:
+        """Whether :meth:`close` began (``submit`` then rejects)."""
+        return self._closed
+
     def note_admission(self, rejected: bool) -> None:
-        """Admission-control bookkeeping, fed by the request queue (and by
-        :meth:`handle` for direct calls). Sustained rejection spikes raise
-        the ``rejection_rate`` health alert."""
+        """Admission-control bookkeeping, fed by :meth:`submit`. Sustained
+        rejection spikes raise the ``rejection_rate`` health alert."""
         tel = self._tel()
         with self._lock:
             tel.counter("serve.requests").inc()
@@ -390,7 +412,7 @@ class PlacementService:
     def _env_for(self, graph: CompGraph, cluster: ClusterSpec, key: str) -> PlacementEnv:
         # Pin the service's telemetry session on the env so env.* metrics
         # (and spans) land in the registry /metrics exposes, regardless of
-        # which worker thread triggers the build.
+        # which thread triggers the build.
         env, _ = self._envs.get_or_compute(
             key, lambda: PlacementEnv(graph, cluster, telemetry=self._telemetry)
         )
@@ -471,8 +493,8 @@ class PlacementService:
         start = time.perf_counter()
         if not request.request_id:
             request.request_id = f"req-{uuid.uuid4().hex[:12]}"
-        # Join the caller's trace (the HTTP layer's root span, carried
-        # across the queue hop in `request.trace`) or start a fresh one.
+        # Join the caller's trace (`request.trace`, else the thread's
+        # current span, e.g. the HTTP layer's root) or start a fresh one.
         # Responses always carry a trace_id — even when tracing is
         # inactive and no span events are emitted — so clients can quote
         # it in bug reports unconditionally.
@@ -524,9 +546,7 @@ class PlacementService:
                 # request explicitly wants its own computation.
                 if request.use_cache:
                     lookup_start = time.perf_counter()
-                    response, state = self.cache.get_or_compute(
-                        key, compute, coalesce=self.config.coalesce
-                    )
+                    response, state = self.cache.get_or_compute(key, compute)
                 else:
                     response, state = compute(), "miss"
                 if state == "miss":
@@ -632,6 +652,97 @@ class PlacementService:
             logger.info("warm: %d cache entries pre-populated", warmed)
         return warmed
 
-    def close(self) -> None:
-        """Drop the cached environments, calling each one's release hook."""
+    # ------------------------------------------------------------------
+    # Admission
+    # ------------------------------------------------------------------
+    def submit(
+        self, request: PlacementRequest, timeout: Optional[float] = None
+    ) -> PlacementResponse:
+        """Admit ``request``, then serve it with :meth:`handle` on the
+        calling thread (the HTTP handler's).
+
+        At most ``config.workers`` requests compute at once; the others
+        wait for a slot in arrival order. Raises :class:`ServiceClosed`
+        once :meth:`close` began, :class:`ServiceOverloaded` at once when
+        ``config.max_queue`` requests already wait, and
+        :class:`ServiceTimeout` when no slot frees up within ``timeout``
+        seconds; a timed-out request is never computed.
+        """
+        tel = self._tel()
+        parent = SpanContext.from_dict(request.trace) if request.trace else None
+        start = time.perf_counter()
+        with span("queue.wait", telemetry=tel, parent=parent,
+                  request_id=request.request_id):
+            self._take_slot(timeout)
+        wait_s = time.perf_counter() - start
+        try:
+            return self.handle(request)
+        finally:
+            compute_s = time.perf_counter() - start - wait_s
+            self._release_slot()
+            with self._lock:
+                # Wait vs compute, split so `serve.latency_ms` spikes can
+                # be blamed on backlog or on slow evaluations.
+                tel.histogram("serve.queue_wait_s").observe(wait_s)
+                tel.histogram("serve.compute_s").observe(compute_s)
+
+    def _gauge_depth(self) -> None:
+        with self._lock:
+            self._tel().gauge("serve.queue_depth").set(len(self._waiters))
+
+    def _take_slot(self, timeout: Optional[float]) -> None:
+        """Take one of the ``config.workers`` compute slots, waiting for
+        one when all are taken (see :meth:`submit`)."""
+        error: Optional[ServiceError] = None
+        waiter: Optional[threading.Event] = None
+        with self._gate:
+            if self._closed:
+                error = ServiceClosed("service is shutting down")
+            elif self._running < self.config.workers:
+                # A free slot means nobody waits: _release_slot hands a
+                # slot straight to the oldest waiter while there is one.
+                self._running += 1
+            elif len(self._waiters) >= self.config.max_queue:
+                error = ServiceOverloaded(
+                    f"wait line full ({len(self._waiters)} requests wait for a "
+                    "compute slot); retry later"
+                )
+            else:
+                waiter = threading.Event()
+                self._waiters.append(waiter)
+                self._gauge_depth()
+        self.note_admission(rejected=error is not None)
+        if error is not None:
+            raise error
+        if waiter is None or waiter.wait(timeout):
+            return
+        with self._gate:
+            if waiter.is_set():  # handed a slot as the wait timed out
+                return
+            self._waiters.remove(waiter)
+            self._gauge_depth()
+        raise ServiceTimeout(f"no compute slot freed up within {timeout:g} s")
+
+    def _release_slot(self) -> None:
+        with self._gate:
+            if self._waiters:
+                self._waiters.popleft().set()  # the slot passes on as is
+                self._gauge_depth()
+            else:
+                self._running -= 1
+                self._gate.notify_all()  # close() waits for an idle gate
+
+    def close(self, timeout: Optional[float] = 30.0) -> None:
+        """Stop admitting requests, wait (up to ``timeout`` seconds) until
+        every admitted one has been served, then drop the cached
+        environments, calling each one's release hook."""
+        with self._gate:
+            self._closed = True
+            if not self._gate.wait_for(
+                lambda: not self._running and not self._waiters, timeout
+            ):
+                logger.warning(
+                    "close: %d requests still running after %s s",
+                    self._running + len(self._waiters), timeout,
+                )
         self._envs.clear()

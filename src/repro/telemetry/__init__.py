@@ -231,16 +231,11 @@ class Telemetry:
         """Write the current metrics snapshot and sync buffered events.
 
         Safe to call from any thread at any point in the run; the
-        periodic flush thread calls it on its interval. Snapshot races
-        with concurrent metric *creation* are retried on the next tick
-        rather than crashing the run.
+        periodic flush thread calls it on its interval.
         """
         if not self.run_dir or self._closed:
             return
-        try:
-            self.write_metrics()
-        except RuntimeError:  # dict mutated mid-snapshot; next tick wins
-            pass
+        self.write_metrics()
         self.events.flush()
 
     def _flush_loop(self) -> None:

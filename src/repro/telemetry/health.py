@@ -305,7 +305,7 @@ class HealthWatchdog:
 
         Fires ``rejection_rate`` when more than ``reject_rate_threshold``
         of the last ``reject_window`` requests were turned away by
-        admission control — the queue is persistently full, i.e. offered
+        admission control — the wait line is persistently full, i.e. offered
         load exceeds service capacity, not a momentary burst.
         """
         if not self.config.enabled:

@@ -177,7 +177,12 @@ class MetricsRegistry:
         )
 
     def snapshot(self) -> dict:
-        """JSON-serializable view of every metric."""
+        """JSON-serializable view of every metric.
+
+        Safe while other threads record without a lock: each
+        ``sorted(d.items())`` copies its dict in one C call that runs no
+        Python code, so the GIL lets no thread create a metric mid-copy.
+        """
         return {
             "counters": {n: c.to_dict() for n, c in sorted(self._counters.items())},
             "gauges": {n: g.to_dict() for n, g in sorted(self._gauges.items())},

@@ -10,8 +10,8 @@ nesting of section names joined with ``/``
 
 A section is also a trace *span* when the session writes event files
 and there is a trace to join. A *trace* is one logical unit of work — a
-``/place`` request crossing the HTTP handler, the request queue, the
-service and its evaluations, or one search run crossing trainer
+``/place`` request crossing the HTTP handler, the wait for a compute
+slot, the service and its evaluations, or one search run crossing trainer
 iterations and batch evaluations. Each trace is a tree of spans with a
 ``trace_id`` shared across the tree, a unique ``span_id``, and a
 ``parent_id`` linking each span to the span that contains it. Every
@@ -28,10 +28,11 @@ Three propagation mechanisms, matching how work moves in this codebase:
   ``env.evaluate_batch`` under ``service.handle``).
 * **Explicit context (cross-thread).** :meth:`Span.context` /
   :func:`current_span` yield a :class:`SpanContext` — a serializable
-  ``(trace_id, span_id)`` pair. The HTTP handler stores it on the
-  request; the queue worker resumes from it with ``span(parent=ctx)``.
+  ``(trace_id, span_id)`` pair. A caller on another thread or process
+  passes it along (a ``PlacementRequest``'s ``trace`` field, say); the
+  receiver resumes from it with ``span(parent=ctx)``.
 * **After-the-fact records.** A section measured before anyone could
-  hold a live span (the time a request waited in the queue) is emitted
+  hold a live span (a rollout timed in a worker process) is emitted
   finished, with its own start and duration, by :func:`record_span`.
   It is not a timer and observes no histogram.
 
@@ -274,9 +275,10 @@ def record_span(
 ) -> Optional[str]:
     """Record an already-finished span under ``parent``.
 
-    For sections that cannot hold a live :class:`Span`, such as queue
-    wait time measured between threads. Returns the new span id, or ``None`` when nothing was
-    recorded (no parent, or the session writes no event files).
+    For sections that cannot hold a live :class:`Span`, such as a
+    rollout timed in another process. Returns the new span id, or
+    ``None`` when nothing was recorded (no parent, or the session writes
+    no event files).
     """
     if parent is None:
         return None

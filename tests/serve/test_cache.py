@@ -15,10 +15,11 @@ class FakeClock:
 
 
 def lookup(cache: FingerprintCache, key: str):
-    """The cached value, or ``None`` on a miss (an unpublished claim
-    leaves no pending entry behind)."""
-    future, state = cache.claim(key, publish=False)
+    """The cached value, or ``None`` on a miss (whose pending entry is
+    dropped again, so the lookup leaves nothing behind)."""
+    future, state = cache.claim(key)
     if state == "miss":
+        cache.discard(lambda k: k == key)
         return None
     return future.result()
 

@@ -27,7 +27,6 @@ from repro.serve import (
     PlacementRequest,
     PlacementService,
     PolicyRegistry,
-    ServeConfig,
 )
 from repro.telemetry import Telemetry
 from tests.helpers import tiny_graph
@@ -132,10 +131,9 @@ class TestSingleFlight:
 # ----------------------------------------------------------------------
 # Service integration
 # ----------------------------------------------------------------------
-def make_service(ckpt_dir: str, **cfg) -> PlacementService:
+def make_service(ckpt_dir: str) -> PlacementService:
     return PlacementService(
         PolicyRegistry(ckpt_dir),
-        config=ServeConfig(**cfg),
         telemetry=Telemetry(),  # in-memory metrics, null events
     )
 
@@ -253,40 +251,6 @@ class TestServiceCoalescing:
             assert len(calls) == 3  # every request computed on its own
             stats = service.cache.stats
             assert stats.hits == stats.misses == stats.coalesced == 0
-        finally:
-            service.close()
-
-    def test_config_disables_coalescing(self, serve_setup):
-        ckpt_dir, _, _ = serve_setup
-        service = make_service(ckpt_dir, coalesce=False)
-        try:
-            entered, release, calls = gate_compute(service)
-            responses = []
-            lock = threading.Lock()
-
-            def fire():
-                response = service.handle(
-                    PlacementRequest(graph=graph_to_dict(tiny_graph()))
-                )
-                with lock:
-                    responses.append(response)
-
-            threads = [threading.Thread(target=fire) for _ in range(3)]
-            for t in threads:
-                t.start()
-            # Every concurrent miss computes: none waits on another's.
-            deadline = time.perf_counter() + 30.0
-            while len(calls) < 3:
-                assert time.perf_counter() < deadline, "misses never computed"
-                time.sleep(0.005)
-            release.set()
-            for t in threads:
-                t.join(timeout=30.0)
-            assert [r.cache for r in responses] == ["miss"] * 3
-            assert service.cache.stats.coalesced == 0
-            # The result is still cached for later requests.
-            late = service.handle(PlacementRequest(graph=graph_to_dict(tiny_graph())))
-            assert late.cache == "hit"
         finally:
             service.close()
 

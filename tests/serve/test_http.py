@@ -3,6 +3,7 @@
 import http.client
 import json
 import socket
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -10,7 +11,7 @@ import urllib.request
 import pytest
 
 from repro.graph import graph_to_dict
-from repro.serve import PlacementServer, PlacementService, PolicyRegistry
+from repro.serve import PlacementServer, PlacementService, PolicyRegistry, ServeConfig
 from repro.serve.http import _Handler
 from tests.helpers import tiny_graph
 
@@ -214,6 +215,36 @@ class TestRoutes:
         assert doc["policies"] == 2
         status, after = post(server, "/place", body)
         assert after["cache"] == "miss"  # cache was cleared
+
+
+class TestAdmission:
+    def test_place_without_a_slot_in_time_gets_504(self, serve_setup):
+        ckpt_dir, _, _ = serve_setup
+        service = PlacementService(PolicyRegistry(ckpt_dir), config=ServeConfig(workers=1))
+        entered, release = threading.Event(), threading.Event()
+        handle = service.handle
+
+        def gated(request):
+            entered.set()
+            assert release.wait(timeout=30.0), "test gate never opened"
+            return handle(request)
+
+        service.handle = gated
+        srv = PlacementServer(service, port=0, request_timeout=0.2).start()
+        try:
+            body = {"graph": graph_to_dict(tiny_graph())}
+            first = []
+            holder = threading.Thread(target=lambda: first.append(post(srv, "/place", body)))
+            holder.start()
+            assert entered.wait(timeout=30.0)  # the only slot is taken
+            status, doc = post(srv, "/place", body)
+            assert status == 504 and doc["error"] == "timeout"
+            release.set()
+            holder.join(timeout=30.0)
+            assert first[0][0] == 200
+        finally:
+            release.set()
+            srv.shutdown()
 
 
 def get_error(server, path):

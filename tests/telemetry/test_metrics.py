@@ -1,6 +1,8 @@
 """Unit tests for the metrics registry (counters, histograms, timed sections)."""
 
 import math
+import sys
+import threading
 import time
 
 import pytest
@@ -95,6 +97,39 @@ class TestHistogram:
 
 def profile(tel, path):
     return tel.metrics.histogram(f"profile.{path}")
+
+
+class TestConcurrentSnapshot:
+    def test_snapshot_while_another_thread_creates_metrics(self):
+        """snapshot() copies each metric dict in one C call, so a metric
+        created on another thread mid-snapshot never raises
+        ``RuntimeError: dictionary changed size during iteration``."""
+        m = MetricsRegistry()
+        done = threading.Event()
+        errors = []
+
+        def create():
+            for i in range(2000):
+                m.counter(f"c{i}").inc()
+                m.histogram(f"h{i}").observe(float(i))
+            done.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            creator = threading.Thread(target=create)
+            creator.start()
+            while not done.is_set():
+                try:
+                    m.snapshot()
+                except RuntimeError as exc:
+                    errors.append(exc)
+            creator.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors[:1]
+        snapshot = m.snapshot()
+        assert len(snapshot["counters"]) == len(snapshot["histograms"]) == 2000
 
 
 class TestTimers:

@@ -23,9 +23,9 @@ gets driven:
   root per ``/place`` request, no orphan parents;
 * one ``GET /metrics`` scrape must return valid Prometheus text
   exposition covering the ``serve.*`` and ``env.*`` metrics;
-* a deliberately undersized second service (1 worker, queue of 1) is
-  flooded to prove overload surfaces as the typed 503 ``overloaded``
-  error immediately — never a hang or silent queueing;
+* a deliberately undersized second service (1 compute slot, a wait
+  line of 1) is flooded to prove overload surfaces as the typed 503
+  ``overloaded`` error immediately — never a hang or silent queueing;
 * a thundering herd of 64 identical concurrent requests against a cold
   cache must compute exactly once: one ``miss``, every other response
   ``coalesced`` (waited on the in-flight computation's cache entry) or
@@ -60,7 +60,6 @@ from repro.serve import (  # noqa: E402
     PlacementServer,
     PlacementService,
     PolicyRegistry,
-    RequestQueue,
     ServeConfig,
 )
 from repro.sim import ClusterSpec  # noqa: E402
@@ -310,10 +309,8 @@ def check_span_tree(run_dir: str) -> None:
 def overload_traffic(registry: PolicyRegistry) -> int:
     """Flood an undersized service; overload must be a fast typed 503.
     Returns the number of computed misses."""
-    service = PlacementService(
-        registry, config=ServeConfig(workers=1, max_queue=1, max_batch=1)
-    )
-    server = PlacementServer(service, port=0, queue=RequestQueue(service)).start()
+    service = PlacementService(registry, config=ServeConfig(workers=1, max_queue=1))
+    server = PlacementServer(service, port=0).start()
     try:
         body = {"graph": graph_to_dict(tiny_graph()), "budget": 8, "use_cache": False}
         statuses, durations = [], []
@@ -335,7 +332,7 @@ def overload_traffic(registry: PolicyRegistry) -> int:
         rejected = [s for s in statuses if s == (503, "overloaded")]
         served = [s for s, _ in statuses if s == 200]
         if not rejected:
-            fail(f"flooding a queue of 1 produced no 503 overloaded: {statuses}")
+            fail(f"flooding a wait line of 1 produced no 503 overloaded: {statuses}")
         if not served:
             fail("overloaded service served nothing at all")
         if max(durations) > 60.0:
@@ -358,7 +355,7 @@ def thundering_herd(registry: PolicyRegistry) -> int:
     cached (``hit``) — regardless of thread interleaving.
     """
     service = PlacementService(registry, config=ServeConfig(workers=4, max_queue=128))
-    server = PlacementServer(service, port=0, queue=RequestQueue(service)).start()
+    server = PlacementServer(service, port=0).start()
     try:
         body = {"graph": graph_to_dict(chain_graph("herd", 7)), "budget": 8}
         barrier = threading.Barrier(N_REQUESTS)
@@ -427,9 +424,7 @@ def run() -> int:
                 registry, config=ServeConfig(workers=4, max_queue=128),
                 telemetry=tel,
             )
-            server = PlacementServer(
-                service, port=0, queue=RequestQueue(service)
-            ).start()
+            server = PlacementServer(service, port=0).start()
             try:
                 misses = concurrent_traffic(server.address)
                 check_npz_reads(reads, "concurrent traffic")
