@@ -77,43 +77,28 @@ class DistribConfig:
     ``repro.distrib`` (the ``SnapshotConfig`` precedent). ``workers=0``
     keeps the single-process :class:`~repro.rl.trainer.JointTrainer`
     path; ``workers>0`` runs that many rollout-worker processes feeding
-    the central learner through bounded per-worker sample queues, with
-    weights broadcast through a versioned variable store (see
-    docs/architecture.md §"Distributed training").
+    the same trainer's loop through bounded per-worker sample queues,
+    with weights broadcast through a versioned variable store after every
+    update. Each worker batch holds the trainer's ``samples_per_policy``
+    placements, so one consumed batch is one policy iteration. The
+    heartbeat, poll and shutdown timings are constants of
+    ``repro.distrib.learner`` (see docs/architecture.md §"Distributed
+    training").
     """
 
     #: Rollout-worker processes. 0 disables the subsystem entirely.
     workers: int = 0
-    #: Placements sampled per worker batch (``None`` mirrors the
-    #: trainer's ``samples_per_policy``, keeping one consumed batch ==
-    #: one single-process policy iteration).
-    samples_per_batch: Optional[int] = None
     #: Bound of each worker's sample queue, in batches. Full queues
     #: apply backpressure: a worker blocks (heartbeating) instead of
     #: racing arbitrarily far ahead of the learner.
     queue_capacity: int = 4
-    #: Publish fresh weights every N learner updates (1 = every update).
-    broadcast_every: int = 1
     #: Drop batches sampled more than this many policy versions behind
     #: the latest broadcast (``None``: consume everything). Dropped
     #: batches do not count against the sample budget.
     max_staleness: Optional[int] = 4
-    #: A worker whose heartbeat is older than this is declared hung and
-    #: restarted (its queue is discarded with it).
-    heartbeat_timeout_s: float = 30.0
-    #: Learner sleep between queue polls while waiting for samples.
-    poll_interval_s: float = 0.005
     #: Restarts allowed per worker slot before it is declared lost; the
     #: run degrades to the surviving workers (and halts if none remain).
     max_worker_restarts: int = 2
-    #: Consume batches in deterministic round-robin (worker 0 seq 0,
-    #: worker 1 seq 0, worker 0 seq 1, ...) instead of arrival order.
-    #: Removes consumption-order nondeterminism for tests/repro runs at
-    #: the cost of head-of-line blocking; not for production throughput.
-    ordered: bool = False
-    #: Seconds the learner waits for workers to exit after setting the
-    #: stop flag before terminating them.
-    shutdown_timeout_s: float = 10.0
 
     def __post_init__(self) -> None:
         if self.workers < 0:
@@ -121,10 +106,6 @@ class DistribConfig:
         if self.queue_capacity < 1:
             raise ValueError(
                 f"queue_capacity must be >= 1, got {self.queue_capacity}"
-            )
-        if self.broadcast_every < 1:
-            raise ValueError(
-                f"broadcast_every must be >= 1, got {self.broadcast_every}"
             )
         if self.max_staleness is not None and self.max_staleness < 0:
             raise ValueError(
@@ -168,8 +149,8 @@ class MarsConfig:
     # Distributed actor–learner training (docs/architecture.md
     # §"Distributed training"): ``workers>0`` fans rollouts out to that
     # many worker processes feeding the central learner; the runner
-    # exposes it as ``--workers``/``--no-distrib``. ``workers=0`` (the
-    # default) is the single-process path, bit-for-bit unchanged.
+    # exposes it as ``--workers``. ``workers=0`` (the default) is the
+    # single-process path, bit-for-bit unchanged.
     distrib: DistribConfig = field(default_factory=DistribConfig)
     seed: int = 0
 

@@ -4,10 +4,10 @@
 Topology: N rollout-worker processes (``worker.py``), each owning a
 :class:`~repro.sim.env.PlacementEnv` shard and a policy replica, push
 :class:`~repro.distrib.messages.SampleBatch` messages through bounded
-per-worker queues to the central learner (``learner.py``), which applies
-PPO/REINFORCE updates through the ordinary
-:class:`~repro.rl.trainer.JointTrainer` update path and broadcasts fresh
-weights through the versioned :class:`~repro.distrib.store.VariableStore`.
+per-worker queues to the central learner (``learner.py``), which runs
+the ordinary :meth:`~repro.rl.trainer.JointTrainer.train` loop on those
+batches and broadcasts fresh weights after every update through the
+versioned :class:`~repro.distrib.store.VariableStore`.
 
 Configured by :class:`repro.config.DistribConfig` on
 ``MarsConfig.distrib`` (re-exported here for convenience);

@@ -1,19 +1,21 @@
 """The central learner and worker supervisor of ``repro.distrib``.
 
-:func:`train_distributed` is the distributed twin of
-:meth:`repro.rl.trainer.JointTrainer.train`: the sample/measure half of
-each policy iteration moves into N rollout-worker processes
-(``worker.py``), while advantage computation, the rollout buffer, the
-PPO/REINFORCE update (via the trainer's own :meth:`maybe_update`), best-
-placement tracking, health watchdog, run-state snapshots and the
-``SearchHistory`` all stay here, on the *same* trainer object — so a
+:func:`train_distributed` runs the ordinary
+:meth:`repro.rl.trainer.JointTrainer.train` loop with one difference:
+each policy iteration's samples come from N rollout-worker processes
+(``worker.py``) instead of the trainer's own agent and env. Advantage
+computation, the rollout buffer, the PPO/REINFORCE update, best-placement
+tracking, the health watchdog, run-state snapshots and the
+``SearchHistory`` are that loop's, on the *same* trainer object — so a
 distributed run snapshots with the ordinary
 :class:`~repro.core.runstate.RunStateManager` and can even be resumed
-single-process.
+single-process. What is distributed lives here: the variable store, the
+:class:`Supervisor`, the batch source with its staleness drop, the
+spawn-failure fallback and teardown.
 
 Budget parity: one consumed :class:`~repro.distrib.messages.SampleBatch`
 is one policy iteration (workers sample ``samples_per_policy`` placements
-per batch by default), so ``iterations=N`` costs the same sample budget
+per batch), so ``iterations=N`` costs the same sample budget
 as a single-process run — the speedup comes from overlapping the
 measurement latency of N rollouts, not from measuring more.
 
@@ -46,17 +48,21 @@ from repro.config import DistribConfig, MarsConfig
 from repro.distrib.messages import SampleBatch
 from repro.distrib.store import VariableStore
 from repro.distrib.worker import WorkerSpec, worker_main
-from repro.rl.trainer import JointTrainer, SearchHistory, SearchRecord
-from repro.telemetry import Telemetry, get_telemetry
-from repro.telemetry.health import HealthWatchdog
-from repro.telemetry.tracing import record_span, span
+from repro.rl.trainer import JointTrainer, SearchHistory
+from repro.telemetry import Telemetry, get_telemetry, use_telemetry
+from repro.telemetry.tracing import record_span
 from repro.utils.logging import get_logger
 
 logger = get_logger("repro.distrib.learner")
 
-#: Cap on how long one queue poll blocks, so supervisor checks and
-#: shutdown stay responsive even in ordered (head-of-line) mode.
-_GET_TIMEOUT_S = 0.1
+#: A worker whose heartbeat is older than this is declared hung and
+#: restarted (its queue is discarded with it).
+HEARTBEAT_TIMEOUT_S = 30.0
+#: Learner sleep between queue polls while waiting for samples.
+POLL_INTERVAL_S = 0.005
+#: Seconds the learner waits for workers to exit after setting the stop
+#: flag before terminating them.
+SHUTDOWN_TIMEOUT_S = 10.0
 
 
 class _QueueDrainer(threading.Thread):
@@ -136,7 +142,7 @@ class Supervisor:
     Liveness has two signals: the process itself (any death while the
     run is active is a failure — workers only exit on shutdown) and the
     shared heartbeat array (a worker stuck inside a rollout longer than
-    ``heartbeat_timeout_s`` is declared hung and killed). Either way the
+    :data:`HEARTBEAT_TIMEOUT_S` is declared hung and killed). Either way the
     slot restarts with ``generation + 1`` — fresh RNG stream, fresh
     private queue (the old queue dies with the worker: a SIGKILL mid-
     ``put`` can leave a corrupt pipe) — until its restart budget runs
@@ -286,7 +292,7 @@ class Supervisor:
                 continue
             if not handle.process.is_alive():
                 self._restart(handle, "died")
-            elif now - self.heartbeat[handle.slot] > self.cfg.heartbeat_timeout_s:
+            elif now - self.heartbeat[handle.slot] > HEARTBEAT_TIMEOUT_S:
                 self._restart(handle, "hung")
         alive = self.alive_count
         self.tel.gauge("distrib.workers").set(alive)
@@ -302,7 +308,7 @@ class Supervisor:
         worker data.
         """
         self.shutdown.set()
-        deadline = time.monotonic() + self.cfg.shutdown_timeout_s
+        deadline = time.monotonic() + SHUTDOWN_TIMEOUT_S
         for handle in self.handles:
             handle.process.join(timeout=max(0.1, deadline - time.monotonic()))
         for handle in self.handles:
@@ -316,55 +322,132 @@ class Supervisor:
 
 
 class _BatchSource:
-    """Pulls the next consumable batch from the worker queues.
+    """Pulls the next consumable batch from the worker queues, in arrival
+    order.
 
-    Arrival order by default; ``ordered=True`` consumes strictly
-    round-robin across live slots (worker 0, 1, ..., 0, 1, ...), which
-    removes consumption-order nondeterminism at the cost of head-of-line
-    blocking. Either way, batches from a dead generation (the worker was
-    restarted after shipping them) are still valid samples and are
-    consumed normally — only staleness can drop them.
+    Batches from a dead generation (the worker was restarted after
+    shipping them) are still valid samples and are consumed normally;
+    only staleness drops a batch: one sampled more than ``max_staleness``
+    policy versions behind the store's head costs no budget and is
+    skipped.
     """
 
     def __init__(self, supervisor: Supervisor, cfg: DistribConfig):
         self.supervisor = supervisor
         self.cfg = cfg
-        self._next_slot = 0
 
-    def _try_get(
-        self, handle: WorkerHandle, timeout: Optional[float] = None
-    ) -> Optional[SampleBatch]:
-        try:
-            if timeout is None:
-                return handle.drainer.out.get_nowait()
-            return handle.drainer.out.get(timeout=timeout)
-        except queue_mod.Empty:
-            return None
-
-    def next_batch(self) -> Optional[SampleBatch]:
+    def _poll(self) -> Optional[SampleBatch]:
         """Block until a batch arrives; ``None`` once no worker remains."""
         while True:
             if self.supervisor.check() == 0:
                 return None
-            handles = self.supervisor.handles
-            if self.cfg.ordered:
-                # Find the next live slot at or after the round-robin cursor.
-                for off in range(len(handles)):
-                    slot = (self._next_slot + off) % len(handles)
-                    if not handles[slot].lost:
-                        batch = self._try_get(handles[slot], timeout=_GET_TIMEOUT_S)
-                        if batch is not None:
-                            self._next_slot = (slot + 1) % len(handles)
-                            return batch
-                        break  # head-of-line: wait for *this* slot
-            else:
-                for handle in handles:
-                    if handle.lost:
-                        continue
-                    batch = self._try_get(handle)
-                    if batch is not None:
-                        return batch
-                time.sleep(self.cfg.poll_interval_s)
+            for handle in self.supervisor.handles:
+                if handle.lost:
+                    continue
+                try:
+                    return handle.drainer.out.get_nowait()
+                except queue_mod.Empty:
+                    pass
+            time.sleep(POLL_INTERVAL_S)
+
+    def next_batch(self) -> Optional[SampleBatch]:
+        """The next fresh-enough batch; ``None`` once no worker remains."""
+        store, tel = self.supervisor.store, self.supervisor.tel
+        while True:
+            batch = self._poll()
+            if batch is None:
+                return None
+            staleness = store.version - batch.policy_version
+            tel.histogram("distrib.staleness").observe(staleness)
+            if self.cfg.max_staleness is None or staleness <= self.cfg.max_staleness:
+                return batch
+            tel.counter("distrib.stale_batches").inc()
+            if tel.sample_events:
+                logger.info(
+                    "dropped stale batch from worker %d (version %d, head %d)",
+                    batch.worker_id,
+                    batch.policy_version,
+                    store.version,
+                )
+
+
+class _WorkerBatches:
+    """The trainer's sample source in a distributed run (the interface is
+    :class:`~repro.rl.trainer.LocalSource`'s): each policy iteration
+    consumes one worker batch, and every update publishes fresh weights.
+    """
+
+    span_fields = {"distrib": True}
+    halt_reason = "distrib: all rollout workers lost"
+
+    def __init__(
+        self,
+        trainer: JointTrainer,
+        store: VariableStore,
+        supervisor: Supervisor,
+        batches: _BatchSource,
+        run_state,
+        on_batch: Optional[Callable[[SampleBatch, Supervisor], None]],
+        telemetry: Telemetry,
+    ):
+        self.trainer = trainer
+        self.store = store
+        self.supervisor = supervisor
+        self.batches = batches
+        self.tel = telemetry
+        self.run_state = run_state
+        self.on_batch = on_batch
+        self.batch: Optional[SampleBatch] = None
+
+    def publish(self) -> None:
+        """Broadcast the learner agent's weights as a new store version."""
+        self.store.publish(self.trainer.agent.state_dict())
+        self.tel.counter("distrib.weight_broadcasts").inc()
+        self.tel.gauge("distrib.policy_version").set(self.store.version)
+
+    def next(self, tel: Telemetry, iteration_span):
+        wait_start = time.perf_counter()
+        self.batch = batch = self.batches.next_batch()
+        if batch is None:
+            return None
+        tel.histogram("distrib.batch_wait_s").observe(time.perf_counter() - wait_start)
+        tel.histogram("distrib.rollout_s").observe(batch.duration_s)
+        tel.counter("distrib.batches").inc()
+        tel.counter("distrib.samples").inc(batch.batch_size)
+        tel.gauge("distrib.queue_depth").set(self.supervisor.queue_depth())
+        if iteration_span.context is not None:
+            # The worker can't write this process's event log; replay its
+            # rollout timing as a child span here.
+            record_span(
+                "distrib.rollout",
+                batch.duration_s,
+                telemetry=tel,
+                parent=iteration_span.context,
+                start_unix=batch.start_unix,
+                worker=batch.worker_id,
+                generation=batch.generation,
+                policy_version=batch.policy_version,
+            )
+        return batch.rollout(), batch.results()
+
+    def event_fields(self, event: str) -> dict:
+        fields = {"worker": int(self.batch.worker_id)}
+        if event == "iteration":
+            fields["policy_version"] = int(self.batch.policy_version)
+        return fields
+
+    def after_update(self, updated: bool) -> float:
+        if updated:
+            self.publish()
+            if self.run_state is not None:
+                self.run_state.extra["policy_version"] = self.store.version
+        # Simulated clock: the paper's testbed measures the N rollouts
+        # concurrently, so measurement latency overlaps across live
+        # workers; only the learner's update compute is serial.
+        seconds = self.batch.env_wall_delta / max(1, self.supervisor.alive_count)
+        if self.on_batch is not None:
+            self.on_batch(self.batch, self.supervisor)
+        return seconds
 
 
 def train_distributed(
@@ -379,308 +462,71 @@ def train_distributed(
     """Distributed actor–learner search over ``config.distrib.workers``
     rollout-worker processes.
 
-    Mirrors :meth:`JointTrainer.train`'s contract: continues an existing
-    ``history``, honours ``run_state`` snapshots/halts, feeds the health
-    watchdog, and returns the same :class:`SearchHistory` shape.
-    ``on_batch`` is a test hook called after each consumed batch with
-    ``(batch, supervisor)`` — the SIGKILL restart test kills a worker pid
-    from it. Falls back to single-process :meth:`~JointTrainer.train` if
-    the workers cannot be spawned at all.
+    Runs :meth:`JointTrainer.train` with a source of worker batches, so
+    it continues an existing ``history``, honours ``run_state``
+    snapshots/halts, feeds the health watchdog, and returns the same
+    :class:`SearchHistory` shape. ``telemetry`` becomes the run's ambient
+    session (a session the trainer was built with takes precedence, as
+    in :meth:`JointTrainer.train`). ``on_batch`` is
+    a test hook called after each consumed batch's update with ``(batch,
+    supervisor)`` — the SIGKILL restart test kills a worker pid from it.
+    Falls back to single-process :meth:`~JointTrainer.train` if the
+    workers cannot be spawned at all.
     """
     cfg = config.distrib
-    tcfg = trainer.config
-    tel = telemetry or trainer._telemetry or get_telemetry()
-    history = history or SearchHistory()
-    if not history.records and history.sim_clock < history.pretrain_clock:
-        history.sim_clock = history.pretrain_clock
-    samples = history.total_samples
-    samples_per_batch = cfg.samples_per_batch or tcfg.samples_per_policy
+    with use_telemetry(telemetry):
+        tel = trainer._telemetry or get_telemetry()
+        env = trainer.env
+        ctx = multiprocessing.get_context()
+        store_dir = tempfile.mkdtemp(prefix="repro-distrib-")
+        store = VariableStore(store_dir, ctx=ctx)
+        shutdown = StopFlag(ctx)
+        heartbeat = ctx.Array("d", max(1, cfg.workers), lock=False)
+        run_dir = getattr(tel, "run_dir", None)
 
-    trainer.watchdog = watchdog = HealthWatchdog(trainer.health, telemetry=tel)
-    if trainer._pending_watchdog_state is not None:
-        watchdog.load_state_dict(trainer._pending_watchdog_state)
-        trainer._pending_watchdog_state = None
-    if trainer._pending_loop_state is not None:
-        samples_since_best = int(trainer._pending_loop_state["samples_since_best"])
-        attributed_best = bool(trainer._pending_loop_state["attributed_best"])
-        trainer._pending_loop_state = None
-    else:
-        samples_since_best = 0
-        attributed_best = False
-
-    env = trainer.env
-    ctx = multiprocessing.get_context()
-    store_dir = tempfile.mkdtemp(prefix="repro-distrib-")
-    store = VariableStore(store_dir, ctx=ctx)
-    shutdown = StopFlag(ctx)
-    heartbeat = ctx.Array("d", max(1, cfg.workers), lock=False)
-    run_dir = getattr(tel, "run_dir", None)
-
-    def spec_factory(slot: int, generation: int) -> WorkerSpec:
-        return WorkerSpec(
-            worker_id=slot,
-            generation=generation,
-            num_workers=cfg.workers,
-            root_seed=tcfg.seed,
-            agent_kind=agent_kind,
-            graph=env.graph,
-            cluster=env.cluster,
-            config=config,
-            protocol=env.protocol,
-            samples_per_batch=samples_per_batch,
-            run_dir=run_dir,
-        )
-
-    supervisor = Supervisor(ctx, cfg, spec_factory, store, shutdown, heartbeat, tel)
-    source = _BatchSource(supervisor, cfg)
-
-    # Publish the (possibly pre-trained) initial weights *before* any
-    # worker spawns: every replica bootstraps from version 1, bit-
-    # identical to the learner's agent.
-    store.publish(trainer.agent.state_dict())
-    tel.counter("distrib.weight_broadcasts").inc()
-    tel.gauge("distrib.policy_version").set(store.version)
-
-    try:
-        supervisor.start_all(cfg.workers)
-    except OSError as exc:
-        logger.warning(
-            "cannot spawn rollout workers (%s: %s) — "
-            "degrading to single-process training",
-            type(exc).__name__,
-            exc,
-        )
-        supervisor.stop()
-        shutil.rmtree(store_dir, ignore_errors=True)
-        return trainer.train(history, run_state=run_state)
-
-    if run_state is not None:
-        run_state.extra.update(workers=cfg.workers, distrib=True)
-
-    updates_done = 0
-    try:
-        for it in range(tcfg.iterations):
-            it_index = len(history.records)
-            iter_wall_start = time.perf_counter()
-            with span(
-                "trainer.iteration", telemetry=tel, iteration=it_index, distrib=True
-            ) as iter_span:
-                # ---- pull the next fresh-enough batch --------------------
-                wait_start = time.perf_counter()
-                batch = None
-                while batch is None:
-                    batch = source.next_batch()
-                    if batch is None:
-                        break  # all workers lost
-                    staleness = store.version - batch.policy_version
-                    tel.histogram("distrib.staleness").observe(staleness)
-                    if (
-                        cfg.max_staleness is not None
-                        and staleness > cfg.max_staleness
-                    ):
-                        tel.counter("distrib.stale_batches").inc()
-                        if tel.sample_events:
-                            logger.info(
-                                "dropped stale batch from worker %d "
-                                "(version %d, head %d)",
-                                batch.worker_id,
-                                batch.policy_version,
-                                store.version,
-                            )
-                        batch = None  # dropped: no budget charge, keep polling
-                if batch is None:
-                    history.halt_reason = "distrib: all rollout workers lost"
-                    tel.update_manifest(halted=True, halt_reason=history.halt_reason)
-                    logger.error(
-                        "[%s] %s — stopping at iteration %d",
-                        env.graph.name,
-                        history.halt_reason,
-                        it_index,
-                    )
-                    if run_state is not None:
-                        run_state.snapshot_if_new(trainer, history, tel, reason="halt")
-                    break
-                tel.histogram("distrib.batch_wait_s").observe(
-                    time.perf_counter() - wait_start
-                )
-                tel.histogram("distrib.rollout_s").observe(batch.duration_s)
-                tel.counter("distrib.batches").inc()
-                tel.counter("distrib.samples").inc(batch.batch_size)
-                tel.gauge("distrib.queue_depth").set(supervisor.queue_depth())
-                if iter_span.context is not None:
-                    # The worker can't write this process's event log;
-                    # replay its rollout timing as a child span here.
-                    record_span(
-                        "distrib.rollout",
-                        batch.duration_s,
-                        telemetry=tel,
-                        parent=iter_span.context,
-                        start_unix=batch.start_unix,
-                        worker=batch.worker_id,
-                        generation=batch.generation,
-                        policy_version=batch.policy_version,
-                    )
-
-                # ---- the learner half of a JointTrainer iteration --------
-                rollout = batch.rollout()
-                results = batch.results()
-                runtimes = [res.per_step_time for res in results]
-                _, advantages = trainer.tracker.compute(runtimes)
-                trainer.buffer.add(rollout, advantages)
-                samples += len(results)
-                tel.counter("trainer.samples").inc(len(results))
-                reward_hist = tel.histogram("trainer.sample_runtime")
-                for res in results:
-                    if res.ok:
-                        reward_hist.observe(res.per_step_time)
-                if tel.sample_events:
-                    for i, res in enumerate(results):
-                        tel.emit(
-                            "sample",
-                            iteration=it_index,
-                            index=i,
-                            runtime=float(res.per_step_time),
-                            valid=bool(res.valid),
-                            truncated=bool(res.truncated),
-                            advantage=float(advantages[i]),
-                            worker=int(batch.worker_id),
-                        )
-
-                improved = False
-                patience_bar = history.best_runtime * (
-                    1.0 - tcfg.patience_min_improvement
-                )
-                for res, placement in zip(results, rollout.placements):
-                    if res.ok and res.per_step_time < history.best_runtime:
-                        if res.per_step_time < patience_bar:
-                            improved = True
-                        history.best_runtime = res.per_step_time
-                        history.best_placement = placement.copy()
-                        attributed_best = False
-                samples_since_best = (
-                    0 if improved else samples_since_best + len(results)
-                )
-                if improved and history.best_placement is not None:
-                    env.record_attribution(history.best_placement, iteration=it_index)
-                    attributed_best = True
-
-                agent_seconds = trainer.maybe_update(tel, it_index, watchdog)
-                if agent_seconds > 0.0:
-                    updates_done += 1
-                    if updates_done % cfg.broadcast_every == 0:
-                        store.publish(trainer.agent.state_dict())
-                        tel.counter("distrib.weight_broadcasts").inc()
-                        tel.gauge("distrib.policy_version").set(store.version)
-
-                # Simulated clock: the paper's testbed measures the N
-                # rollouts concurrently, so measurement latency overlaps
-                # across live workers; only the learner's update compute
-                # is serial.
-                active = max(1, supervisor.alive_count)
-                history.sim_clock += batch.env_wall_delta / active + agent_seconds
-                sim_clock = history.sim_clock
-
-                record = SearchRecord(
-                    iteration=len(history.records),
-                    samples_so_far=samples,
-                    runtimes=list(runtimes),
-                    valid_runtimes=[r.per_step_time for r in results if r.valid],
-                    n_invalid=sum(not r.valid for r in results),
-                    n_truncated=sum(r.truncated for r in results),
-                    best_runtime=history.best_runtime,
-                    baseline=trainer.tracker.baseline,
-                    sim_clock=sim_clock,
-                )
-                history.records.append(record)
-
-                iter_wall = time.perf_counter() - iter_wall_start
-                tel.counter("trainer.iterations").inc()
-                tel.histogram("trainer.iteration_wall_s").observe(iter_wall)
-                tel.gauge("trainer.best_runtime").set(history.best_runtime)
-                tel.gauge("trainer.baseline").set(record.baseline)
-                tel.gauge("trainer.sim_clock").set(sim_clock)
-                tel.emit(
-                    "iteration",
-                    iteration=it_index,
-                    samples=int(samples),
-                    best_runtime=float(history.best_runtime),
-                    baseline=float(record.baseline),
-                    n_invalid=int(record.n_invalid),
-                    n_truncated=int(record.n_truncated),
-                    sim_clock=float(sim_clock),
-                    wall_seconds=float(iter_wall),
-                    worker=int(batch.worker_id),
-                    policy_version=int(batch.policy_version),
-                )
-                if tcfg.log_every and (it + 1) % tcfg.log_every == 0:
-                    logger.info(
-                        "[%s] distrib iter %d samples %d best %.4fs workers %d",
-                        env.graph.name,
-                        it + 1,
-                        samples,
-                        history.best_runtime,
-                        supervisor.alive_count,
-                    )
-                watchdog.observe_iteration(
-                    it_index,
-                    best_runtime=history.best_runtime,
-                    n_invalid=record.n_invalid,
-                    n_samples=len(results),
-                )
-                if on_batch is not None:
-                    on_batch(batch, supervisor)
-                halt_signal = None
-                if run_state is not None:
-                    trainer._samples_since_best = samples_since_best
-                    trainer._attributed_best = attributed_best
-                    run_state.extra["policy_version"] = store.version
-                    halt_signal = run_state.after_iteration(
-                        trainer, history, tel, force=watchdog.halted
-                    )
-                if halt_signal:
-                    history.halt_reason = f"signal: {halt_signal}"
-                    tel.update_manifest(halted=True, halt_reason=history.halt_reason)
-                    logger.warning(
-                        "[%s] %s received — snapshotted after iteration %d "
-                        "and stopping",
-                        env.graph.name,
-                        halt_signal,
-                        it + 1,
-                    )
-                    break
-                if watchdog.halted:
-                    history.halt_reason = watchdog.halt_reason
-                    tel.update_manifest(halted=True, halt_reason=watchdog.halt_reason)
-                    logger.error(
-                        "[%s] health watchdog halted the run at iteration %d: %s",
-                        env.graph.name,
-                        it + 1,
-                        watchdog.halt_reason,
-                    )
-                    break
-                if (
-                    tcfg.early_stop_samples is not None
-                    and samples >= tcfg.early_stop_samples
-                ):
-                    break
-                if (
-                    tcfg.patience_samples is not None
-                    and samples_since_best >= tcfg.patience_samples
-                ):
-                    logger.info(
-                        "early stop: no improvement in %d samples", samples_since_best
-                    )
-                    break
-        if history.best_placement is not None and not attributed_best:
-            env.record_attribution(
-                history.best_placement,
-                iteration=history.records[-1].iteration if history.records else -1,
+        def spec_factory(slot: int, generation: int) -> WorkerSpec:
+            return WorkerSpec(
+                worker_id=slot,
+                generation=generation,
+                num_workers=cfg.workers,
+                root_seed=trainer.config.seed,
+                agent_kind=agent_kind,
+                graph=env.graph,
+                cluster=env.cluster,
+                config=config,
+                protocol=env.protocol,
+                samples_per_batch=trainer.config.samples_per_policy,
+                run_dir=run_dir,
             )
+
+        supervisor = Supervisor(ctx, cfg, spec_factory, store, shutdown, heartbeat, tel)
+        batches = _BatchSource(supervisor, cfg)
+        source = _WorkerBatches(
+            trainer, store, supervisor, batches, run_state, on_batch, tel
+        )
+        # Publish the (possibly pre-trained) initial weights *before* any
+        # worker spawns: every replica bootstraps from version 1, bit-
+        # identical to the learner's agent.
+        source.publish()
+        try:
+            supervisor.start_all(cfg.workers)
+        except OSError as exc:
+            logger.warning(
+                "cannot spawn rollout workers (%s: %s) — "
+                "degrading to single-process training",
+                type(exc).__name__,
+                exc,
+            )
+            supervisor.stop()
+            shutil.rmtree(store_dir, ignore_errors=True)
+            return trainer.train(history, run_state=run_state)
+
         if run_state is not None:
-            trainer._samples_since_best = samples_since_best
-            trainer._attributed_best = attributed_best
-            run_state.snapshot_if_new(trainer, history, tel, reason="final")
-    finally:
-        supervisor.stop()
-        shutil.rmtree(store_dir, ignore_errors=True)
-    return history
+            run_state.extra.update(
+                workers=cfg.workers, distrib=True, policy_version=store.version
+            )
+        try:
+            return trainer.train(history, run_state=run_state, source=source)
+        finally:
+            supervisor.stop()
+            shutil.rmtree(store_dir, ignore_errors=True)

@@ -4,8 +4,8 @@ One :class:`SampleBatch` is one worker rollout: the sampled
 :class:`~repro.rl.policy.AgentRollout` (flattened to plain arrays so the
 message pickles without importing agent classes in the unpickler), the
 measurement results the worker's environment shard produced for it, and
-the provenance the learner needs for staleness accounting, ordered
-consumption and telemetry. Everything is numpy/str/float — no live
+the provenance the learner needs for staleness accounting and
+telemetry. Everything is numpy/str/float — no live
 objects, no file handles — so a message survives the queue's pickle
 round-trip and a half-written message from a killed worker can only
 break its *own* queue (each worker owns a private queue precisely so a

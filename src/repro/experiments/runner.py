@@ -136,12 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
         "processes feeding the central learner (0 = single-process; see "
         "docs/architecture.md, 'Distributed training')",
     )
-    parser.add_argument(
-        "--no-distrib",
-        action="store_true",
-        help="force single-process training even if the config profile "
-        "enables distributed workers",
-    )
     parser.add_argument("--verbose", action="store_true")
     return parser
 
@@ -157,9 +151,7 @@ def main(argv=None) -> int:
         config = replace(config, health=replace(config.health, enabled=False))
     elif args.health is not None:
         config = replace(config, health=replace(config.health, action=args.health))
-    if args.no_distrib:
-        config = replace(config, distrib=replace(config.distrib, workers=0))
-    elif args.workers is not None:
+    if args.workers is not None:
         config = replace(config, distrib=replace(config.distrib, workers=args.workers))
     snapshot_dir = args.resume or args.snapshot_dir
     if args.snapshot_every is not None:

@@ -143,12 +143,13 @@ class JointTrainer:
             self.updater = CEMUpdater(agent, config.cem)
         else:
             raise ValueError(f"unknown algorithm {config.algorithm!r}")
-        # Loop state mirrored onto the trainer so run-state snapshots can
-        # capture it mid-train; `_pending_*` is applied (once) by the next
-        # train() call after load_state_dict().
+        # Loop state kept on the trainer so run-state snapshots capture it
+        # mid-train. train() starts it afresh unless load_state_dict()
+        # restored it; the restored watchdog windows wait in
+        # `_pending_watchdog_state` for the next train() call's watchdog.
         self._samples_since_best = 0
-        self._attributed_best = False
-        self._pending_loop_state: Optional[dict] = None
+        self._attributed_best = False  # best placement already attributed?
+        self._loop_state_restored = False
         self._pending_watchdog_state: Optional[dict] = None
 
     # ------------------------------------------------------------------
@@ -190,23 +191,19 @@ class JointTrainer:
         self.tracker.load_state_dict(state["tracker"])
         self.buffer.load_state_dict(state["buffer"])
         self.updater.load_state_dict(state["updater"])
-        self._pending_loop_state = dict(state["loop"])
         self._pending_watchdog_state = state["watchdog"]
-        # Mirror the loop counters immediately so a snapshot taken before
-        # the next train() call reports the restored values.
         self._samples_since_best = int(state["loop"]["samples_since_best"])
         self._attributed_best = bool(state["loop"]["attributed_best"])
+        self._loop_state_restored = True
 
     def maybe_update(self, tel: Telemetry, it_index: int, watchdog) -> float:
         """Run one updater pass if enough samples are buffered.
 
-        The single update path shared by :meth:`train` and the
-        distributed learner (``repro.distrib``): merge the rollout
-        buffer, run the configured updater, record update telemetry and
-        feed the health watchdog. Returns the *simulated* seconds of
-        agent compute this update cost (0.0 when the buffer was not yet
-        ready), derived from the agent's FLOP estimate exactly as Fig. 8
-        accounts it.
+        Merges the rollout buffer, runs the configured updater, records
+        update telemetry and feeds the health watchdog. Returns the
+        *simulated* seconds of agent compute this update cost (0.0 when
+        the buffer was not yet ready), derived from the agent's FLOP
+        estimate exactly as Fig. 8 accounts it.
         """
         cfg = self.config
         if not self.buffer.is_ready(cfg.update_min_samples):
@@ -242,6 +239,7 @@ class JointTrainer:
         self,
         history: Optional[SearchHistory] = None,
         run_state=None,
+        source=None,
     ) -> SearchHistory:
         """Run the search; an existing ``history`` continues (fine-tuning).
 
@@ -249,25 +247,27 @@ class JointTrainer:
         it snapshots the run every ``snapshot_every`` iterations and, when a
         SIGTERM/SIGINT halt was requested, after the current iteration —
         the loop then stops with ``history.halt_reason = "signal: ..."``.
+
+        ``source`` supplies each iteration's samples (default: a
+        :class:`LocalSource` on this trainer); ``repro.distrib`` passes
+        one that returns rollout-worker batches.
         """
         cfg = self.config
         tel = self._telemetry or get_telemetry()
         history = history or SearchHistory()
         if not history.records and history.sim_clock < history.pretrain_clock:
             history.sim_clock = history.pretrain_clock
-        env_clock_start = self.env.stats.wall_clock
+        if source is None:
+            source = LocalSource(self)
         samples = history.total_samples
         self.watchdog = watchdog = HealthWatchdog(self.health, telemetry=tel)
         if self._pending_watchdog_state is not None:
             watchdog.load_state_dict(self._pending_watchdog_state)
             self._pending_watchdog_state = None
-        if self._pending_loop_state is not None:
-            samples_since_best = int(self._pending_loop_state["samples_since_best"])
-            attributed_best = bool(self._pending_loop_state["attributed_best"])
-            self._pending_loop_state = None
-        else:
-            samples_since_best = 0
-            attributed_best = False  # best placement already attributed?
+        if not self._loop_state_restored:
+            self._samples_since_best = 0
+            self._attributed_best = False
+        self._loop_state_restored = False
 
         for it in range(cfg.iterations):
             it_index = len(history.records)
@@ -275,10 +275,26 @@ class JointTrainer:
             # One section per policy iteration; inside a traced run (the
             # search.optimize root) it is also the span that the
             # env.evaluate_batch span nests under.
-            with span("trainer.iteration", telemetry=tel, iteration=it_index):
-                with span("rl.sample", telemetry=tel):
-                    rollout = self.agent.sample(cfg.samples_per_policy, self.rng)
-                results = self.env.evaluate_batch(rollout.placements)
+            with span(
+                "trainer.iteration",
+                telemetry=tel,
+                iteration=it_index,
+                **source.span_fields,
+            ) as iter_span:
+                drawn = source.next(tel, iter_span)
+                if drawn is None:
+                    history.halt_reason = source.halt_reason
+                    tel.update_manifest(halted=True, halt_reason=history.halt_reason)
+                    logger.error(
+                        "[%s] %s — stopping at iteration %d",
+                        self.env.graph.name,
+                        history.halt_reason,
+                        it_index,
+                    )
+                    if run_state is not None:
+                        run_state.snapshot_if_new(self, history, tel, reason="halt")
+                    break
+                rollout, results = drawn
                 runtimes = [res.per_step_time for res in results]
                 _, advantages = self.tracker.compute(runtimes)
                 self.buffer.add(rollout, advantages)
@@ -289,6 +305,7 @@ class JointTrainer:
                     if res.ok:
                         reward_hist.observe(res.per_step_time)
                 if tel.sample_events:
+                    extra = source.event_fields("sample")
                     for i, res in enumerate(results):
                         tel.emit(
                             "sample",
@@ -298,6 +315,7 @@ class JointTrainer:
                             valid=bool(res.valid),
                             truncated=bool(res.truncated),
                             advantage=float(advantages[i]),
+                            **extra,
                         )
 
                 improved = False
@@ -308,21 +326,20 @@ class JointTrainer:
                             improved = True
                         history.best_runtime = res.per_step_time
                         history.best_placement = placement.copy()
-                        attributed_best = False
-                samples_since_best = 0 if improved else samples_since_best + len(results)
+                        self._attributed_best = False
+                if improved:
+                    self._samples_since_best = 0
+                else:
+                    self._samples_since_best += len(results)
                 if improved and history.best_placement is not None:
                     # Explain each significantly-improved best placement:
                     # one traced scheduler pass -> `attribution` event +
                     # env.critical_path_* gauges (docs/observability.md).
                     self.env.record_attribution(history.best_placement, iteration=it_index)
-                    attributed_best = True
+                    self._attributed_best = True
 
                 agent_seconds = self.maybe_update(tel, it_index, watchdog)
-
-                # The env clock is cumulative; fold in this iteration's delta.
-                delta_env = self.env.stats.wall_clock - env_clock_start
-                env_clock_start = self.env.stats.wall_clock
-                history.sim_clock += delta_env + agent_seconds
+                history.sim_clock += source.after_update(agent_seconds > 0.0) + agent_seconds
                 sim_clock = history.sim_clock
 
                 record = SearchRecord(
@@ -337,7 +354,6 @@ class JointTrainer:
                     sim_clock=sim_clock,
                 )
                 history.records.append(record)
-                history.sim_clock = sim_clock
 
                 # Wall vs simulated clock: `wall_seconds` is real time this
                 # iteration cost us; `sim_clock` is what it would have cost on
@@ -358,6 +374,7 @@ class JointTrainer:
                     n_truncated=int(record.n_truncated),
                     sim_clock=float(sim_clock),
                     wall_seconds=float(iter_wall),
+                    **source.event_fields("iteration"),
                 )
 
                 if cfg.log_every and (it + 1) % cfg.log_every == 0:
@@ -378,8 +395,6 @@ class JointTrainer:
                 )
                 halt_signal = None
                 if run_state is not None:
-                    self._samples_since_best = samples_since_best
-                    self._attributed_best = attributed_best
                     # Snapshot when due (and always before a halt, so neither a
                     # signal nor the watchdog ever throws away finished work).
                     halt_signal = run_state.after_iteration(
@@ -407,10 +422,15 @@ class JointTrainer:
                     break
                 if cfg.early_stop_samples is not None and samples >= cfg.early_stop_samples:
                     break
-                if cfg.patience_samples is not None and samples_since_best >= cfg.patience_samples:
-                    logger.info("early stop: no improvement in %d samples", samples_since_best)
+                if (
+                    cfg.patience_samples is not None
+                    and self._samples_since_best >= cfg.patience_samples
+                ):
+                    logger.info(
+                        "early stop: no improvement in %d samples", self._samples_since_best
+                    )
                     break
-        if history.best_placement is not None and not attributed_best:
+        if history.best_placement is not None and not self._attributed_best:
             # The run ended on a best found before this train() call (or on
             # a sub-threshold trickle improvement): still leave one final
             # best-placement attribution event for the report CLI.
@@ -422,7 +442,47 @@ class JointTrainer:
             # Terminal snapshot (skipped if one was just written for this
             # iteration count): a completed run resumes as a no-op, and an
             # early-stopped run resumes from exactly where it stopped.
-            self._samples_since_best = samples_since_best
-            self._attributed_best = attributed_best
             run_state.snapshot_if_new(self, history, tel, reason="final")
         return history
+
+
+class LocalSource:
+    """Where :meth:`JointTrainer.train` gets each policy iteration's
+    samples in a single-process search: the trainer's agent samples them
+    with ``trainer.rng`` and its env measures them.
+
+    The loop uses these members, which ``repro.distrib``'s source of
+    rollout-worker batches provides as well:
+
+    * ``span_fields`` — extra fields of the ``trainer.iteration`` span;
+    * ``next(tel, iteration_span)`` — this iteration's ``(rollout,
+      results)``, or ``None`` once the source ran dry (a local source
+      never does), in which case the run halts with its ``halt_reason``;
+    * ``event_fields(event)`` — extra fields of this iteration's
+      ``sample`` and ``iteration`` events;
+    * ``after_update(updated)`` — called once the iteration's update ran
+      (``updated``: whether the updater took a step); returns the
+      simulated measurement seconds the iteration charges to the clock.
+    """
+
+    span_fields: dict = {}
+
+    def __init__(self, trainer: JointTrainer):
+        self.trainer = trainer
+        self._env_clock = trainer.env.stats.wall_clock
+
+    def next(self, tel: Telemetry, iteration_span):
+        trainer = self.trainer
+        with span("rl.sample", telemetry=tel):
+            rollout = trainer.agent.sample(trainer.config.samples_per_policy, trainer.rng)
+        return rollout, trainer.env.evaluate_batch(rollout.placements)
+
+    def event_fields(self, event: str) -> dict:
+        return {}
+
+    def after_update(self, updated: bool) -> float:
+        # The env clock is cumulative; charge this iteration's delta.
+        clock = self.trainer.env.stats.wall_clock
+        delta = clock - self._env_clock
+        self._env_clock = clock
+        return delta

@@ -314,9 +314,6 @@ class PlacementService:
                 tel.counter("serve.cache_hits").inc()
             elif cache == "coalesced":
                 tel.counter("serve.coalesced").inc()
-            # Every serviced request feeds the SLO detectors (p99 latency,
-            # error burn rate) — including failures, which is the point.
-            self.watchdog.observe_serve(latency_ms, ok=(status == "ok"))
             tel.emit(
                 "serve_request",
                 request_id=request.request_id,
@@ -671,12 +668,19 @@ class PlacementService:
         tel = self._tel()
         parent = SpanContext.from_dict(request.trace) if request.trace else None
         start = time.perf_counter()
-        with span("queue.wait", telemetry=tel, parent=parent,
-                  request_id=request.request_id):
-            self._take_slot(timeout)
-        wait_s = time.perf_counter() - start
         try:
-            return self.handle(request)
+            with span("queue.wait", telemetry=tel, parent=parent,
+                      request_id=request.request_id):
+                self._take_slot(timeout)
+        except ServiceTimeout:
+            self._observe_slo(start, ok=False)
+            raise
+        wait_s = time.perf_counter() - start
+        ok = False
+        try:
+            response = self.handle(request)
+            ok = True
+            return response
         finally:
             compute_s = time.perf_counter() - start - wait_s
             self._release_slot()
@@ -685,6 +689,14 @@ class PlacementService:
                 # be blamed on backlog or on slow evaluations.
                 tel.histogram("serve.queue_wait_s").observe(wait_s)
                 tel.histogram("serve.compute_s").observe(compute_s)
+            self._observe_slo(start, ok)
+
+    def _observe_slo(self, start: float, ok: bool) -> None:
+        """Feed the SLO detectors (p99 latency, error burn rate) one
+        admitted request: its latency from entering :meth:`submit` to its
+        answer, slot wait included, as a client sees it; failures count."""
+        with self._lock:
+            self.watchdog.observe_serve((time.perf_counter() - start) * 1e3, ok=ok)
 
     def _gauge_depth(self) -> None:
         with self._lock:

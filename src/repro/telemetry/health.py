@@ -79,7 +79,7 @@ class HealthConfig:
     reject_rate_threshold: float = 0.5
     reject_window: int = 40
     #: Serving latency SLO (repro.serve): the ``latency_slo`` detector
-    #: fires when the p99 of the last ``latency_window`` serviced
+    #: fires when the p99 of the last ``latency_window`` admitted
     #: requests exceeds ``latency_slo_ms`` — sustained slow answers, not
     #: one outlier (docs/serving.md).
     latency_slo_ms: float = 2000.0
@@ -336,15 +336,17 @@ class HealthWatchdog:
         return ordered[max(0, math.ceil(0.99 * len(ordered)) - 1)]
 
     def observe_serve(self, latency_ms: float, ok: bool) -> List[HealthAlert]:
-        """Feed one *serviced* request's outcome (``repro.serve``).
+        """Feed one admitted request's outcome (``repro.serve``): its
+        latency from entering ``PlacementService.submit`` to the answer,
+        slot wait included.
 
         The two SLO detectors run over full sliding windows only (no
         verdict on a cold service):
 
         * ``latency_slo`` — p99 latency of the last ``latency_window``
-          serviced requests above ``latency_slo_ms``;
+          admitted requests above ``latency_slo_ms``;
         * ``error_burn_rate`` — more than ``error_rate_threshold`` of the
-          last ``error_window`` serviced requests failed with a typed
+          last ``error_window`` admitted requests failed with a typed
           error (bad requests, missing policies, queue-level rejections
           are observed separately by :meth:`observe_request`).
         """

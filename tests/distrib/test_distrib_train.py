@@ -240,3 +240,51 @@ class TestElasticRobustness:
         assert len(history.records) == 3
         assert history.halt_reason is None
         assert _no_orphans()
+
+
+class TestSingleProcessResume:
+    def test_distributed_run_resumes_single_process(self, tmp_path):
+        """A distributed run's snapshots are ordinary run-state snapshots:
+        a ``workers=0`` run resumes one and carries on to the full count."""
+        from repro.core.runstate import latest_snapshot, load_run_state
+
+        graph = tiny_graph()
+        total, k = 6, 3
+        snap_dir = str(tmp_path / "snaps")
+        cfg = _quick_cfg(iterations=k, workers=1)
+        cfg = replace(cfg, snapshot=replace(cfg.snapshot, snapshot_every=2))
+        first = optimize_placement(
+            graph, CLUSTER, "mars", cfg, telemetry=Telemetry(name="dp"),
+            snapshot_dir=snap_dir,
+        )
+        assert len(first.history.records) == k
+        assert _no_orphans()
+        snap = load_run_state(latest_snapshot(snap_dir))
+        assert snap["extra"]["distrib"] is True
+        done = snap["history"].records
+
+        single = replace(
+            cfg,
+            trainer=replace(cfg.trainer, iterations=total),
+            distrib=replace(cfg.distrib, workers=0),
+        )
+        resumed = optimize_placement(
+            graph, CLUSTER, "mars", single, telemetry=Telemetry(name="sp"),
+            snapshot_dir=snap_dir, resume=True,
+        )
+        records = resumed.history.records
+        assert resumed.history.halt_reason is None
+        assert len(records) == total
+        assert [r.iteration for r in records] == list(range(total))
+        # The resumed run keeps the snapshot's records as they were ...
+        for kept, snapped in zip(records, done):
+            assert kept == snapped
+        # ... and continues from its last one.
+        per_policy = cfg.trainer.samples_per_policy
+        assert [r.samples_so_far for r in records[len(done):]] == [
+            done[-1].samples_so_far + per_policy * (i + 1)
+            for i in range(total - len(done))
+        ]
+        assert records[len(done)].sim_clock > done[-1].sim_clock
+        assert resumed.history.best_runtime <= done[-1].best_runtime
+        assert _no_orphans()

@@ -223,6 +223,52 @@ class TestWorkers:
         assert gauges["serve.queue_depth"]["value"] == 0
 
 
+def record_slo_feed(service: PlacementService) -> list:
+    """Capture every ``(latency_ms, ok)`` the latency SLO detector sees."""
+    seen = []
+    observe = service.watchdog.observe_serve
+
+    def recording(latency_ms, ok):
+        seen.append((latency_ms, ok))
+        return observe(latency_ms, ok)
+
+    service.watchdog.observe_serve = recording
+    return seen
+
+
+class TestLatencySlo:
+    def test_slo_latency_includes_the_slot_wait(self):
+        """A request that waited for the only compute slot is judged by
+        the SLO on its whole wait, not on its (instant) computation."""
+        service = StubService(ServeConfig(workers=1, max_queue=4), gated=True)
+        seen = record_slo_feed(service)
+        first = spawn(service, make_request(0))  # holds the slot at the gate
+        assert service.entered.wait(timeout=10.0)
+        second = spawn(service, make_request(1))
+        wait_for_depth(service, 1)
+        waiting_since = time.perf_counter()
+        time.sleep(0.1)
+        waited_ms = (time.perf_counter() - waiting_since) * 1e3
+        service.gate.set()
+        assert first.result(timeout=10.0) == "req-000"
+        assert second.result(timeout=10.0) == "req-001"
+        service.close()
+        assert len(seen) == 2
+        assert all(ok for _, ok in seen)
+        # Request 0 computed for the whole wait, request 1 waited for it:
+        # each one's SLO latency covers at least the gated span.
+        assert min(ms for ms, _ in seen) >= waited_ms
+
+    def test_typed_error_counts_against_the_slo(self):
+        service = StubService(ServeConfig(workers=1, max_queue=4))
+        seen = record_slo_feed(service)
+        with pytest.raises(ServiceError):
+            service.submit(make_request(0, workload="boom"), timeout=10.0)
+        assert service.submit(make_request(1), timeout=10.0) == "req-001"
+        service.close()
+        assert [ok for _, ok in seen] == [False, True]
+
+
 class TestShutdownRace:
     def test_submit_shutdown_stress_never_strands_a_future(self):
         """Close while four threads hammer submit: every call returns a
