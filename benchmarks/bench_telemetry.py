@@ -8,8 +8,8 @@ histogram and emits no event) vs **on** (a live root span, so each
 evaluation also emits one schema-versioned ``span`` event into a
 file-backed run directory).
 
-Both arms run against a file-backed telemetry session with sample events
-enabled, so the *only* delta between them is the tracing machinery
+Both arms run against a file-backed telemetry session, which writes
+events, so the *only* delta between them is the tracing machinery
 itself: span ids + a wall-clock read + one extra JSONL event per
 evaluation or batch. The budget is **<3% overhead** on both the
 evaluate path and the batch path (docs/performance.md). Each round times

@@ -18,7 +18,7 @@ from repro.rl.ppo import PPOConfig
 from repro.rl.reward import RewardConfig
 from repro.rl.trainer import TrainerConfig
 from repro.sim.batch import BatchEvalConfig
-from repro.telemetry import HealthConfig, TelemetryConfig
+from repro.telemetry import HealthConfig
 
 
 @dataclass
@@ -126,11 +126,10 @@ class MarsConfig:
     pretrain: PretrainConfig = field(default_factory=PretrainConfig)
     grouper: GrouperConfig = field(default_factory=GrouperConfig)
     trainer: TrainerConfig = field(default_factory=TrainerConfig)
-    # Observability (docs/observability.md): metrics always accumulate
-    # in memory when enabled; set ``telemetry.run_dir`` to also write a
-    # JSONL event log + manifest per ``optimize_placement`` call, or
-    # ``telemetry.enabled = False`` to turn every hook into a no-op.
-    telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
+    # Telemetry is not configured here: a search records into the ambient
+    # session (in memory unless a caller opened one with
+    # ``repro.telemetry.start_run``; docs/observability.md).
+
     # Training-health watchdog (docs/observability.md §"Alert taxonomy"):
     # sliding-window detectors over the trainer's update/iteration streams
     # (NaN guard, entropy collapse, KL blow-up, reward plateau, invalid-
@@ -238,7 +237,7 @@ def config_from_echo(echo: dict, base: Optional[MarsConfig] = None) -> MarsConfi
     """Rebuild a :class:`MarsConfig` from a sidecar's ``config`` echo.
 
     Architecture fields (encoder/placer/grouper, seed) come from the echo;
-    everything else — trainer, telemetry, health, eval_batch — from
+    everything else — trainer, health, eval_batch — from
     ``base`` (default: :func:`fast_profile`), since those don't affect
     parameter shapes.
     """

@@ -16,8 +16,6 @@ required by the hot-reloading :class:`repro.serve.PolicyRegistry`.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from typing import Optional, Tuple
 
 import numpy as np
@@ -27,20 +25,7 @@ from repro.core.search import build_agent
 from repro.graph import CompGraph, FeatureExtractor
 from repro.rl.policy import PolicyAgent
 from repro.sim.cluster import ClusterSpec
-from repro.utils.serialization import load_state_dict, save_state_dict
-
-
-def _write_json_atomic(path: str, doc: dict) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".json.tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(doc, fh, indent=2)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+from repro.utils.serialization import load_state_dict, save_state_dict, write_json_atomic
 
 
 def save_agent(
@@ -69,7 +54,7 @@ def save_agent(
     }
     if config is not None:
         meta["config"] = config_to_echo(config)
-    _write_json_atomic(path + ".json", meta)
+    write_json_atomic(path + ".json", meta, indent=2)
 
 
 def load_agent(

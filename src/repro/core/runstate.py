@@ -41,7 +41,7 @@ import numpy as np
 from repro.config import SnapshotConfig
 from repro.rl.trainer import SearchHistory, SearchRecord
 from repro.utils.logging import get_logger
-from repro.utils.serialization import load_state_dict, save_state_dict
+from repro.utils.serialization import load_state_dict, save_state_dict, write_json_atomic
 
 logger = get_logger("repro.core.runstate")
 
@@ -321,7 +321,7 @@ class RunStateManager:
     def snapshot(self, trainer, history, telemetry=None, reason: str = "periodic") -> str:
         # Lazy import: checkpoint.py imports core.search, which imports
         # this module's consumers — a module-level import would cycle.
-        from repro.core.checkpoint import _write_json_atomic, save_agent
+        from repro.core.checkpoint import save_agent
 
         start = time.perf_counter()
         n = len(history.records)
@@ -352,7 +352,7 @@ class RunStateManager:
             arrays["__empty__"] = np.zeros(0)
         save_state_dict(os.path.join(path, "state"), arrays)
         # Sidecar last = commit point (same recipe as save_agent).
-        _write_json_atomic(os.path.join(path, _SIDECAR), doc)
+        write_json_atomic(os.path.join(path, _SIDECAR), doc, indent=2)
         self._last_snapshot_len = n
         duration = time.perf_counter() - start
         logger.info("snapshot %s (%s) in %.3fs", path, reason, duration)

@@ -28,7 +28,7 @@ from repro.rl.trainer import JointTrainer, SearchHistory
 from repro.sim.cluster import ClusterSpec
 from repro.sim.env import PlacementEnv
 from repro.sim.measurement import MeasurementProtocol
-from repro.telemetry import Telemetry, telemetry_from_config, use_telemetry
+from repro.telemetry import Telemetry, use_telemetry
 from repro.telemetry.tracing import span
 from repro.utils.logging import get_logger
 
@@ -132,10 +132,9 @@ def optimize_placement(
 ) -> OptimizationResult:
     """Find a placement for ``graph`` with agent ``agent_kind``.
 
-    Telemetry: pass a :class:`~repro.telemetry.Telemetry` session, or let
-    ``config.telemetry`` decide — with ``run_dir`` set, each call opens a
-    per-run directory (events + manifest + metrics, see
-    ``docs/observability.md``); otherwise the ambient session is used.
+    Telemetry: the run records into ``telemetry`` if given, else into the
+    ambient session; open a file-backed one with
+    :func:`~repro.telemetry.start_run` (``docs/observability.md``).
 
     Crash safety: with ``snapshot_dir`` set, the run writes resumable
     snapshots every ``config.snapshot.snapshot_every`` iterations and on
@@ -147,145 +146,132 @@ def optimize_placement(
     cluster = cluster or ClusterSpec.default()
     config = config or fast_profile()
 
-    owned = None
-    if telemetry is None:
-        owned = telemetry_from_config(
-            getattr(config, "telemetry", None),
-            name=f"{graph.name}__{agent_kind.replace(':', '-')}",
-            manifest={"workload": graph.name, "agent_kind": agent_kind,
-                      "seed": config.seed},
+    with use_telemetry(telemetry) as tel:
+        env = env or PlacementEnv(
+            graph,
+            cluster,
+            protocol=protocol,
+            batch=getattr(config, "eval_batch", None),
         )
-        telemetry = owned
-    try:
-        with use_telemetry(telemetry) as tel:
-            env = env or PlacementEnv(
-                graph,
-                cluster,
-                protocol=protocol,
-                batch=getattr(config, "eval_batch", None),
-            )
-            snapshot = None
-            if resume and snapshot_dir:
-                snap_path = latest_snapshot(snapshot_dir)
-                if snap_path is None:
-                    logger.info(
-                        "no snapshot to resume under %s — starting fresh", snapshot_dir
-                    )
-                else:
-                    snapshot = load_run_state(snap_path)
-            if snapshot is not None:
-                if snapshot["agent_kind"] != agent_kind:
-                    raise ValueError(
-                        f"snapshot at {snapshot['path']!r} holds a "
-                        f"{snapshot['agent_kind']!r} run, requested {agent_kind!r}"
-                    )
-                # Lazy import (checkpoint.py imports this module).
-                from repro.core.checkpoint import load_agent
-
-                agent, _meta = load_agent(
-                    os.path.join(snapshot["path"], "agent"),
-                    graph,
-                    cluster,
-                    config,
-                    feature_extractor,
-                )
-                history = snapshot["history"]
-                done = len(history.records)
-                pretrain_clock = history.pretrain_clock
-                trainer = JointTrainer(
-                    agent,
-                    env,
-                    replace(
-                        config.trainer,
-                        iterations=max(0, config.trainer.iterations - done),
-                    ),
-                    health=getattr(config, "health", None),
-                )
-                trainer.load_state_dict(snapshot["trainer"])
-                env.load_state_dict(snapshot["env"])
-                tel.emit(
-                    "resume",
-                    iteration=done,
-                    path=snapshot["path"],
-                    samples=int(history.total_samples),
-                    sim_clock=float(history.sim_clock),
-                )
-                tel.update_manifest(
-                    resumed_from=snapshot["path"], resumed_at_iteration=done
-                )
+        snapshot = None
+        if resume and snapshot_dir:
+            snap_path = latest_snapshot(snapshot_dir)
+            if snap_path is None:
                 logger.info(
-                    "resumed %s/%s from %s (iteration %d, %d samples)",
-                    graph.name,
-                    agent_kind,
-                    snapshot["path"],
-                    done,
-                    history.total_samples,
+                    "no snapshot to resume under %s — starting fresh", snapshot_dir
                 )
             else:
-                agent, pretrain_clock = build_agent(
-                    agent_kind, graph, cluster, config, feature_extractor
+                snapshot = load_run_state(snap_path)
+        if snapshot is not None:
+            if snapshot["agent_kind"] != agent_kind:
+                raise ValueError(
+                    f"snapshot at {snapshot['path']!r} holds a "
+                    f"{snapshot['agent_kind']!r} run, requested {agent_kind!r}"
                 )
-                history = SearchHistory(pretrain_clock=pretrain_clock)
-                trainer = JointTrainer(
-                    agent, env, config.trainer, health=getattr(config, "health", None)
-                )
-            run_state = None
-            if snapshot_dir:
-                run_state = RunStateManager(
-                    snapshot_dir,
-                    getattr(config, "snapshot", None),
-                    agent_kind=agent_kind,
-                    workload=graph.name,
-                    mars_config=config,
-                )
-            # Trace root for the whole search: trainer.iteration spans and
-            # the env spans below them all join this trace (only when the
-            # session writes event files — in-memory runs record nothing).
-            distrib = getattr(config, "distrib", None)
-            workers = getattr(distrib, "workers", 0)
-            with span(
-                "search.optimize",
-                telemetry=tel,
-                new_trace=True,
-                workload=graph.name,
+            # Lazy import (checkpoint.py imports this module).
+            from repro.core.checkpoint import load_agent
+
+            agent, _meta = load_agent(
+                os.path.join(snapshot["path"], "agent"),
+                graph,
+                cluster,
+                config,
+                feature_extractor,
+            )
+            history = snapshot["history"]
+            done = len(history.records)
+            pretrain_clock = history.pretrain_clock
+            trainer = JointTrainer(
+                agent,
+                env,
+                replace(
+                    config.trainer,
+                    iterations=max(0, config.trainer.iterations - done),
+                ),
+                health=getattr(config, "health", None),
+            )
+            trainer.load_state_dict(snapshot["trainer"])
+            env.load_state_dict(snapshot["env"])
+            tel.emit(
+                "resume",
+                iteration=done,
+                path=snapshot["path"],
+                samples=int(history.total_samples),
+                sim_clock=float(history.sim_clock),
+            )
+            tel.update_manifest(
+                resumed_from=snapshot["path"], resumed_at_iteration=done
+            )
+            logger.info(
+                "resumed %s/%s from %s (iteration %d, %d samples)",
+                graph.name,
+                agent_kind,
+                snapshot["path"],
+                done,
+                history.total_samples,
+            )
+        else:
+            agent, pretrain_clock = build_agent(
+                agent_kind, graph, cluster, config, feature_extractor
+            )
+            history = SearchHistory(pretrain_clock=pretrain_clock)
+            trainer = JointTrainer(
+                agent, env, config.trainer, health=getattr(config, "health", None)
+            )
+        run_state = None
+        if snapshot_dir:
+            run_state = RunStateManager(
+                snapshot_dir,
+                getattr(config, "snapshot", None),
                 agent_kind=agent_kind,
-                workers=int(workers),
+                workload=graph.name,
+                mars_config=config,
+            )
+        # Trace root for the whole search: trainer.iteration spans and
+        # the env spans below them all join this trace (only when the
+        # session writes event files — in-memory runs record nothing).
+        distrib = getattr(config, "distrib", None)
+        workers = getattr(distrib, "workers", 0)
+        with span(
+            "search.optimize",
+            telemetry=tel,
+            new_trace=True,
+            workload=graph.name,
+            agent_kind=agent_kind,
+            workers=int(workers),
+        ):
+            if workers > 0:
+                # Lazy import: repro.distrib imports this module's
+                # build_agent for worker replicas.
+                from repro.distrib import train_distributed
+
+                history = train_distributed(
+                    trainer,
+                    config,
+                    agent_kind,
+                    history=history,
+                    run_state=run_state,
+                    telemetry=tel,
+                )
+            else:
+                history = trainer.train(history, run_state=run_state)
+            if history.halt_reason is not None and not history.halt_reason.startswith(
+                "signal"
             ):
-                if workers > 0:
-                    # Lazy import: repro.distrib imports this module's
-                    # build_agent for worker replicas.
-                    from repro.distrib import train_distributed
+                logger.warning(
+                    "%s/%s halted by health watchdog: %s",
+                    graph.name,
+                    agent_kind,
+                    history.halt_reason,
+                )
 
-                    history = train_distributed(
-                        trainer,
-                        config,
-                        agent_kind,
-                        history=history,
-                        run_state=run_state,
-                        telemetry=tel,
-                    )
-                else:
-                    history = trainer.train(history, run_state=run_state)
-                if history.halt_reason is not None and not history.halt_reason.startswith(
-                    "signal"
-                ):
-                    logger.warning(
-                        "%s/%s halted by health watchdog: %s",
-                        graph.name,
-                        agent_kind,
-                        history.halt_reason,
-                    )
-
-                if history.best_placement is None:
-                    logger.warning(
-                        "%s/%s never found a valid placement", graph.name, agent_kind
-                    )
-                    final = float("nan")
-                else:
-                    final = env.final_run(history.best_placement)
-    finally:
-        if owned is not None:
-            owned.close()
+            if history.best_placement is None:
+                logger.warning(
+                    "%s/%s never found a valid placement", graph.name, agent_kind
+                )
+                final = float("nan")
+            else:
+                final = env.final_run(history.best_placement)
     return OptimizationResult(
         workload=graph.name,
         agent_kind=agent_kind,

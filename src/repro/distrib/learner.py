@@ -362,7 +362,7 @@ class _BatchSource:
             if self.cfg.max_staleness is None or staleness <= self.cfg.max_staleness:
                 return batch
             tel.counter("distrib.stale_batches").inc()
-            if tel.sample_events:
+            if tel.writes_events:
                 logger.info(
                     "dropped stale batch from worker %d (version %d, head %d)",
                     batch.worker_id,
@@ -482,7 +482,7 @@ def train_distributed(
         store = VariableStore(store_dir, ctx=ctx)
         shutdown = StopFlag(ctx)
         heartbeat = ctx.Array("d", max(1, cfg.workers), lock=False)
-        run_dir = getattr(tel, "run_dir", None)
+        run_dir = tel.run_dir
 
         def spec_factory(slot: int, generation: int) -> WorkerSpec:
             return WorkerSpec(

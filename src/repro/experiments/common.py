@@ -28,6 +28,7 @@ from repro.graph import CompGraph, FeatureExtractor
 from repro.sim import ClusterSpec, MeasurementProtocol, PlacementEnv
 from repro.telemetry import start_run, use_telemetry
 from repro.utils.logging import get_logger
+from repro.utils.serialization import write_json_atomic
 from repro.workloads import get_workload
 
 logger = get_logger("repro.experiments")
@@ -221,8 +222,7 @@ class ExperimentContext:
         value = fn()
         self._memory_cache[mem_key] = value
         if path:
-            with open(path, "w") as fh:
-                json.dump(value, fh)
+            write_json_atomic(path, value)
         return value
 
     def _cache_key(self, workload_key: str, agent_kind: str, seed: int, iterations: int) -> str:
@@ -300,8 +300,7 @@ class ExperimentContext:
             raise RunInterrupted(summary)
         self._memory_cache[key] = summary
         if path:
-            with open(path, "w") as fh:
-                json.dump(asdict(summary), fh)
+            write_json_atomic(path, asdict(summary))
         return summary
 
 

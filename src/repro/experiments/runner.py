@@ -86,11 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
         "'python -m repro.telemetry.report <run>' (docs/observability.md)",
     )
     parser.add_argument(
-        "--no-telemetry",
-        action="store_true",
-        help="disable all telemetry hooks (in-memory metrics included)",
-    )
-    parser.add_argument(
         "--health",
         choices=["log", "warn", "halt"],
         default=None,
@@ -145,8 +140,6 @@ def main(argv=None) -> int:
     if args.verbose:
         set_verbosity(logging.DEBUG)
     config = paper_profile() if args.profile == "paper" else fast_profile(seed=args.seed)
-    if args.no_telemetry:
-        config = replace(config, telemetry=replace(config.telemetry, enabled=False))
     if args.no_health:
         config = replace(config, health=replace(config.health, enabled=False))
     elif args.health is not None:
@@ -164,7 +157,7 @@ def main(argv=None) -> int:
     ctx = ExperimentContext(
         config=config,
         cache_dir=args.cache_dir,
-        telemetry_dir=None if args.no_telemetry else args.telemetry_dir,
+        telemetry_dir=args.telemetry_dir,
         snapshot_dir=snapshot_dir,
         resume=args.resume is not None,
     )

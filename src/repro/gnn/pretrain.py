@@ -86,7 +86,7 @@ def pretrain_encoder(
         tel.counter("pretrain.iterations").inc()
         tel.histogram("pretrain.loss").observe(value)
         tel.gauge("pretrain.best_loss").set(result.best_loss)
-        if tel.sample_events:
+        if tel.writes_events:
             tel.emit(
                 "pretrain",
                 iteration=it,

@@ -12,7 +12,6 @@ from repro.rl.reward import RewardConfig, RewardTracker
 from repro.rl.buffer import RolloutBuffer
 from repro.rl.ppo import PPOConfig, PPOUpdater
 from repro.rl.reinforce import ReinforceUpdater
-from repro.rl.cem import CEMConfig, CEMUpdater
 from repro.rl.trainer import TrainerConfig, JointTrainer, SearchHistory, SearchRecord
 
 __all__ = [
@@ -24,8 +23,6 @@ __all__ = [
     "PPOConfig",
     "PPOUpdater",
     "ReinforceUpdater",
-    "CEMConfig",
-    "CEMUpdater",
     "TrainerConfig",
     "JointTrainer",
     "SearchHistory",

@@ -22,7 +22,6 @@ from typing import List, Optional
 import numpy as np
 
 from repro.rl.buffer import RolloutBuffer
-from repro.rl.cem import CEMConfig, CEMUpdater
 from repro.rl.policy import PolicyAgent
 from repro.rl.ppo import PPOConfig, PPOUpdater
 from repro.rl.reinforce import ReinforceConfig, ReinforceUpdater
@@ -98,10 +97,9 @@ class TrainerConfig:
     samples_per_policy: int = 10
     update_min_samples: int = 20
     buffer_capacity: int = 20
-    algorithm: str = "ppo"  # "ppo" | "reinforce" | "cem"
+    algorithm: str = "ppo"  # "ppo" | "reinforce"
     ppo: PPOConfig = field(default_factory=PPOConfig)
     reinforce: ReinforceConfig = field(default_factory=ReinforceConfig)
-    cem: CEMConfig = field(default_factory=CEMConfig)
     reward: RewardConfig = field(default_factory=RewardConfig)
     early_stop_samples: Optional[int] = None  # stop after this many samples
     patience_samples: Optional[int] = None  # stop if no improvement for this many
@@ -139,8 +137,6 @@ class JointTrainer:
             self.updater = PPOUpdater(agent, config.ppo, seed=self.rng)
         elif config.algorithm == "reinforce":
             self.updater = ReinforceUpdater(agent, config.reinforce)
-        elif config.algorithm == "cem":
-            self.updater = CEMUpdater(agent, config.cem)
         else:
             raise ValueError(f"unknown algorithm {config.algorithm!r}")
         # Loop state kept on the trainer so run-state snapshots capture it
@@ -304,7 +300,7 @@ class JointTrainer:
                 for res in results:
                     if res.ok:
                         reward_hist.observe(res.per_step_time)
-                if tel.sample_events:
+                if tel.writes_events:
                     extra = source.event_fields("sample")
                     for i, res in enumerate(results):
                         tel.emit(

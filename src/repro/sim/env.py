@@ -249,7 +249,7 @@ class PlacementEnv:
         self.stats.wall_clock += self.protocol.reinit_cost
         tel.counter("env.evaluations").inc()
         tel.counter("env.cache_hits").inc()
-        if tel.sample_events:
+        if tel.writes_events:
             tel.emit(
                 "eval",
                 makespan=float("nan"),
@@ -298,7 +298,7 @@ class PlacementEnv:
                 per_step_time=float(result.per_step_time),
                 steps_run=int(result.steps_run),
             )
-        if tel.sample_events:
+        if tel.writes_events:
             tel.emit(
                 "eval",
                 makespan=float(outcome.makespan),

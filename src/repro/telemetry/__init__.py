@@ -1,8 +1,8 @@
 """Unified run telemetry: metrics, JSONL event logs, timed sections.
 
 This package is the repo's observability layer (see
-``docs/observability.md`` for the guide). It is dependency-free and
-deliberately small:
+``docs/observability.md`` for the guide). It needs no third-party
+package of its own and is deliberately small:
 
 * :class:`~repro.telemetry.metrics.MetricsRegistry` — counters, gauges,
   streaming histograms (p50/p95/p99),
@@ -29,9 +29,8 @@ session activates file-backed logging:
 
     # later: python -m repro.telemetry.report runs/my-search
 
-``optimize_placement`` also honours ``MarsConfig.telemetry``
-(a :class:`TelemetryConfig`): ``enabled=False`` turns every hook into a
-no-op; ``run_dir="runs"`` opens a run directory per search automatically.
+Every session records metrics, so any run can answer "where did the
+time go?" from its ``profile.*`` sections.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ import sys
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.telemetry.events import (
@@ -56,7 +54,7 @@ from repro.telemetry.events import (
     validate_event,
 )
 from repro.telemetry.health import HealthAlert, HealthConfig, HealthWatchdog
-from repro.telemetry.metrics import MetricsRegistry, NullMetricsRegistry
+from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracing import (
     Span,
     SpanContext,
@@ -65,6 +63,7 @@ from repro.telemetry.tracing import (
     record_span,
     span,
 )
+from repro.utils.serialization import write_json_atomic
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -73,7 +72,6 @@ __all__ = [
     "HealthConfig",
     "HealthWatchdog",
     "MetricsRegistry",
-    "NullMetricsRegistry",
     "RunLogger",
     "NullRunLogger",
     "read_events",
@@ -85,67 +83,33 @@ __all__ = [
     "record_span",
     "new_trace_id",
     "Telemetry",
-    "TelemetryConfig",
-    "NULL_TELEMETRY",
     "get_telemetry",
     "use_telemetry",
     "start_run",
-    "telemetry_from_config",
 ]
 
 
-@dataclass
-class TelemetryConfig:
-    """How much observability a run gets (lives on ``MarsConfig``).
-
-    ``enabled=False`` swaps in no-op metric and event sinks — the
-    instrumented hot paths then cost a handful of attribute lookups per
-    evaluation (< 2% of a search's wall time). With ``run_dir`` unset,
-    metrics accumulate in memory but no files are written; setting it
-    makes every ``optimize_placement`` call open
-    ``<run_dir>/<workload>__<agent>/`` with JSONL events, a manifest and
-    a metrics snapshot.
-    """
-
-    enabled: bool = True
-    run_dir: Optional[str] = None  # base directory for per-run directories
-    events_max_bytes: int = 4_000_000  # JSONL rotation threshold per part
-    reservoir_size: int = 512  # histogram quantile reservoir
-    sample_events: bool = True  # per-placement 'sample'/'eval' events
-    #: Seconds between background flushes of ``metrics.json`` and the
-    #: buffered event log for file-backed runs. ``None`` (default) keeps
-    #: the old behaviour — artifacts land on ``close()``; setting it
-    #: keeps them fresh even if the run crashes mid-way.
-    flush_interval_s: Optional[float] = None
-
-
 class Telemetry:
-    """A metrics registry and an event log behind one handle."""
+    """A metrics registry and an event log behind one handle.
+
+    In memory by default (metrics only, events to a :class:`NullRunLogger`);
+    :func:`start_run` builds the file-backed shape.
+    """
 
     def __init__(
         self,
-        metrics=None,
         events=None,
         run_dir: Optional[str] = None,
         name: str = "run",
-        enabled: bool = True,
-        sample_events: bool = True,
         flush_interval_s: Optional[float] = None,
     ):
-        self.enabled = enabled
         self.name = name
         self.run_dir = run_dir
-        if not enabled:
-            self.metrics = NullMetricsRegistry()
-            self.events = NullRunLogger()
-        else:
-            self.metrics = metrics if metrics is not None else MetricsRegistry()
-            self.events = events if events is not None else NullRunLogger()
-        # Per-sample events are the highest-volume hooks; skip building
-        # them when they would land in a null sink anyway.
-        self.sample_events = (
-            sample_events and enabled and not isinstance(self.events, NullRunLogger)
-        )
+        self.metrics = MetricsRegistry()
+        self.events = events if events is not None else NullRunLogger()
+        # Span, per-sample and per-eval events are the highest-volume
+        # hooks; skip building them when they would land in a null sink.
+        self.writes_events = not isinstance(self.events, NullRunLogger)
         self._closed = False
         # Monotonic birth time: run duration must not jump when NTP steps
         # the wall clock mid-run; wall_time fields stay `time.time()`.
@@ -156,7 +120,7 @@ class Telemetry:
         self.flush_interval_s = flush_interval_s
         self._flush_stop: Optional[threading.Event] = None
         self._flush_thread: Optional[threading.Thread] = None
-        if run_dir and flush_interval_s and flush_interval_s > 0 and enabled:
+        if run_dir and flush_interval_s and flush_interval_s > 0:
             self._flush_stop = threading.Event()
             self._flush_thread = threading.Thread(
                 target=self._flush_loop,
@@ -193,8 +157,7 @@ class Telemetry:
         }
         manifest.update(extra)
         path = os.path.join(self.run_dir, "manifest.json")
-        with open(path, "w") as fh:
-            json.dump(manifest, fh, indent=2, default=str)
+        write_json_atomic(path, manifest, indent=2, default=str)
         return path
 
     def update_manifest(self, **extra) -> Optional[str]:
@@ -214,8 +177,7 @@ class Telemetry:
             except (OSError, ValueError):  # pragma: no cover - defensive
                 manifest = {}
         manifest.update(extra)
-        with open(path, "w") as fh:
-            json.dump(manifest, fh, indent=2, default=str)
+        write_json_atomic(path, manifest, indent=2, default=str)
         return path
 
     def write_metrics(self) -> Optional[str]:
@@ -223,8 +185,7 @@ class Telemetry:
         if not self.run_dir:
             return None
         path = os.path.join(self.run_dir, "metrics.json")
-        with open(path, "w") as fh:
-            json.dump(self.metrics.snapshot(), fh, indent=2, default=float)
+        write_json_atomic(path, self.metrics.snapshot(), indent=2, default=float)
         return path
 
     def flush(self) -> None:
@@ -266,9 +227,6 @@ class Telemetry:
         self.close()
 
 
-#: Shared disabled instance — every operation is a no-op.
-NULL_TELEMETRY = Telemetry(enabled=False)
-
 # The ambient stack. The bottom entry means "telemetry on, in memory":
 # metrics accumulate process-wide, events go nowhere.
 _STACK: List[Telemetry] = [Telemetry(name="ambient")]
@@ -305,9 +263,6 @@ def start_run(
     name: str,
     base_dir: str,
     manifest: Optional[dict] = None,
-    events_max_bytes: int = 4_000_000,
-    reservoir_size: int = 512,
-    sample_events: bool = True,
     flush_interval_s: Optional[float] = None,
 ) -> Telemetry:
     """Open a file-backed telemetry session under ``base_dir``.
@@ -325,40 +280,12 @@ def start_run(
         run_dir = os.path.join(base_dir, f"{slug}-{n}")
     os.makedirs(run_dir, exist_ok=True)
     tel = Telemetry(
-        metrics=MetricsRegistry(reservoir_size=reservoir_size),
-        events=RunLogger(run_dir, max_bytes=events_max_bytes),
+        events=RunLogger(run_dir),
         run_dir=run_dir,
         name=slug,
-        sample_events=sample_events,
         flush_interval_s=flush_interval_s,
     )
     tel.write_manifest(**(manifest or {}))
     tel.emit("run_start", name=slug, wall_time=time.time())
     return tel
 
-
-def telemetry_from_config(
-    config: Optional[TelemetryConfig],
-    name: str,
-    manifest: Optional[dict] = None,
-) -> Optional[Telemetry]:
-    """Build the session a :class:`TelemetryConfig` asks for.
-
-    Returns ``None`` when the config wants the ambient session (enabled,
-    no run directory) — callers then simply don't push anything. Returns
-    :data:`NULL_TELEMETRY` when disabled, or a fresh file-backed session
-    (which the caller must close) when ``run_dir`` is set.
-    """
-    if config is None or (config.enabled and not config.run_dir):
-        return None
-    if not config.enabled:
-        return NULL_TELEMETRY
-    return start_run(
-        name,
-        config.run_dir,
-        manifest=manifest,
-        events_max_bytes=config.events_max_bytes,
-        reservoir_size=config.reservoir_size,
-        sample_events=config.sample_events,
-        flush_interval_s=getattr(config, "flush_interval_s", None),
-    )

@@ -9,8 +9,8 @@ Files are written to ``<run_dir>/events-000.jsonl`` and rotate to the
 next part once a part exceeds ``max_bytes`` (a rotation boundary never
 splits an event). :func:`read_events` streams the parts back in order.
 
-:class:`NullRunLogger` is the disabled-telemetry twin: same interface,
-writes nothing.
+:class:`NullRunLogger` is the event sink of an in-memory session (the
+default ``Telemetry()``): same interface, writes nothing.
 """
 
 from __future__ import annotations

@@ -115,7 +115,7 @@ class HealthWatchdog:
 
     The watchdog is intentionally decoupled from any specific updater:
     it consumes anything exposing ``policy_loss`` / ``entropy`` /
-    ``grad_norm`` / ``approx_kl`` (PPO, REINFORCE and CEM all report the
+    ``grad_norm`` / ``approx_kl`` (PPO and REINFORCE both report the
     same :class:`~repro.rl.ppo.UpdateStats`).
     """
 

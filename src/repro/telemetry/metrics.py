@@ -12,10 +12,6 @@ A :class:`MetricsRegistry` is an in-memory, dependency-free metrics store:
 Timed sections are :func:`repro.telemetry.tracing.span`, which observes
 each section's seconds into a ``profile.<path>`` histogram here.
 
-The ``Null*`` twins implement the same interface as no-ops; they are what
-:data:`repro.telemetry.NULL_TELEMETRY` hands out when telemetry is
-disabled, keeping instrumented code branch-free.
-
 Usage::
 
     m = MetricsRegistry()
@@ -37,7 +33,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullMetricsRegistry",
 ]
 
 #: Default reservoir capacity for histogram quantile estimation.
@@ -144,8 +139,7 @@ class Histogram:
 class MetricsRegistry:
     """Named metric store with get-or-create accessors."""
 
-    def __init__(self, reservoir_size: int = DEFAULT_RESERVOIR_SIZE):
-        self.reservoir_size = reservoir_size
+    def __init__(self):
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
@@ -166,7 +160,7 @@ class MetricsRegistry:
     def histogram(self, name: str) -> Histogram:
         h = self._histograms.get(name)
         if h is None:
-            h = self._histograms[name] = Histogram(name, self.reservoir_size)
+            h = self._histograms[name] = Histogram(name)
         return h
 
     # -- introspection --------------------------------------------------
@@ -179,80 +173,16 @@ class MetricsRegistry:
     def snapshot(self) -> dict:
         """JSON-serializable view of every metric.
 
-        Safe while other threads record without a lock: each
-        ``sorted(d.items())`` copies its dict in one C call that runs no
-        Python code, so the GIL lets no thread create a metric mid-copy.
+        Safe while other threads record without a lock: ``d.copy()``
+        copies each dict in one C call that allocates no tracked object
+        per entry, so no garbage collection (whose finalizers run Python
+        code and can switch threads) lets a metric be created mid-copy.
+        ``sorted(d.items())`` alone is not: it allocates a tuple per entry.
         """
         return {
-            "counters": {n: c.to_dict() for n, c in sorted(self._counters.items())},
-            "gauges": {n: g.to_dict() for n, g in sorted(self._gauges.items())},
-            "histograms": {n: h.to_dict() for n, h in sorted(self._histograms.items())},
+            "counters": {n: c.to_dict() for n, c in sorted(self._counters.copy().items())},
+            "gauges": {n: g.to_dict() for n, g in sorted(self._gauges.copy().items())},
+            "histograms": {
+                n: h.to_dict() for n, h in sorted(self._histograms.copy().items())
+            },
         }
-
-
-class _NullCounter:
-    __slots__ = ()
-    name = "null"
-    value = 0
-
-    def inc(self, n: int = 1) -> None:
-        pass
-
-    def to_dict(self) -> dict:
-        return {"value": 0}
-
-
-class _NullGauge:
-    __slots__ = ()
-    name = "null"
-    value = float("nan")
-    updates = 0
-
-    def set(self, value: float) -> None:
-        pass
-
-    def to_dict(self) -> dict:
-        return {"value": float("nan"), "updates": 0}
-
-
-class _NullHistogram:
-    __slots__ = ()
-    name = "null"
-    count = 0
-    total = 0.0
-    min = float("inf")
-    max = float("-inf")
-    mean = float("nan")
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def quantile(self, q: float) -> float:
-        return float("nan")
-
-    def to_dict(self) -> dict:
-        return {"count": 0}
-
-
-_NULL_COUNTER = _NullCounter()
-_NULL_GAUGE = _NullGauge()
-_NULL_HISTOGRAM = _NullHistogram()
-
-
-class NullMetricsRegistry:
-    """No-op drop-in for :class:`MetricsRegistry` (disabled telemetry)."""
-
-    def counter(self, name: str) -> _NullCounter:
-        return _NULL_COUNTER
-
-    def gauge(self, name: str) -> _NullGauge:
-        return _NULL_GAUGE
-
-    def histogram(self, name: str) -> _NullHistogram:
-        return _NULL_HISTOGRAM
-
-    def names(self) -> List[str]:
-        return []
-
-    def snapshot(self) -> dict:
-        return {"counters": {}, "gauges": {}, "histograms": {}}

@@ -1,7 +1,7 @@
 """Timed sections: one ``profile.<path>`` histogram each, and trace spans.
 
 :func:`span` is the package's one timing primitive. Every section it
-opens on an enabled telemetry session observes its duration into the
+opens observes its duration into the
 ``profile.<path>`` histogram, where ``<path>`` is the thread-local
 nesting of section names joined with ``/``
 (``search.optimize/trainer.iteration/rl.sample``). Their sums answer
@@ -37,10 +37,9 @@ Three propagation mechanisms, matching how work moves in this codebase:
   It is not a timer and observes no histogram.
 
 Activation rule: a section emits a ``span`` event only when the session
-writes event files (``tel.sample_events``) *and* there is a trace to
+writes event files (``tel.writes_events``) *and* there is a trace to
 join — an ambient or explicit parent, or ``new_trace=True`` for roots.
-Otherwise it only observes its histogram; with disabled telemetry
-(``NULL_TELEMETRY``) it is the shared no-op. Because span events are
+Otherwise it only observes its histogram. Because span events are
 gated on an active trace, they are deliberately outside the
 batch-vs-sequential "identical event stream" contract of
 ``PlacementEnv.evaluate_batch`` (span timings are wall-clock and could never be
@@ -212,49 +211,26 @@ class Span:
         )
 
 
-class _NoopSpan:
-    """Shared do-nothing twin of :class:`Span` (disabled telemetry).
-    ``context`` is ``None`` so callers can branch."""
-
-    __slots__ = ()
-    context = None
-    trace_id = None
-    span_id = None
-    status = "ok"
-
-    def __enter__(self) -> "_NoopSpan":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        pass
-
-
-NOOP_SPAN = _NoopSpan()
-
-
 def span(
     name: str,
     telemetry=None,
     parent: Optional[SpanContext] = None,
     new_trace: bool = False,
     **extra,
-) -> "Span | _NoopSpan":
+) -> Span:
     """Open a section named ``name``; returns a context manager.
 
     The section always observes ``profile.<path>`` in the session's
     metrics. It is also a traced span when the session writes event
     files and it has a parent: an explicit ``parent`` context (a
     cross-thread handoff), the thread's ambient current span, or — only
-    with ``new_trace=True`` — a fresh root. Disabled telemetry gets the
-    shared no-op.
+    with ``new_trace=True`` — a fresh root.
     """
     if telemetry is None:
         from repro.telemetry import get_telemetry
 
         telemetry = get_telemetry()
-    if not telemetry.enabled:
-        return NOOP_SPAN
-    if telemetry.sample_events:
+    if telemetry.writes_events:
         if parent is None:
             parent = current_span()
         if parent is not None:
@@ -286,7 +262,7 @@ def record_span(
         from repro.telemetry import get_telemetry
 
         telemetry = get_telemetry()
-    if not telemetry.sample_events:
+    if not telemetry.writes_events:
         return None
     span_id = _new_id()
     telemetry.emit(

@@ -7,7 +7,6 @@ mutable dataclass, so tuning one agent silently reconfigures all others.
 
 import numpy as np
 
-from repro.rl.cem import CEMConfig, CEMUpdater
 from repro.rl.ppo import PPOConfig, PPOUpdater
 from repro.rl.reinforce import ReinforceConfig, ReinforceUpdater
 from repro.rl.reward import RewardConfig, RewardTracker
@@ -42,14 +41,6 @@ def test_reinforce_default_configs_independent():
     assert a.config is not b.config
     a.config.learning_rate = 123.0
     assert b.config.learning_rate == ReinforceConfig().learning_rate
-
-
-def test_cem_default_configs_independent():
-    a = CEMUpdater(_StubAgent())
-    b = CEMUpdater(_StubAgent())
-    assert a.config is not b.config
-    a.config.elite_fraction = 0.5
-    assert b.config.elite_fraction == CEMConfig().elite_fraction
 
 
 def test_reward_tracker_default_configs_independent():

@@ -1,4 +1,4 @@
-"""Regression tests: all three updaters report unified UpdateStats health
+"""Regression tests: both updaters report unified UpdateStats health
 fields (entropy, grad_norm, approx_kl) the watchdog can consume."""
 
 import math
@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.rl.cem import CEMConfig, CEMUpdater
 from repro.rl.ppo import PPOConfig, PPOUpdater
 from repro.rl.reinforce import ReinforceConfig, ReinforceUpdater
 from tests.rl.test_ppo import BanditAgent, make_batch
@@ -16,7 +15,6 @@ def updaters():
     return [
         ("ppo", lambda agent: PPOUpdater(agent, PPOConfig(), seed=0)),
         ("reinforce", lambda agent: ReinforceUpdater(agent, ReinforceConfig())),
-        ("cem", lambda agent: CEMUpdater(agent, CEMConfig())),
     ]
 
 
@@ -54,8 +52,8 @@ def test_approx_kl_zero_on_first_fresh_batch(build):
 
 @pytest.mark.parametrize(
     "build",
-    [u[1] for u in updaters()[1:]],  # reinforce, cem
-    ids=["reinforce", "cem"],
+    [u[1] for u in updaters()[1:]],  # reinforce
+    ids=["reinforce"],
 )
 def test_approx_kl_nonzero_on_stale_rollout(build):
     """Re-updating on a stale rollout shows real policy drift."""
@@ -70,8 +68,8 @@ def test_approx_kl_nonzero_on_stale_rollout(build):
 
 @pytest.mark.parametrize(
     "build",
-    [u[1] for u in updaters()[1:]],  # reinforce, cem
-    ids=["reinforce", "cem"],
+    [u[1] for u in updaters()[1:]],  # reinforce
+    ids=["reinforce"],
 )
 def test_policy_loss_excludes_entropy_bonus(build):
     """Doubling entropy_coef changes the total objective but must not leak
@@ -89,8 +87,7 @@ def test_policy_loss_excludes_entropy_bonus(build):
 
 
 def test_clip_fraction_zero_for_unclipped_algorithms():
-    for build in (lambda a: ReinforceUpdater(a), lambda a: CEMUpdater(a)):
-        agent = BanditAgent(3)
-        rollout, adv = make_batch(agent, np.random.default_rng(4), lambda a: float(a))
-        stats = build(agent).update(rollout, adv)
-        assert stats.clip_fraction == 0.0
+    agent = BanditAgent(3)
+    rollout, adv = make_batch(agent, np.random.default_rng(4), lambda a: float(a))
+    stats = ReinforceUpdater(agent).update(rollout, adv)
+    assert stats.clip_fraction == 0.0

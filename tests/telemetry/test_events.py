@@ -6,6 +6,7 @@ import os
 import pytest
 
 from repro.telemetry import start_run, use_telemetry, get_telemetry
+from repro.telemetry.report import load_run
 from repro.telemetry.events import (
     EVENT_SCHEMAS,
     SCHEMA_VERSION,
@@ -131,6 +132,27 @@ class TestSessionLifecycle:
         assert metrics["counters"]["c"]["value"] == 3
         assert metrics["histograms"]["h"]["count"] == 1
         tel.close()  # idempotent
+
+    def test_failed_metrics_write_keeps_previous_snapshot(self, tmp_path, monkeypatch):
+        # A reader of a live run directory (the report CLI under
+        # --flush-interval) must never see a half-written metrics.json.
+        tel = start_run("r", str(tmp_path))
+        tel.counter("c").inc()
+        tel.flush()
+
+        def dump_then_fail(doc, fh, **kwargs):
+            fh.write('{"counters": ')
+            raise RuntimeError("write interrupted")
+
+        tel.counter("c").inc()
+        monkeypatch.setattr(json, "dump", dump_then_fail)
+        with pytest.raises(RuntimeError):
+            tel.flush()
+        monkeypatch.undo()
+        metrics = load_run(tel.run_dir).metrics
+        assert metrics["counters"]["c"]["value"] == 1
+        assert not [f for f in os.listdir(tel.run_dir) if f.endswith(".tmp")]
+        tel.close()
 
     def test_duplicate_run_names_get_suffixed(self, tmp_path):
         a = start_run("r", str(tmp_path))

@@ -157,14 +157,3 @@ class TestProfileSections:
         } <= leaves
         assert "profile.search.optimize/trainer.iteration/rl.sample" in tel.metrics.names()
 
-
-class TestDisabledTelemetry:
-    def test_search_runs_clean_with_telemetry_disabled(self, tmp_path):
-        from dataclasses import replace
-
-        config = fast_profile(seed=0, iterations=2)
-        config = replace(config, telemetry=replace(config.telemetry, enabled=False))
-        graph = build_vgg16(scale=0.25, batch_size=4)
-        result = optimize_placement(graph, ClusterSpec.default(), "mars_no_pretrain", config)
-        assert result.history.best_placement is not None
-        assert not list(tmp_path.iterdir()), "disabled telemetry wrote files"

@@ -3,10 +3,9 @@
 import threading
 
 from repro.analysis.trace import events_to_chrome_trace
-from repro.telemetry import NULL_TELEMETRY, Telemetry, read_events, start_run
+from repro.telemetry import Telemetry, read_events, start_run
 from repro.telemetry.events import validate_event
 from repro.telemetry.tracing import (
-    NOOP_SPAN,
     SpanContext,
     current_span,
     new_trace_id,
@@ -47,24 +46,19 @@ class TestActivationGate:
         assert spans_of(tel.run_dir) == []
         assert profile_names(tel) == ["profile.x"]
 
-    def test_sample_events_off_records_no_event(self, tmp_path):
-        tel = start_run("no-samples", str(tmp_path), sample_events=False)
-        try:
-            with span("x", telemetry=tel, new_trace=True) as sp:
-                assert sp.context is None
-            parent = SpanContext(new_trace_id(), new_trace_id())
-            assert record_span("y", 0.1, telemetry=tel, parent=parent) is None
-        finally:
-            tel.close()
-        assert spans_of(tel.run_dir) == []
+    def test_sample_events_off_records_no_event(self):
+        # An in-memory session has no event file: neither a live span nor
+        # an after-the-fact record becomes an event.
+        events = []
+        tel = Telemetry()
+        tel.events.emit = lambda etype, **fields: events.append(etype)
+        assert not tel.writes_events
+        with span("x", telemetry=tel, new_trace=True) as sp:
+            assert sp.context is None
+        parent = SpanContext(new_trace_id(), new_trace_id())
+        assert record_span("y", 0.1, telemetry=tel, parent=parent) is None
+        assert events == []
         assert profile_names(tel) == ["profile.x"]
-
-    def test_disabled_telemetry_yields_noop(self):
-        sp = span("x", telemetry=NULL_TELEMETRY, new_trace=True)
-        assert sp is NOOP_SPAN
-        with sp:
-            assert current_span() is None
-        assert NULL_TELEMETRY.metrics.names() == []
 
 
 class TestSectionPaths:

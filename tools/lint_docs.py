@@ -5,7 +5,7 @@ Run from the repo root (``make lint-docs`` does):
 
     python tools/lint_docs.py
 
-Five checks, all stdlib-only:
+Six checks, all stdlib-only:
 
 1. Every relative link/image target in the repo's Markdown files must
    exist on disk (``http(s)://``, ``mailto:`` and pure ``#anchor`` links
@@ -33,12 +33,17 @@ Five checks, all stdlib-only:
    " — ") must be recorded under ``src/`` — as a section when the bullet
    is in the profiler glossary, as a metric otherwise — so a deleted
    metric or section cannot leave its documentation behind.
+6. Every ``--flag`` named in inline code in ``docs/*.md`` and
+   ``README.md`` must be an ``add_argument`` option of some script under
+   ``src/``, ``tools/``, ``benchmarks/`` or ``examples/``, so a deleted
+   command-line option cannot stay documented.
 
 Exit status is non-zero if any check fails.
 """
 
 from __future__ import annotations
 
+import ast
 import glob
 import json
 import os
@@ -266,6 +271,53 @@ def check_glossary_metrics_recorded() -> list:
     return errors
 
 
+# `--telemetry-dir DIR`, `--seeds N`: a long option at a token start.
+_FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+_OPTION_ROOTS = ("src", "tools", "benchmarks", "examples")
+
+
+def defined_options() -> set:
+    """Every ``--option`` string passed to an ``add_argument`` call in the
+    Python files under ``_OPTION_ROOTS``."""
+    options = set()
+    for root in _OPTION_ROOTS:
+        pattern = os.path.join(REPO_ROOT, root, "**", "*.py")
+        for path in glob.glob(pattern, recursive=True):
+            tree = ast.parse(open(path, encoding="utf-8").read(), path)
+            for node in ast.walk(tree):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "add_argument"
+                ):
+                    options.update(
+                        arg.value
+                        for arg in node.args
+                        if isinstance(arg, ast.Constant)
+                        and isinstance(arg.value, str)
+                        and arg.value.startswith("--")
+                    )
+    return options
+
+
+def check_doc_flags() -> list:
+    """Every ``--flag`` in inline code in the docs must be a real option."""
+    options = defined_options()
+    errors = []
+    paths = sorted(glob.glob(os.path.join(REPO_ROOT, "docs", "*.md")))
+    for path in paths + [os.path.join(REPO_ROOT, "README.md")]:
+        rel = os.path.relpath(path, REPO_ROOT)
+        text = strip_code_blocks(open(path, encoding="utf-8").read())
+        for span in _CODE_SPAN_RE.finditer(text):
+            for flag in _FLAG_RE.findall(span.group(1)):
+                if flag not in options:
+                    errors.append(
+                        f"{rel}: flag {flag} is not an add_argument option "
+                        "under " + ", ".join(f"{r}/" for r in _OPTION_ROOTS)
+                    )
+    return errors
+
+
 def main() -> int:
     errors = (
         check_markdown_links()
@@ -273,6 +325,7 @@ def main() -> int:
         + check_event_fixtures()
         + check_metric_glossary()
         + check_glossary_metrics_recorded()
+        + check_doc_flags()
     )
     for error in errors:
         print(error, file=sys.stderr)
