@@ -362,13 +362,12 @@ class _BatchSource:
             if self.cfg.max_staleness is None or staleness <= self.cfg.max_staleness:
                 return batch
             tel.counter("distrib.stale_batches").inc()
-            if tel.writes_events:
-                logger.info(
-                    "dropped stale batch from worker %d (version %d, head %d)",
-                    batch.worker_id,
-                    batch.policy_version,
-                    store.version,
-                )
+            logger.info(
+                "dropped stale batch from worker %d (version %d, head %d)",
+                batch.worker_id,
+                batch.policy_version,
+                store.version,
+            )
 
 
 class _WorkerBatches:

@@ -16,8 +16,18 @@ both directions in one time loop (:func:`repro.nn.rnn.lstm_sequence`),
 and the decoder over all segments is one op whose forward loops raw
 arrays through the shared LSTM-cell and attention helpers and whose
 backward is hand-written BPTT.
-The loop samples, argmaxes or teacher-forces each choice, so ``sample``
-(under ``no_grad``, keeping no caches) and ``evaluate`` run the same code.
+
+Sampling and teacher-forced scoring share that op but not its loop.
+Sampling (``sample``, under ``no_grad``, keeping no caches) needs each
+step's logits to choose the next step's input, so it runs the cell, the
+attention and the head one step at a time. Scoring (``evaluate``) knows
+every choice up front, and the attention context feeds only the head,
+never the cell, so only the cell is sequential: the attention runs over
+blocks of steps whose ``(C, T, B, A)`` scores stay within
+``_BLOCK_ELEMENTS``, and the head over whole segments. The stacked
+products round each step as a lone step's do, so both paths give the
+same logits bit for bit. The backward runs the attention's gradient per
+forward call before a reverse loop that is the cell's alone.
 """
 
 from __future__ import annotations
@@ -40,6 +50,10 @@ from repro.nn.rnn import lstm_cell, lstm_cell_backward
 from repro.nn.tensor import _unbroadcast
 from repro.placers.base import Placer, PlacerOutput, logits_to_choice, sample_categorical
 from repro.utils.rng import new_rng
+
+# The most float64 elements that one block of teacher-forced attention
+# steps holds in its (C, T, B, A) scores; a block is at least one step.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 def _choose(logits: np.ndarray, rng: Optional[np.random.Generator], greedy: bool) -> np.ndarray:
@@ -144,10 +158,17 @@ class SegmentSeq2SeqPlacer(Placer):
     ) -> Tuple[Tensor, np.ndarray]:
         """The attention decoder over every segment, as one op.
 
-        Each step embeds the previous choice, runs the LSTM cell, attends
-        over its segment's memory ``(s,1,H)`` and applies the head; then it
-        takes the next choice from ``actions``, by argmax or by sampling.
-        The decoder state carries across segments. Returns the logits
+        Each step embeds the previous choice and runs the LSTM cell; the
+        cell's output attends over its segment's memory ``(s,1,H)``, and
+        the head maps ``[h, context]`` to the step's logits. The decoder
+        state carries across segments. Sampling (or argmax) runs the steps
+        one at a time, since each choice needs its step's logits. Teacher
+        forcing knows every choice up front, and the context feeds only
+        the head, so only the cell is sequential: per segment the action
+        projection is one stacked matmul, the cell loops alone, the
+        attention runs over blocks of steps and the head is one stacked
+        matmul. A stacked product makes the same BLAS call per step as a
+        lone step's, so both paths give the same bits. Returns the logits
         ``(B,N,D)`` as one tape node, and the choices ``(B,N)``.
         """
         H, D = self.hidden_size, self.num_devices
@@ -159,6 +180,7 @@ class SegmentSeq2SeqPlacer(Placer):
         parents = (*mems, h0, c0, w_ih, bias, w_hh, w_m, w_q, b_q, v, embed, w_head, b_head)
         keep = is_grad_enabled() and any(p.requires_grad for p in parents)
 
+        A = w_m.shape[1]
         w_enc, w_act = w_ih.data[:H], w_ih.data[H:]
         # A contiguous fan-out: a stride-0 view of the batch-1 state would
         # round the recurrent matmul differently.
@@ -167,79 +189,122 @@ class SegmentSeq2SeqPlacer(Placer):
         h_init = h
         N = sum(mem.shape[0] for mem in mems)
         logits = np.empty((B, N, D))
-        chosen = np.empty((B, N), dtype=np.int64)
-        prev = np.full(B, D, dtype=np.int64)  # <start>
+        start = np.full((1, B), D, dtype=np.int64)  # <start>
+        prev = start[0]
+        if actions is None:
+            chosen = np.empty((B, N), dtype=np.int64)
+        else:
+            chosen = actions.copy()
+            # Step-major previous choices: <start>, then each step's choice.
+            prevs = np.concatenate((start, actions.T[:-1]))
         if keep:
-            # Step-major records for the backward's folded products.
-            prevs = np.empty((N, B), dtype=np.int64)
-            acts = np.empty((N, B, embed.shape[1]))
+            # Step-major [h, context] rows (the head's input), each
+            # segment's tiled keys, and the caches: one per cell step, one
+            # per attention call.
             cats = np.empty((N, B, 2 * H))
-            caches = []
+            seg_keys, cell_caches, attn_calls = [], [], []
         j = 0
-        for mem in mems:
+        for k, mem in enumerate(mems):
             m = mem.data
+            T = m.shape[0]
             # The batch-independent encoded-op part of the decoder input
-            # projection, and the attention keys: one matmul each per segment.
-            enc_gates = m @ w_enc + bias.data  # (s,1,4H)
-            keys = m @ w_m.data  # (s,1,A)
-            for t in range(m.shape[0]):
-                act = embed.data[prev]  # (B, a)
-                h, c, cell_cache = lstm_cell(enc_gates[t] + act @ w_act, h, c, w_hh.data)
-                ctx, attn_cache = attention_step(m, keys, h, w_q.data, b_q.data, v.data)
-                cat = np.concatenate([h, ctx], axis=1)
-                out = cat @ w_head.data + b_head.data  # (B, D)
-                logits[:, j] = out
+            # projection, and the attention keys: one matmul each per
+            # segment. The keys are tiled to the batch once, so no score's
+            # add broadcasts.
+            enc_gates = m @ w_enc + bias.data  # (T,1,4H)
+            keys = np.ascontiguousarray(np.broadcast_to(m @ w_m.data, (T, B, A)))
+            if keep:
+                seg_keys.append(keys)
+            if actions is None:
+                for t in range(T):
+                    act = embed.data[prev]  # (B, a)
+                    h, c, cell_cache = lstm_cell(enc_gates[t] + act @ w_act, h, c, w_hh.data)
+                    ctx, attn_cache = attention_step(m, keys, h[None], w_q.data, b_q.data, v.data)
+                    cat = np.concatenate([h, ctx[0]], axis=1)
+                    out = cat @ w_head.data + b_head.data  # (B, D)
+                    logits[:, j] = out
+                    if keep:
+                        cats[j] = cat
+                        cell_caches.append(cell_cache)
+                        attn_calls.append((j, j + 1, k, attn_cache))
+                    prev = _choose(out, rng, greedy)
+                    chosen[:, j] = prev
+                    j += 1
+                continue
+            gates_x = embed.data[prevs[j : j + T]] @ w_act  # (T,B,4H)
+            gates_x += enc_gates
+            hs = np.empty((T, B, H))
+            for t in range(T):
+                h, c, cell_cache = lstm_cell(gates_x[t], h, c, w_hh.data)
+                hs[t] = h
                 if keep:
-                    prevs[j], acts[j], cats[j] = prev, act, cat
-                    caches.append((cell_cache, attn_cache))
-                prev = actions[:, j] if actions is not None else _choose(out, rng, greedy)
-                chosen[:, j] = prev
-                j += 1
+                    cell_caches.append(cell_cache)
+            seg_cats = cats[j : j + T] if keep else np.empty((T, B, 2 * H))
+            seg_cats[:, :, :H] = hs
+            # Blocks of steps whose (C,T,B,A) scores stay within the budget.
+            C = max(1, _BLOCK_ELEMENTS // keys.size)
+            for lo in range(0, T, C):
+                hi = min(lo + C, T)
+                ctx, attn_cache = attention_step(m, keys, hs[lo:hi], w_q.data, b_q.data, v.data)
+                seg_cats[lo:hi, :, H:] = ctx
+                if keep:
+                    attn_calls.append((j + lo, j + hi, k, attn_cache))
+            logits[:, j : j + T] = (seg_cats @ w_head.data + b_head.data).transpose(1, 0, 2)
+            j += T
+        if keep and actions is None:
+            prevs = np.concatenate((start, chosen.T[:-1]))
 
         def backward(g: np.ndarray) -> None:
-            g = g.transpose(1, 0, 2)  # step-major (N,B,D)
-            dcat = g @ w_head.data.T  # (N,B,2H)
-            dgates = np.empty((N, B, 4 * H))
-            dq = np.empty((N, B, w_q.shape[1]))
+            g = np.ascontiguousarray(g.transpose(1, 0, 2))  # step-major (N,B,D)
+            dcat = (g.reshape(-1, D) @ w_head.data.T).reshape(N, B, 2 * H)
+            # The context feeds only the head, so every step's context
+            # gradient is known here: the attention's backward runs per
+            # forward call, and the reverse loop below is the cell's alone.
+            dh = np.ascontiguousarray(dcat[:, :, :H])
+            dq = np.empty((N, B, A))
             dv = np.zeros_like(v.data)
+            dmems = [np.zeros_like(mem.data) for mem in mems]
+            dkeys = [np.zeros_like(keys) for keys in seg_keys]
+            for lo, hi, k, cache in attn_calls:
+                dm, dk, dquery, dq[lo:hi], dv_call = attention_step_backward(
+                    dcat[lo:hi, :, H:], cache, mems[k].data, seg_keys[k], w_q.data, v.data
+                )
+                dmems[k] += dm
+                dkeys[k] += dk
+                dv += dv_call
+                dh[lo:hi] += dquery
+            dgates = np.empty((N, B, 4 * H))
+            dh_prev = dc = None
+            for j in range(N - 1, -1, -1):
+                dh_j = dh[j] if dh_prev is None else dh[j] + dh_prev
+                dgates[j], dh_prev, dc = lstm_cell_backward(dh_j, dc, cell_caches[j], w_hh.data)
             dw_enc = np.zeros_like(w_enc)
             dw_m = np.zeros_like(w_m.data)
-            dh_prev = dc = None
-            j = N
-            for mem in reversed(mems):
+            j = 0
+            for mem, dmem, dk in zip(mems, dmems, dkeys):
                 m = mem.data
-                dmem = np.zeros_like(m)
-                d_enc = np.empty((m.shape[0], 1, 4 * H))
-                dkeys = np.zeros(m.shape[:2] + (w_m.shape[1],))
-                for t in range(m.shape[0] - 1, -1, -1):
-                    j -= 1
-                    cell_cache, attn_cache = caches[j]
-                    dm, dk, dquery, dq[j], dv_t = attention_step_backward(
-                        dcat[j, :, H:], attn_cache, m, dkeys.shape, w_q.data, v.data
-                    )
-                    dmem += dm
-                    dkeys += dk
-                    dv += dv_t
-                    dh = dcat[j, :, :H] + dquery
-                    if dh_prev is not None:
-                        dh += dh_prev
-                    dgates[j], dh_prev, dc = lstm_cell_backward(dh, dc, cell_cache, w_hh.data)
-                    d_enc[t] = dgates[j].sum(axis=0)
-                dmem += d_enc @ w_enc.T + dkeys @ w_m.data.T
+                d_enc = dgates[j : j + m.shape[0]].sum(axis=1)  # (T,4H)
+                dk = dk.sum(axis=1)  # (T,A): the tiled keys' batch
+                dmem[:, 0] += d_enc @ w_enc.T + dk @ w_m.data.T
                 flat_m = m.reshape(-1, H).T
-                dw_enc += flat_m @ d_enc.reshape(-1, 4 * H)
-                dw_m += flat_m @ dkeys.reshape(-1, dkeys.shape[-1])
+                dw_enc += flat_m @ d_enc
+                dw_m += flat_m @ dk
                 if mem.requires_grad:
                     mem._accumulate(dmem)
+                j += m.shape[0]
             flat = dgates.reshape(-1, 4 * H)
             queries = cats[:, :, :H]
+            # The gate gradients summed per previous choice: the action
+            # embedding's and w_act's gradients both contract through them.
+            onehot = np.zeros((N * B, D + 1))
+            onehot[np.arange(N * B), prevs.reshape(-1)] = 1.0
+            by_prev = onehot.T @ flat  # (D+1, 4H)
             if h0.requires_grad:
                 h0._accumulate(_unbroadcast(dh_prev, h0.shape))
             if c0.requires_grad:
                 c0._accumulate(_unbroadcast(dc, c0.shape))
             if w_ih.requires_grad:
-                dw_act = acts.reshape(-1, acts.shape[-1]).T @ flat
-                w_ih._accumulate(np.concatenate((dw_enc, dw_act)))
+                w_ih._accumulate(np.concatenate((dw_enc, embed.data.T @ by_prev)))
             if bias.requires_grad:
                 bias._accumulate(flat.sum(axis=0))
             if w_hh.requires_grad:
@@ -250,15 +315,13 @@ class SegmentSeq2SeqPlacer(Placer):
             if w_m.requires_grad:
                 w_m._accumulate(dw_m)
             if w_q.requires_grad:
-                w_q._accumulate(queries.reshape(-1, H).T @ dq.reshape(-1, dq.shape[-1]))
+                w_q._accumulate(queries.reshape(-1, H).T @ dq.reshape(-1, A))
             if b_q.requires_grad:
                 b_q._accumulate(dq.sum(axis=(0, 1)))
             if v.requires_grad:
                 v._accumulate(dv)
             if embed.requires_grad:
-                dembed = np.zeros_like(embed.data)
-                np.add.at(dembed, prevs.reshape(-1), flat @ w_act.T)
-                embed._accumulate(dembed)
+                embed._accumulate(by_prev @ w_act.T)
             if w_head.requires_grad:
                 w_head._accumulate(cats.reshape(-1, 2 * H).T @ g.reshape(-1, D))
             if b_head.requires_grad:

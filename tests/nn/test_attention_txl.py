@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import BahdanauAttention, Embedding, Tensor, TransformerXL
+from repro.nn.attention import attention_step, attention_step_backward
 from repro.nn.transformer_xl import RelativeMultiHeadAttention
 from tests.helpers import check_gradient
 
@@ -78,6 +79,97 @@ class TestFusedAttention:
         for a, b in zip(grads_a, grads_b):
             assert a.shape == b.shape
             assert np.allclose(a, b, rtol=1e-10, atol=1e-14)
+
+
+def _attention_inputs(steps, batch, n_queries, M=6, Q=4, A=5):
+    """A shared memory ``(T,1,M)``, its keys ``(T,1,A)``, a query stack
+    ``(S,B,Q)`` and the query projection and score vector."""
+    return dict(
+        memory=rng.standard_normal((steps, 1, M)),
+        keys=rng.standard_normal((steps, 1, A)),
+        query=rng.standard_normal((n_queries, batch, Q)) * 3.0,
+        w_q=rng.standard_normal((Q, A)),
+        b_q=rng.standard_normal(A),
+        v=rng.standard_normal(A),
+    )
+
+
+def _close(a, b, rtol=1e-10):
+    """Within ``rtol`` of ``b``'s norm, elementwise."""
+    assert a.shape == b.shape
+    assert np.abs(a - b).max() <= rtol * max(np.linalg.norm(b), 1e-300)
+
+
+class TestStackedAttention:
+    """``attention_step`` over a stack of S queries against S one-query
+    calls: the same context bits for every query, gradients equal up to
+    summation order. The stack runs on keys tiled to the batch, as the
+    placer's decoder passes them; the one-query calls broadcast them."""
+
+    S = 7
+
+    @pytest.mark.parametrize("batch", [1, 3, 10])
+    @pytest.mark.parametrize("steps", [1, 5, 32])
+    def test_stack_matches_one_query_calls(self, steps, batch):
+        x = _attention_inputs(steps, batch, self.S)
+        memory, keys, w_q, v = x["memory"], x["keys"], x["w_q"], x["v"]
+        tiled = np.ascontiguousarray(np.broadcast_to(keys, (steps, batch, keys.shape[2])))
+        g = rng.standard_normal((self.S, batch, memory.shape[2]))
+
+        ctx, cache = attention_step(memory, tiled, x["query"], w_q, x["b_q"], v)
+        dmem, dkeys, dquery, dq, dv = attention_step_backward(g, cache, memory, tiled, w_q, v)
+
+        singles = [
+            attention_step(memory, keys, x["query"][i : i + 1], w_q, x["b_q"], v)
+            for i in range(self.S)
+        ]
+        for i, (one, _) in enumerate(singles):
+            assert np.array_equal(ctx[i], one[0])
+        grads = [
+            attention_step_backward(g[i : i + 1], one_cache, memory, keys, w_q, v)
+            for i, (_, one_cache) in enumerate(singles)
+        ]
+        _close(dmem, sum(gr[0] for gr in grads))
+        _close(dkeys.sum(axis=1, keepdims=True), sum(gr[1] for gr in grads))
+        _close(dquery, np.concatenate([gr[2] for gr in grads]))
+        _close(dq, np.concatenate([gr[3] for gr in grads]))
+        _close(dv, sum(gr[4] for gr in grads))
+
+    @pytest.mark.parametrize("name", ["memory", "keys", "query", "w_q", "b_q", "v"])
+    def test_gradcheck(self, name):
+        """Every input of a stacked call, against central differences."""
+        x = _attention_inputs(steps=4, batch=3, n_queries=3, M=3, Q=2, A=4)
+        r = rng.standard_normal((3, 3, 3))
+
+        def loss(value):
+            args = dict(x, **{name: value})
+            ctx, _ = attention_step(
+                args["memory"], args["keys"], args["query"], args["w_q"], args["b_q"], args["v"]
+            )
+            return float((ctx * r).sum())
+
+        _, cache = attention_step(**x)
+        dmem, dkeys, dquery, dq, dv = attention_step_backward(
+            r, cache, x["memory"], x["keys"], x["w_q"], x["v"]
+        )
+        auto = {
+            "memory": dmem,
+            "keys": dkeys,
+            "query": dquery,
+            "w_q": x["query"].reshape(-1, 2).T @ dq.reshape(-1, 4),
+            "b_q": dq.sum(axis=(0, 1)),
+            "v": dv,
+        }[name]
+        base, eps = x[name], 1e-6
+        num = np.zeros(base.size)
+        for i in range(base.size):
+            vals = []
+            for sign in (1, -1):
+                flat = base.copy().reshape(-1)
+                flat[i] += sign * eps
+                vals.append(loss(flat.reshape(base.shape)))
+            num[i] = (vals[0] - vals[1]) / (2 * eps)
+        assert np.abs(num.reshape(base.shape) - auto).max() < 1e-6
 
 
 class TestEmbedding:

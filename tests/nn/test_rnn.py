@@ -388,19 +388,20 @@ class TestStepKernels:
     """Cheaper formulas inside the placer's loops keep every bit."""
 
     def test_shared_memory_context_equals_mul_sum(self):
-        """Over a memory shared by the query batch, the context is an
-        einsum over time; it equals the broadcast multiply-and-sum."""
+        """Over a memory shared by the query batch, the context of a stack
+        of queries is an einsum over time; it equals the broadcast
+        multiply-and-sum."""
         for trial in range(60):
             T = int(rng.integers(1, 140))
-            B = int(rng.choice([1, 3, 10]))
+            S, B = int(rng.choice([1, 4])), int(rng.choice([1, 3, 10]))
             M, A = int(rng.choice([8, 48, 96])), 6
             memory = rng.standard_normal((T, 1, M)) * 10.0 ** rng.integers(-3, 4)
             keys = rng.standard_normal((T, 1, A))
-            query = rng.standard_normal((B, 5))
+            query = rng.standard_normal((S, B, 5))
             w_q, b_q, v = (rng.standard_normal(s) for s in ((5, A), (A,), (A,)))
-            context, (_, _, weights) = attention_step(memory, keys, query, w_q, b_q, v)
-            mul_sum = (memory * weights.reshape(T, B, 1)).sum(axis=0)
-            assert np.array_equal(context, mul_sum), (T, B, M)
+            context, (_, weights) = attention_step(memory, keys, query, w_q, b_q, v)
+            mul_sum = (memory * weights[..., None]).sum(axis=1)
+            assert np.array_equal(context, mul_sum), (S, T, B, M)
 
     def test_stable_sigmoid_equals_two_divide_formula(self):
         """One divide of the selected numerator: the old formula's bits,

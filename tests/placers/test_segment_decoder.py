@@ -6,15 +6,18 @@ all segments is one op. These tests pin it to the same forward composed
 from tensor ops one step at a time (bit-equal values, gradients within
 1e-10), check its gradients numerically on the placer's shapes (a batch-1
 memory against a batch-B decoder state, a segment size that does not
-divide the op count, one segment, a 1-op graph), and check that sampling
-and scoring share one decoder loop.
+divide the op count, one segment, a 1-op graph), and check that sampling,
+which decodes one step at a time, and teacher-forced scoring, which runs
+the attention over blocks of steps, give the same bits: with the block
+budget shrunk, scoring crosses block boundaries inside a segment and ends
+on a short block and a short last segment.
 """
 
 import numpy as np
 import pytest
 
 from repro.nn import BiLSTM, Tensor, concat, no_grad, stack
-from repro.placers import SegmentSeq2SeqPlacer
+from repro.placers import SegmentSeq2SeqPlacer, segment_seq2seq
 from repro.placers.base import logits_to_choice
 from tests.helpers import (
     check_gradient,
@@ -73,10 +76,7 @@ def _loss(logp, ent, r):
     return (logp * r[0]).sum() + (ent * r[1]).sum()
 
 
-@pytest.mark.parametrize("batch", [1, 3])
-@pytest.mark.parametrize("n_ops,segment_size", SHAPES)
-def test_matches_composed_reference(n_ops, segment_size, batch):
-    placer = make_placer(segment_size, seed=1)
+def _assert_matches_composed_reference(placer, n_ops, batch):
     reps0 = rng.standard_normal((n_ops, IN_DIM))
     actions = random_actions(batch, n_ops)
     r = rng.standard_normal((2, batch, n_ops))
@@ -98,6 +98,23 @@ def test_matches_composed_reference(n_ops, segment_size, batch):
     for a, b in zip(fused_grads, ref_grads):
         assert a.shape == b.shape
         assert np.allclose(a, b, rtol=1e-10, atol=1e-14)
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("n_ops,segment_size", SHAPES)
+def test_matches_composed_reference(n_ops, segment_size, batch):
+    _assert_matches_composed_reference(make_placer(segment_size, seed=1), n_ops, batch)
+
+
+# Hidden 4 gives attention width 2, so at batch 3 a segment of T steps
+# holds 6T score elements per step: a budget of 60 makes blocks of
+# 10 // T steps (2, 2 and 1 over a 5-op segment), and 1 makes every
+# block one step.
+@pytest.mark.parametrize("budget", [1, 60])
+@pytest.mark.parametrize("n_ops,segment_size", [(7, 5), (7, None), (5, 2)])
+def test_blocks_match_composed_reference(monkeypatch, n_ops, segment_size, budget):
+    monkeypatch.setattr(segment_seq2seq, "_BLOCK_ELEMENTS", budget)
+    _assert_matches_composed_reference(make_placer(segment_size, seed=9), n_ops, batch=3)
 
 
 @pytest.mark.parametrize("n_ops,segment_size", SHAPES)
@@ -147,9 +164,7 @@ def test_gradcheck_decoder_parameters(n_ops, segment_size):
         assert err < 1e-5, (name, err)
 
 
-def test_sample_then_evaluate_log_probs_bit_identical():
-    """A sampled rollout, scored at the same parameters, gives the same
-    bits: sampling and teacher-forced scoring run one decoder loop."""
+def _assert_sample_then_evaluate_bit_identical():
     placer = make_placer(3, seed=4)
     reps = Tensor(rng.standard_normal((7, IN_DIM)))
     for greedy in (False, True):
@@ -159,6 +174,21 @@ def test_sample_then_evaluate_log_probs_bit_identical():
         assert scored.log_probs.requires_grad
         assert np.array_equal(sampled.log_probs.data, scored.log_probs.data)
         assert np.array_equal(sampled.entropy.data, scored.entropy.data)
+
+
+def test_sample_then_evaluate_log_probs_bit_identical():
+    """A sampled rollout, scored at the same parameters, gives the same
+    bits: a stacked attention call or head matmul rounds each step as the
+    sampling loop's one-step call does."""
+    _assert_sample_then_evaluate_bit_identical()
+
+
+@pytest.mark.parametrize("budget", [1, 48])
+def test_sample_then_evaluate_bit_identical_small_blocks(monkeypatch, budget):
+    """The same bits when the block budget splits a segment's scoring
+    into several attention calls, down to one step per call."""
+    monkeypatch.setattr(segment_seq2seq, "_BLOCK_ELEMENTS", budget)
+    _assert_sample_then_evaluate_bit_identical()
 
 
 def test_sampling_with_grad_matches_no_grad():
