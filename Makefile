@@ -1,9 +1,9 @@
-.PHONY: install test lint-docs lint-defaults bench bench-smoke report-smoke serve-smoke resume-smoke distrib-smoke e2e-smoke experiments examples clean
+.PHONY: install test lint-docs lint-defaults bench bench-smoke report-smoke serve-smoke resume-smoke e2e-smoke experiments examples clean
 
 install:
 	pip install -e .
 
-test: lint-docs lint-defaults bench-smoke report-smoke serve-smoke resume-smoke distrib-smoke e2e-smoke
+test: lint-docs lint-defaults bench-smoke report-smoke serve-smoke resume-smoke e2e-smoke
 	pytest tests/
 
 lint-docs:
@@ -22,7 +22,6 @@ bench:
 # `make test` (docs/performance.md).
 bench-smoke:
 	PYTHONPATH=src python benchmarks/bench_telemetry.py --smoke
-	PYTHONPATH=src python benchmarks/bench_distributed.py --smoke
 	PYTHONPATH=src python benchmarks/bench_serve.py --smoke
 	PYTHONPATH=src python benchmarks/bench_autograd.py --smoke
 	PYTHONPATH=src python benchmarks/bench_sim.py --smoke
@@ -47,13 +46,6 @@ resume-smoke:
 # stack on every `make test` (see docs/serving.md).
 serve-smoke:
 	PYTHONPATH=src python tools/serve_smoke.py
-
-# Two rollout workers x six policy iterations through the full
-# repro.distrib stack (variable store, sample queues, supervisor):
-# proves progress, clean shutdown and zero orphaned processes on every
-# `make test` (docs/architecture.md, "Distributed training").
-distrib-smoke:
-	PYTHONPATH=src python tools/distrib_smoke.py
 
 # The end-to-end benchmark's own tests: tiny runs of every workload
 # through the env/config surface it calls, so a change to that surface

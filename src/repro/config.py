@@ -69,55 +69,6 @@ class SnapshotConfig:
 
 
 @dataclass
-class DistribConfig:
-    """Distributed actor–learner training (``repro.distrib``).
-
-    Lives here rather than in the package because ``MarsConfig`` carries
-    it and ``repro.config`` must stay importable without pulling in
-    ``repro.distrib`` (the ``SnapshotConfig`` precedent). ``workers=0``
-    keeps the single-process :class:`~repro.rl.trainer.JointTrainer`
-    path; ``workers>0`` runs that many rollout-worker processes feeding
-    the same trainer's loop through bounded per-worker sample queues,
-    with weights broadcast through a versioned variable store after every
-    update. Each worker batch holds the trainer's ``samples_per_policy``
-    placements, so one consumed batch is one policy iteration. The
-    heartbeat, poll and shutdown timings are constants of
-    ``repro.distrib.learner`` (see docs/architecture.md §"Distributed
-    training").
-    """
-
-    #: Rollout-worker processes. 0 disables the subsystem entirely.
-    workers: int = 0
-    #: Bound of each worker's sample queue, in batches. Full queues
-    #: apply backpressure: a worker blocks (heartbeating) instead of
-    #: racing arbitrarily far ahead of the learner.
-    queue_capacity: int = 4
-    #: Drop batches sampled more than this many policy versions behind
-    #: the latest broadcast (``None``: consume everything). Dropped
-    #: batches do not count against the sample budget.
-    max_staleness: Optional[int] = 4
-    #: Restarts allowed per worker slot before it is declared lost; the
-    #: run degrades to the surviving workers (and halts if none remain).
-    max_worker_restarts: int = 2
-
-    def __post_init__(self) -> None:
-        if self.workers < 0:
-            raise ValueError(f"workers must be >= 0, got {self.workers}")
-        if self.queue_capacity < 1:
-            raise ValueError(
-                f"queue_capacity must be >= 1, got {self.queue_capacity}"
-            )
-        if self.max_staleness is not None and self.max_staleness < 0:
-            raise ValueError(
-                f"max_staleness must be >= 0 or None, got {self.max_staleness}"
-            )
-        if self.max_worker_restarts < 0:
-            raise ValueError(
-                f"max_worker_restarts must be >= 0, got {self.max_worker_restarts}"
-            )
-
-
-@dataclass
 class MarsConfig:
     """Everything needed to build and train one agent."""
 
@@ -145,12 +96,6 @@ class MarsConfig:
     # ``optimize_placement`` is given a ``snapshot_dir`` (the runner's
     # ``--snapshot-dir``/``--snapshot-every``/``--resume``).
     snapshot: SnapshotConfig = field(default_factory=SnapshotConfig)
-    # Distributed actor–learner training (docs/architecture.md
-    # §"Distributed training"): ``workers>0`` fans rollouts out to that
-    # many worker processes feeding the central learner; the runner
-    # exposes it as ``--workers``. ``workers=0`` (the default) is the
-    # single-process path, bit-for-bit unchanged.
-    distrib: DistribConfig = field(default_factory=DistribConfig)
     seed: int = 0
 
 

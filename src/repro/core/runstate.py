@@ -285,7 +285,6 @@ class RunStateManager:
         agent_kind: str = "",
         workload: str = "",
         mars_config=None,
-        extra: Optional[dict] = None,
     ):
         self.directory = directory
         # Fresh default per manager — a shared default instance would alias.
@@ -293,10 +292,6 @@ class RunStateManager:
         self.agent_kind = agent_kind
         self.workload = workload
         self.mars_config = mars_config  # echoed into the agent sidecar
-        # Free-form run metadata recorded in every sidecar (the distrib
-        # learner stamps workers/policy_version here). Mutable: callers
-        # may update it between snapshots.
-        self.extra: dict = dict(extra) if extra else {}
         self._last_snapshot_len: Optional[int] = None
         os.makedirs(directory, exist_ok=True)
 
@@ -344,8 +339,6 @@ class RunStateManager:
             "trainer": trainer.state_dict(),
             "env": trainer.env.state_dict(),
         }
-        if self.extra:
-            state["extra"] = dict(self.extra)
         arrays: Dict[str, np.ndarray] = {}
         doc = _pack(state, arrays)
         if not arrays:  # np.load chokes on a zero-member archive

@@ -230,31 +230,14 @@ def optimize_placement(
         # Trace root for the whole search: trainer.iteration spans and
         # the env spans below them all join this trace (only when the
         # session writes event files — in-memory runs record nothing).
-        distrib = getattr(config, "distrib", None)
-        workers = getattr(distrib, "workers", 0)
         with span(
             "search.optimize",
             telemetry=tel,
             new_trace=True,
             workload=graph.name,
             agent_kind=agent_kind,
-            workers=int(workers),
         ):
-            if workers > 0:
-                # Lazy import: repro.distrib imports this module's
-                # build_agent for worker replicas.
-                from repro.distrib import train_distributed
-
-                history = train_distributed(
-                    trainer,
-                    config,
-                    agent_kind,
-                    history=history,
-                    run_state=run_state,
-                    telemetry=tel,
-                )
-            else:
-                history = trainer.train(history, run_state=run_state)
+            history = trainer.train(history, run_state=run_state)
             if history.halt_reason is not None and not history.halt_reason.startswith(
                 "signal"
             ):

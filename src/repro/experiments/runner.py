@@ -122,15 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="resume interrupted runs from their newest snapshots under "
         "RUN_DIR (implies --snapshot-dir RUN_DIR)",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="distributed actor-learner training: run N rollout-worker "
-        "processes feeding the central learner (0 = single-process; see "
-        "docs/architecture.md, 'Distributed training')",
-    )
     parser.add_argument("--verbose", action="store_true")
     return parser
 
@@ -144,8 +135,6 @@ def main(argv=None) -> int:
         config = replace(config, health=replace(config.health, enabled=False))
     elif args.health is not None:
         config = replace(config, health=replace(config.health, action=args.health))
-    if args.workers is not None:
-        config = replace(config, distrib=replace(config.distrib, workers=args.workers))
     snapshot_dir = args.resume or args.snapshot_dir
     if args.snapshot_every is not None:
         config = replace(

@@ -245,8 +245,8 @@ class JointTrainer:
         the loop then stops with ``history.halt_reason = "signal: ..."``.
 
         ``source`` supplies each iteration's samples (default: a
-        :class:`LocalSource` on this trainer); ``repro.distrib`` passes
-        one that returns rollout-worker batches.
+        :class:`LocalSource` on this trainer); it is the seam a source of
+        samples measured elsewhere would plug into.
         """
         cfg = self.config
         tel = self._telemetry or get_telemetry()
@@ -271,26 +271,8 @@ class JointTrainer:
             # One section per policy iteration; inside a traced run (the
             # search.optimize root) it is also the span that the
             # env.evaluate_batch span nests under.
-            with span(
-                "trainer.iteration",
-                telemetry=tel,
-                iteration=it_index,
-                **source.span_fields,
-            ) as iter_span:
-                drawn = source.next(tel, iter_span)
-                if drawn is None:
-                    history.halt_reason = source.halt_reason
-                    tel.update_manifest(halted=True, halt_reason=history.halt_reason)
-                    logger.error(
-                        "[%s] %s — stopping at iteration %d",
-                        self.env.graph.name,
-                        history.halt_reason,
-                        it_index,
-                    )
-                    if run_state is not None:
-                        run_state.snapshot_if_new(self, history, tel, reason="halt")
-                    break
-                rollout, results = drawn
+            with span("trainer.iteration", telemetry=tel, iteration=it_index):
+                rollout, results = source.next(tel)
                 runtimes = [res.per_step_time for res in results]
                 _, advantages = self.tracker.compute(runtimes)
                 self.buffer.add(rollout, advantages)
@@ -301,7 +283,6 @@ class JointTrainer:
                     if res.ok:
                         reward_hist.observe(res.per_step_time)
                 if tel.writes_events:
-                    extra = source.event_fields("sample")
                     for i, res in enumerate(results):
                         tel.emit(
                             "sample",
@@ -311,7 +292,6 @@ class JointTrainer:
                             valid=bool(res.valid),
                             truncated=bool(res.truncated),
                             advantage=float(advantages[i]),
-                            **extra,
                         )
 
                 improved = False
@@ -335,7 +315,7 @@ class JointTrainer:
                     self._attributed_best = True
 
                 agent_seconds = self.maybe_update(tel, it_index, watchdog)
-                history.sim_clock += source.after_update(agent_seconds > 0.0) + agent_seconds
+                history.sim_clock += source.after_update() + agent_seconds
                 sim_clock = history.sim_clock
 
                 record = SearchRecord(
@@ -370,7 +350,6 @@ class JointTrainer:
                     n_truncated=int(record.n_truncated),
                     sim_clock=float(sim_clock),
                     wall_seconds=float(iter_wall),
-                    **source.event_fields("iteration"),
                 )
 
                 if cfg.log_every and (it + 1) % cfg.log_every == 0:
@@ -444,39 +423,27 @@ class JointTrainer:
 
 class LocalSource:
     """Where :meth:`JointTrainer.train` gets each policy iteration's
-    samples in a single-process search: the trainer's agent samples them
-    with ``trainer.rng`` and its env measures them.
+    samples: the trainer's agent samples them with ``trainer.rng`` and its
+    env measures them.
 
-    The loop uses these members, which ``repro.distrib``'s source of
-    rollout-worker batches provides as well:
+    The loop uses two members:
 
-    * ``span_fields`` — extra fields of the ``trainer.iteration`` span;
-    * ``next(tel, iteration_span)`` — this iteration's ``(rollout,
-      results)``, or ``None`` once the source ran dry (a local source
-      never does), in which case the run halts with its ``halt_reason``;
-    * ``event_fields(event)`` — extra fields of this iteration's
-      ``sample`` and ``iteration`` events;
-    * ``after_update(updated)`` — called once the iteration's update ran
-      (``updated``: whether the updater took a step); returns the
-      simulated measurement seconds the iteration charges to the clock.
+    * ``next(tel)`` — this iteration's ``(rollout, results)``;
+    * ``after_update()`` — called once the iteration's update ran; returns
+      the simulated measurement seconds the iteration charges to the clock.
     """
-
-    span_fields: dict = {}
 
     def __init__(self, trainer: JointTrainer):
         self.trainer = trainer
         self._env_clock = trainer.env.stats.wall_clock
 
-    def next(self, tel: Telemetry, iteration_span):
+    def next(self, tel: Telemetry):
         trainer = self.trainer
         with span("rl.sample", telemetry=tel):
             rollout = trainer.agent.sample(trainer.config.samples_per_policy, trainer.rng)
         return rollout, trainer.env.evaluate_batch(rollout.placements)
 
-    def event_fields(self, event: str) -> dict:
-        return {}
-
-    def after_update(self, updated: bool) -> float:
+    def after_update(self) -> float:
         # The env clock is cumulative; charge this iteration's delta.
         clock = self.trainer.env.stats.wall_clock
         delta = clock - self._env_clock

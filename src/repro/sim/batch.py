@@ -15,8 +15,8 @@ sampled placements. This module supplies the pieces behind
 ``evaluate_batch`` is an ordered loop over the same per-placement body
 as ``evaluate``. Simulated evaluation is a few percent of a search
 iteration's wall time, so the rollout is measured in the calling
-process; the parallelism budget goes to ``repro.distrib``'s rollout
-workers instead.
+process. Neither a process pool nor rollout-worker processes made a
+search faster (docs/performance.md §3).
 """
 
 from __future__ import annotations

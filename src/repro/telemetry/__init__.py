@@ -60,7 +60,6 @@ from repro.telemetry.tracing import (
     SpanContext,
     current_span,
     new_trace_id,
-    record_span,
     span,
 )
 from repro.utils.serialization import write_json_atomic
@@ -80,7 +79,6 @@ __all__ = [
     "SpanContext",
     "span",
     "current_span",
-    "record_span",
     "new_trace_id",
     "Telemetry",
     "get_telemetry",

@@ -127,18 +127,6 @@ EVENT_SCHEMAS: Dict[str, Dict[str, tuple]] = {
         "duration_s": _NUM,
         "status": _STR,
     },
-    # Distributed actor-learner training (repro.distrib) ----------------
-    # One event per worker lifecycle transition, emitted by the learner's
-    # supervisor. `status` is "started" | "restarted" | "lost";
-    # `generation` counts spawns of this slot (0 = original), `restarts`
-    # is the slot's cumulative restart count. Restart events attach a
-    # `reason` ("died" | "hung") as an extra field.
-    "distrib_worker": {
-        "worker_id": _INT,
-        "status": _STR,
-        "generation": _INT,
-        "restarts": _INT,
-    },
     # Placement service (repro.serve) -----------------------------------
     # One event per serviced request. `status` is "ok" or a typed error
     # code ("bad_request" | "policy_not_found" | "overloaded" | ...);

@@ -20,7 +20,7 @@ finished span is recorded as one schema-versioned ``span`` event
 JSONL log carries the whole tree and ``analysis/trace.py`` can render it
 in Perfetto.
 
-Three propagation mechanisms, matching how work moves in this codebase:
+Two propagation mechanisms, matching how work moves in this codebase:
 
 * **Ambient (same thread).** :func:`span` pushes onto a thread-local
   stack; nested ``span()`` calls on the same thread parent automatically
@@ -31,10 +31,6 @@ Three propagation mechanisms, matching how work moves in this codebase:
   ``(trace_id, span_id)`` pair. A caller on another thread or process
   passes it along (a ``PlacementRequest``'s ``trace`` field, say); the
   receiver resumes from it with ``span(parent=ctx)``.
-* **After-the-fact records.** A section measured before anyone could
-  hold a live span (a rollout timed in a worker process) is emitted
-  finished, with its own start and duration, by :func:`record_span`.
-  It is not a timer and observes no histogram.
 
 Activation rule: a section emits a ``span`` event only when the session
 writes event files (``tel.writes_events``) *and* there is a trace to
@@ -59,7 +55,6 @@ __all__ = [
     "Span",
     "span",
     "current_span",
-    "record_span",
     "new_trace_id",
 ]
 
@@ -238,42 +233,3 @@ def span(
         if new_trace:
             return Span(name, telemetry, _new_id(), "", extra)
     return Span(name, telemetry)
-
-
-def record_span(
-    name: str,
-    duration_s: float,
-    telemetry=None,
-    parent: Optional[SpanContext] = None,
-    start_unix: Optional[float] = None,
-    status: str = "ok",
-    **extra,
-) -> Optional[str]:
-    """Record an already-finished span under ``parent``.
-
-    For sections that cannot hold a live :class:`Span`, such as a
-    rollout timed in another process. Returns the new span id, or
-    ``None`` when nothing was recorded (no parent, or the session writes
-    no event files).
-    """
-    if parent is None:
-        return None
-    if telemetry is None:
-        from repro.telemetry import get_telemetry
-
-        telemetry = get_telemetry()
-    if not telemetry.writes_events:
-        return None
-    span_id = _new_id()
-    telemetry.emit(
-        "span",
-        trace_id=parent.trace_id,
-        span_id=span_id,
-        parent_id=parent.span_id,
-        name=name,
-        start_unix=float(start_unix if start_unix is not None else time.time()),
-        duration_s=float(duration_s),
-        status=status,
-        **extra,
-    )
-    return span_id

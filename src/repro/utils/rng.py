@@ -33,30 +33,6 @@ def spawn_rng(rng: np.random.Generator, n: int = 1) -> list:
     return [np.random.default_rng(s) for s in rng.bit_generator.seed_seq.spawn(n)]
 
 
-def spawn_seeds(
-    root_seed: int, n: int, key: "tuple[int, ...]" = ()
-) -> "list[np.random.SeedSequence]":
-    """``n`` independent :class:`numpy.random.SeedSequence` children of
-    ``root_seed`` — the only sanctioned way to seed parallel workers.
-
-    Ad-hoc ``seed + i`` arithmetic hands overlapping entropy to sibling
-    generators (``SeedSequence(7)`` and ``SeedSequence(8)`` are fine, but
-    arithmetic invites collisions between *derived* seeds across
-    components, e.g. worker 1 of seed 7 vs worker 0 of seed 8). Spawning
-    from one ``SeedSequence`` guarantees statistically independent
-    streams for any ``(root_seed, n)``.
-
-    ``key`` namespaces the children: a restarted distributed worker gets
-    a *fresh* stream via ``key=(generation,)`` instead of replaying the
-    one its dead predecessor half-consumed. Pass each child to
-    ``numpy.random.default_rng`` (or :func:`new_rng`).
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    root = np.random.SeedSequence(root_seed, spawn_key=tuple(int(k) for k in key))
-    return root.spawn(n)
-
-
 def hash_seed(*parts: object) -> int:
     """Stable 63-bit seed derived from arbitrary hashable parts.
 

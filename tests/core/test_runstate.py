@@ -122,6 +122,41 @@ class TestInterruptResumeEquivalence:
             resumed.history.best_placement, full.history.best_placement
         )
 
+    def test_snapshot_with_distributed_extra_resumes(self, tmp_path):
+        """Snapshots written by the former distributed actor-learner search
+        carry an ``extra`` block in their sidecar; resume ignores it and
+        continues bit-identically. The sidecar's agent config echo never
+        carried the distributed settings, so ``config_from_echo`` reads
+        those snapshots unchanged."""
+        graph, cluster = tiny_graph(), ClusterSpec.default()
+        kind = "mars_no_pretrain"
+        total, k = 6, 3
+
+        full = optimize_placement(graph, cluster, kind, _quick_cfg(iterations=total))
+
+        snap_dir = str(tmp_path / "snaps")
+        optimize_placement(
+            graph, cluster, kind, _quick_cfg(iterations=k, snapshot_every=1),
+            snapshot_dir=snap_dir,
+        )
+        sidecar = os.path.join(latest_snapshot(snap_dir), "runstate.json")
+        with open(sidecar, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["extra"] = {"distrib": True, "workers": 2}
+        with open(sidecar, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2)
+
+        resumed = optimize_placement(
+            graph, cluster, kind, _quick_cfg(iterations=total),
+            snapshot_dir=snap_dir, resume=True,
+        )
+
+        assert history_to_json(resumed.history) == history_to_json(full.history)
+        assert resumed.final_runtime == full.final_runtime
+        assert np.array_equal(
+            resumed.history.best_placement, full.history.best_placement
+        )
+
     def test_resume_with_no_snapshot_starts_fresh(self, tmp_path):
         graph, cluster = tiny_graph(), ClusterSpec.default()
         cfg = _quick_cfg(iterations=2)

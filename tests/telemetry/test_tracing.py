@@ -9,7 +9,6 @@ from repro.telemetry.tracing import (
     SpanContext,
     current_span,
     new_trace_id,
-    record_span,
     span,
 )
 
@@ -47,16 +46,14 @@ class TestActivationGate:
         assert profile_names(tel) == ["profile.x"]
 
     def test_sample_events_off_records_no_event(self):
-        # An in-memory session has no event file: neither a live span nor
-        # an after-the-fact record becomes an event.
+        # An in-memory session has no event file: a live span does not
+        # become an event.
         events = []
         tel = Telemetry()
         tel.events.emit = lambda etype, **fields: events.append(etype)
         assert not tel.writes_events
         with span("x", telemetry=tel, new_trace=True) as sp:
             assert sp.context is None
-        parent = SpanContext(new_trace_id(), new_trace_id())
-        assert record_span("y", 0.1, telemetry=tel, parent=parent) is None
         assert events == []
         assert profile_names(tel) == ["profile.x"]
 
@@ -164,26 +161,6 @@ class TestExplicitPropagation:
         assert SpanContext.from_dict({"trace_id": "", "span_id": "s"}) is None
         ctx = SpanContext.from_dict({"trace_id": "t", "span_id": "s"})
         assert (ctx.trace_id, ctx.span_id) == ("t", "s")
-
-    def test_record_span_after_the_fact(self, tmp_path):
-        tel = file_backed(tmp_path)
-        try:
-            parent = SpanContext("trace-1", "span-1")
-            span_id = record_span(
-                "pool.job", 0.25, telemetry=tel, parent=parent,
-                start_unix=123.5, status="ok", pool=True,
-            )
-            assert span_id
-            assert record_span("orphan", 0.1, telemetry=tel, parent=None) is None
-        finally:
-            tel.close()
-        (event,) = spans_of(tel.run_dir)
-        assert event["span_id"] == span_id
-        assert event["trace_id"] == "trace-1"
-        assert event["parent_id"] == "span-1"
-        assert event["start_unix"] == 123.5
-        assert event["duration_s"] == 0.25
-        assert event["pool"] is True
 
     def test_ids_are_unique(self):
         ids = {new_trace_id() for _ in range(1000)}
