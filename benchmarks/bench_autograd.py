@@ -26,13 +26,18 @@ and one DGI iteration build: the cost is interpreter overhead per node,
 so the counts are the deterministic proxy the timings follow
 (docs/performance.md, "Autograd cost").
 
+Its memory is measured by ``tracemalloc`` in a phase of its own, after
+the timed rounds: ``tape_mb``, the bytes one ``evaluate`` of the
+10-sample rollout holds, and ``update_peak_mb``, the traced peak of one
+PPO update (the profile's 2 passes) on a 20-sample buffer.
+
 Run it directly; results land in ``benchmarks/BENCH_autograd.json``::
 
     PYTHONPATH=src python benchmarks/bench_autograd.py
     PYTHONPATH=src python benchmarks/bench_autograd.py --rounds 3 --json /tmp/a.json
 
-``--smoke`` runs every pass once with no timings and no JSON write
-(``make bench-smoke``).
+``--smoke`` runs every pass once with no timings and no JSON write, and
+prints both memory figures (``make bench-smoke``).
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ import platform
 import statistics
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -51,6 +57,7 @@ from repro.config import fast_profile
 from repro.core import build_mars_agent
 from repro.gnn import DGI, pretrain_encoder
 from repro.nn import Tensor, no_grad
+from repro.rl.ppo import PPOUpdater
 from repro.sim import ClusterSpec
 from repro.workloads import get_workload
 
@@ -107,9 +114,33 @@ def time_encoder(agent, rounds: int) -> tuple:
     return forward, forward_backward
 
 
+def measure_memory(agent, config, rollout) -> tuple:
+    """``(tape_mb, update_peak_mb)``: the traced bytes one ``evaluate`` of
+    ``rollout`` holds, and the traced peak of one PPO update on a fresh
+    20-sample buffer. The update moves the agent's weights."""
+    rng = np.random.default_rng(0)
+    buffer = agent.sample(20, rng)
+    advantages = rng.standard_normal(20)
+    updater = PPOUpdater(agent, config.trainer.ppo, seed=0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tape = agent.evaluate(rollout.internal)
+        tape_bytes = tracemalloc.get_traced_memory()[0] - base
+        del tape
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        updater.update(buffer, advantages)
+        update_bytes = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return tape_bytes / 2**20, update_bytes / 2**20
+
+
 def run(args) -> int:
     graph = get_workload("inception_v3")
-    agent = build_mars_agent(graph, ClusterSpec.default(), fast_profile(seed=0))
+    config = fast_profile(seed=0)
+    agent = build_mars_agent(graph, ClusterSpec.default(), config)
     rollout = agent.sample(10, np.random.default_rng(0))
     nodes = count_nodes(lambda: agent.evaluate(rollout.internal))
     dgi = DGI(agent.encoder, rng=0)
@@ -122,8 +153,10 @@ def run(args) -> int:
         (-(logp.mean()) - 0.01 * entropy.mean()).backward()
         time_pretraining(agent, rounds=1, iterations=2)
         time_encoder(agent, rounds=1)
+        tape_mb, update_mb = measure_memory(agent, config, rollout)
         print(f"bench-autograd smoke OK ({nodes} nodes per evaluate, "
-              f"{dgi_nodes} per DGI iteration)")
+              f"{dgi_nodes} per DGI iteration, tape_mb {tape_mb:.2f}, "
+              f"update_peak_mb {update_mb:.2f})")
         return 0
 
     forward, backward, sample = [], [], []
@@ -142,6 +175,7 @@ def run(args) -> int:
         sample.append(t3 - t2)
     encoder_fwd, encoder_fwd_bwd = time_encoder(agent, args.rounds)
     dgi_iter = time_pretraining(agent, args.rounds, DGI_ITERATIONS)
+    tape_mb, update_mb = measure_memory(agent, config, rollout)
 
     doc = {
         "benchmark": "autograd",
@@ -158,6 +192,8 @@ def run(args) -> int:
         "dgi_iterations_per_round": DGI_ITERATIONS,
         "dgi_nodes_per_iteration": dgi_nodes,
         "dgi_iteration_median_s": statistics.median(dgi_iter),
+        "tape_mb": tape_mb,
+        "update_peak_mb": update_mb,
         "host": {
             "nproc": len(os.sched_getaffinity(0)),
             "python": platform.python_version(),
@@ -167,7 +203,8 @@ def run(args) -> int:
     for key in ("nodes_per_pass", "nodes_per_op", "forward_median_s",
                 "backward_median_s", "sample10_median_s",
                 "encoder_forward_median_s", "encoder_forward_backward_median_s",
-                "dgi_nodes_per_iteration", "dgi_iteration_median_s"):
+                "dgi_nodes_per_iteration", "dgi_iteration_median_s",
+                "tape_mb", "update_peak_mb"):
         print(f"{key:>33}: {doc[key]:.4g}")
     with open(args.json, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

@@ -36,7 +36,11 @@ State = Tuple[Tensor, Tensor]
 
 
 def lstm_cell(
-    gates_x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, w_hh: np.ndarray
+    gates_x: np.ndarray,
+    h_prev: np.ndarray,
+    c_prev: np.ndarray,
+    w_hh: np.ndarray,
+    out: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray, tuple]:
     """One LSTM step on raw arrays: ``(h, c, cache)``.
 
@@ -44,53 +48,73 @@ def lstm_cell(
     state broadcast against each other over the batch axis. Gate order is
     ``[input, forget, cell, output]``. Leading axes before the batch stack
     directions, with ``w_hh`` stacked to match. ``cache`` is what
-    :func:`lstm_cell_backward` needs.
+    :func:`lstm_cell_backward` needs: ``(h_prev, c_prev, acts, tanh_c)``,
+    where ``acts`` is one slab of the four gate activations ``[i, f, g,
+    o]``, the cell block's tanh written over its unused sigmoid. The slab
+    is written into ``out`` when given (a row of a caller's buffer).
     """
     hs = w_hh.shape[-2]
     gates = gates_x + h_prev @ w_hh
-    sig = stable_sigmoid(gates)  # elementwise: the cell block is unused
-    i = sig[..., 0 * hs : 1 * hs]
-    f = sig[..., 1 * hs : 2 * hs]
-    g = np.tanh(gates[..., 2 * hs : 3 * hs])
-    o = sig[..., 3 * hs : 4 * hs]
-    c = f * c_prev + i * g
+    acts = stable_sigmoid(gates, out=out)
+    cell = slice(2 * hs, 3 * hs)
+    np.tanh(gates[..., cell], out=acts[..., cell])
+    c = acts[..., hs : 2 * hs] * c_prev
+    c += acts[..., :hs] * acts[..., cell]
     tanh_c = np.tanh(c)
-    return o * tanh_c, c, (h_prev, c_prev, i, f, g, o, tanh_c)
+    return acts[..., 3 * hs :] * tanh_c, c, (h_prev, c_prev, acts, tanh_c)
 
 
 def lstm_cell_backward(
-    dh: Optional[np.ndarray], dc: Optional[np.ndarray], cache: tuple, w_hh: np.ndarray
+    dh: Optional[np.ndarray],
+    dc: Optional[np.ndarray],
+    cache: tuple,
+    w_hh: np.ndarray,
+    out: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Backward of :func:`lstm_cell`: ``(dgates, dh_prev, dc_prev)``.
 
     ``dh``/``dc`` are the gradients of the step's ``h``/``c`` (either may
     be ``None``). ``dgates`` is the gradient of the gate pre-activations at
-    the broadcast batch size; ``dh_prev``/``dc_prev`` are summed down to
-    the previous state's own batch size. The caller accumulates
-    ``w_hh``'s gradient, ``h_prev.T @ dgates`` (unbroadcast like
-    ``dh_prev``), so a sequence can contract all its steps at once.
+    the broadcast batch size, written into ``out`` when given; ``out`` may
+    be the step's own activation slab, read in full before it is written.
+    ``dh_prev``/``dc_prev`` are summed down to the previous state's own
+    batch size. The caller accumulates ``w_hh``'s gradient, ``h_prev.T @
+    dgates`` (unbroadcast like ``dh_prev``), so a sequence can contract
+    all its steps at once.
+
+    Each gate's gradient is ``upstream · a · (1 - a)`` (``upstream · (1 -
+    g²)`` for the cell block), formed in place in that order, with every
+    ``1 - a`` from one subtraction over the whole slab.
     """
-    h_prev, c_prev, i, f, g, o, tanh_c = cache
+    h_prev, c_prev, acts, tanh_c = cache
+    hs = tanh_c.shape[-1]
+    i, f = acts[..., :hs], acts[..., hs : 2 * hs]
+    g, o = acts[..., 2 * hs : 3 * hs], acts[..., 3 * hs :]
+    one_minus = 1.0 - acts
     if dh is None:
-        do = np.zeros_like(o)
+        do = np.zeros_like(tanh_c)
     else:
-        do = dh * tanh_c * o * (1.0 - o)
-        dc_out = dh * o * (1.0 - tanh_c**2)
-        dc = dc_out if dc is None else dc + dc_out
-    dgates = np.concatenate(
-        (
-            dc * g * i * (1.0 - i),
-            dc * c_prev * f * (1.0 - f),
-            dc * i * (1.0 - g**2),
-            do,
-        ),
-        axis=-1,
-    )
+        do = dh * tanh_c
+        do *= o
+        do *= one_minus[..., 3 * hs :]
+        dc_out = dh * o
+        dc_out *= 1.0 - np.square(tanh_c)
+        dc = dc_out if dc is None else np.add(dc, dc_out, out=dc_out)
+    di = dc * g
+    di *= i
+    di *= one_minus[..., :hs]
+    df = dc * c_prev
+    df *= f
+    df *= one_minus[..., hs : 2 * hs]
+    dg = dc * i
+    dg *= 1.0 - np.square(g)
+    dc_prev = _unbroadcast(dc * f, c_prev.shape)
+    dgates = np.concatenate((di, df, dg, do), axis=-1, out=out)
     dmm = _unbroadcast(dgates, h_prev.shape[:-1] + dgates.shape[-1:])
     # The transposed view makes the same BLAS call, and so the same
     # rounding, as ``w_hh.T`` does in 2-D.
     dh_prev = dmm @ np.swapaxes(w_hh, -1, -2)
-    return dgates, dh_prev, _unbroadcast(dc * f, c_prev.shape)
+    return dgates, dh_prev, dc_prev
 
 
 class LSTMCell(Module):

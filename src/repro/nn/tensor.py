@@ -16,6 +16,13 @@ Every tensor takes a creation sequence number. A node's parents exist
 before it does, so creation order is a topological order of the tape:
 :meth:`Tensor.backward` collects the nodes reachable from its root and
 runs their backward closures in reverse creation order.
+
+A graph is single-use. As the walk passes a node it drops the node's
+closure and parent links, so the arrays the closure captured (an LSTM
+step's activations, attention weights) are freed during the walk, not
+after it. A second ``backward()`` over a consumed graph raises
+``RuntimeError``; gradients already accumulated, on parameters and on
+non-leaf nodes alike, stay readable.
 """
 
 from __future__ import annotations
@@ -84,16 +91,18 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function without overflow.
+def stable_sigmoid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Logistic function without overflow, into ``out`` when given.
 
     ``1 / (1 + exp(-x))`` where ``x >= 0`` and ``exp(x) / (1 + exp(x))``
     elsewhere: both branches share ``z = exp(-|x|)`` and the denominator
     ``1 + z``, so the value is one elementwise select and one divide,
     without masked gathers and scatters.
     """
-    z = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, z) / (1.0 + z)
+    z = np.abs(x)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    return np.divide(np.where(x >= 0, 1.0, z), 1.0 + z, out=out)
 
 
 class Tensor:
@@ -187,11 +196,19 @@ class Tensor:
             raise ValueError(f"gradient shape {grad.shape} != tensor shape {self.shape}")
 
         order = _reachable_ops(self)
-        order.sort(key=_by_seq, reverse=True)
+        if any(node._backward is _spent for node in order):
+            raise RuntimeError(_SPENT)
+        order.sort(key=_by_seq)
         self._accumulate(grad)
-        for node in order:
+        # Pop in reverse creation order. Each node drops its closure and
+        # parent links once it has run, so the caches it captured, and the
+        # nodes only it still referenced, are freed as the walk passes them.
+        while order:
+            node = order.pop()
             if node.grad is not None:
                 node._backward(node.grad)
+            node._backward = _spent
+            node._parents = ()
 
     # ------------------------------------------------------------------
     # Construction of result nodes
@@ -531,6 +548,17 @@ def _raw(x: ArrayLike) -> np.ndarray:
 
 def as_tensor(x: ArrayLike) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+_SPENT = (
+    "backward() through a graph that an earlier backward() consumed; "
+    "rebuild the graph to differentiate it again"
+)
+
+
+def _spent(g: np.ndarray) -> None:
+    """The backward of a node an earlier :meth:`Tensor.backward` consumed."""
+    raise RuntimeError(_SPENT)
 
 
 def _reachable_ops(root: Tensor) -> List[Tensor]:

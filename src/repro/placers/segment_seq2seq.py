@@ -199,9 +199,11 @@ class SegmentSeq2SeqPlacer(Placer):
             prevs = np.concatenate((start, actions.T[:-1]))
         if keep:
             # Step-major [h, context] rows (the head's input), each
-            # segment's tiled keys, and the caches: one per cell step, one
-            # per attention call.
+            # segment's tiled keys, every cell step's gate activations (the
+            # backward overwrites each step's row with its gate gradients),
+            # and the caches: one per cell step, one per attention call.
             cats = np.empty((N, B, 2 * H))
+            slab = np.empty((N, B, 4 * H))
             seg_keys, cell_caches, attn_calls = [], [], []
         j = 0
         for k, mem in enumerate(mems):
@@ -218,7 +220,9 @@ class SegmentSeq2SeqPlacer(Placer):
             if actions is None:
                 for t in range(T):
                     act = embed.data[prev]  # (B, a)
-                    h, c, cell_cache = lstm_cell(enc_gates[t] + act @ w_act, h, c, w_hh.data)
+                    gx = enc_gates[t] + act @ w_act
+                    acts = slab[j] if keep else None
+                    h, c, cell_cache = lstm_cell(gx, h, c, w_hh.data, acts)
                     ctx, attn_cache = attention_step(m, keys, h[None], w_q.data, b_q.data, v.data)
                     cat = np.concatenate([h, ctx[0]], axis=1)
                     out = cat @ w_head.data + b_head.data  # (B, D)
@@ -235,7 +239,8 @@ class SegmentSeq2SeqPlacer(Placer):
             gates_x += enc_gates
             hs = np.empty((T, B, H))
             for t in range(T):
-                h, c, cell_cache = lstm_cell(gates_x[t], h, c, w_hh.data)
+                acts = slab[j + t] if keep else None
+                h, c, cell_cache = lstm_cell(gates_x[t], h, c, w_hh.data, acts)
                 hs[t] = h
                 if keep:
                     cell_caches.append(cell_cache)
@@ -260,12 +265,17 @@ class SegmentSeq2SeqPlacer(Placer):
             # The context feeds only the head, so every step's context
             # gradient is known here: the attention's backward runs per
             # forward call, and the reverse loop below is the cell's alone.
-            dh = np.ascontiguousarray(dcat[:, :, :H])
+            # Each attention call's and cell step's cache is dropped once
+            # consumed, so the tape shrinks as this walk proceeds. The h
+            # gradients gather in place, in dcat's first half.
+            dh = dcat[:, :, :H]
             dq = np.empty((N, B, A))
             dv = np.zeros_like(v.data)
             dmems = [np.zeros_like(mem.data) for mem in mems]
             dkeys = [np.zeros_like(keys) for keys in seg_keys]
-            for lo, hi, k, cache in attn_calls:
+            attn_calls.reverse()  # popped in forward order, as summed before
+            while attn_calls:
+                lo, hi, k, cache = attn_calls.pop()
                 dm, dk, dquery, dq[lo:hi], dv_call = attention_step_backward(
                     dcat[lo:hi, :, H:], cache, mems[k].data, seg_keys[k], w_q.data, v.data
                 )
@@ -273,11 +283,15 @@ class SegmentSeq2SeqPlacer(Placer):
                 dkeys[k] += dk
                 dv += dv_call
                 dh[lo:hi] += dquery
-            dgates = np.empty((N, B, 4 * H))
+            # Step j's gate gradients are written over its activations in
+            # the slab, which its backward reads before it writes.
+            dgates = slab
             dh_prev = dc = None
             for j in range(N - 1, -1, -1):
                 dh_j = dh[j] if dh_prev is None else dh[j] + dh_prev
-                dgates[j], dh_prev, dc = lstm_cell_backward(dh_j, dc, cell_caches[j], w_hh.data)
+                _, dh_prev, dc = lstm_cell_backward(
+                    dh_j, dc, cell_caches.pop(), w_hh.data, out=dgates[j]
+                )
             dw_enc = np.zeros_like(w_enc)
             dw_m = np.zeros_like(w_m.data)
             j = 0

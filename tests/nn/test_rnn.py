@@ -5,6 +5,7 @@ import pytest
 
 from repro.nn import BiLSTM, LSTM, LSTMCell, Tensor, concat
 from repro.nn.attention import attention_step
+from repro.nn.rnn import lstm_cell, lstm_cell_backward
 from repro.nn.tensor import stable_sigmoid
 from tests.helpers import check_gradient, composed_lstm, composed_lstm_step as composed_step
 
@@ -412,3 +413,53 @@ class TestStepKernels:
         d = 1.0 + z
         old = np.where(x >= 0, 1.0 / d, z / d)
         assert np.array_equal(stable_sigmoid(x).view(np.uint64), old.view(np.uint64))
+
+    @pytest.mark.parametrize("upstream", ["h", "c", "both"])
+    def test_gate_gradients_equal_per_block_formula(self, upstream):
+        """The step's forward, with the four gate activations in one slab,
+        has the bits of separate sigmoids and tanh; its backward has the
+        bits of the per-block ``upstream · a · (1 - a)`` expressions."""
+        B, H = 6, 5
+        gates_x = rng.standard_normal((B, 4 * H)) * 3.0  # both sigmoid branches
+        h0, c0 = rng.standard_normal((1, H)), rng.standard_normal((1, H))
+        w_hh = rng.standard_normal((H, 4 * H))
+        slab = np.empty((2, B, 4 * H))
+        h, c, cache = lstm_cell(gates_x, h0, c0, w_hh, out=slab[1])
+        assert len(cache) == 4 and cache[2].base is slab
+
+        gates = gates_x + h0 @ w_hh
+        sig = stable_sigmoid(gates)
+        i, f, o = sig[:, :H], sig[:, H : 2 * H], sig[:, 3 * H :]
+        g = np.tanh(gates[:, 2 * H : 3 * H])
+        c_ref = f * c0 + i * g
+        tanh_c = np.tanh(c_ref)
+        assert np.array_equal(c, c_ref) and np.array_equal(h, o * tanh_c)
+        assert np.array_equal(slab[1], np.concatenate((i, f, g, o), axis=1))
+
+        dh = rng.standard_normal((B, H)) if upstream != "c" else None
+        dc = rng.standard_normal((B, H)) if upstream != "h" else None
+        dgates, dh_prev, dc_prev = lstm_cell_backward(dh, dc, cache, w_hh)
+        # Written over the step's own slab, which it reads first.
+        row = slab[1]
+        in_place = lstm_cell_backward(dh, dc, cache, w_hh, out=row)
+        assert in_place[0] is row
+        for a, b in zip(in_place, (dgates, dh_prev, dc_prev)):
+            assert np.array_equal(a, b)
+        if dh is None:
+            do = np.zeros_like(o)
+        else:
+            do = dh * tanh_c * o * (1.0 - o)
+            dc_out = dh * o * (1.0 - tanh_c**2)
+            dc = dc_out if dc is None else dc + dc_out
+        ref = np.concatenate(
+            (
+                dc * g * i * (1.0 - i),
+                dc * c0 * f * (1.0 - f),
+                dc * i * (1.0 - g**2),
+                do,
+            ),
+            axis=1,
+        )
+        assert np.array_equal(dgates, ref)
+        assert np.array_equal(dh_prev, ref.sum(axis=0, keepdims=True) @ w_hh.T)
+        assert np.array_equal(dc_prev, (dc * f).sum(axis=0, keepdims=True))

@@ -1,5 +1,7 @@
 """Additional edge-case coverage for the tensor core."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -140,3 +142,36 @@ class TestTapeOrder:
             y = y * 1.0
         y.backward()  # would overflow a recursive walk
         assert x.grad == 1.0
+
+
+class TestTapeLifetime:
+    """A graph is single-use: ``backward`` releases it as it walks."""
+
+    def test_second_backward_over_one_graph_raises(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        y = (x * x).sum()
+        y.backward()
+        assert np.array_equal(x.grad, [2.0, 4.0])
+        # Re-walking the stale non-leaf grads would leave [8, 16].
+        with pytest.raises(RuntimeError, match="consumed"):
+            y.backward()
+        assert np.array_equal(x.grad, [2.0, 4.0])
+
+    def test_graph_built_on_a_consumed_node_raises(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        h = x * x
+        h.sum().backward()
+        with pytest.raises(RuntimeError, match="consumed"):
+            (h * 3.0).sum().backward()
+
+    def test_backward_releases_captured_arrays(self):
+        w = Tensor(np.ones(3), requires_grad=True)
+        scale = np.arange(3.0)
+        captured = weakref.ref(scale)
+        y = (w * scale).sum()
+        del scale
+        assert captured() is not None  # held by the product's closure
+        y.backward()
+        assert captured() is None
+        assert np.array_equal(w.grad, [0.0, 1.0, 2.0])
+        assert y._parents == ()
