@@ -187,6 +187,24 @@ def _make_placer(kind: str, in_dim: int, num_devices: int, cfg, rng):
     raise ValueError(f"unknown placer kind {kind!r}")
 
 
+def _build_agent(
+    graph: CompGraph,
+    cluster: ClusterSpec,
+    config: MarsConfig,
+    encoder_kind: str,
+    placer_kind: str,
+    feature_extractor: Optional[FeatureExtractor],
+) -> EncoderPlacerPolicy:
+    """An encoder + placer policy, the encoder drawn from the seed first."""
+    rng = new_rng(config.seed)
+    fx = feature_extractor or FeatureExtractor()
+    encoder = _make_encoder(
+        encoder_kind, fx.dim, config.encoder.hidden_dim, config.encoder.num_layers, rng
+    )
+    placer = _make_placer(placer_kind, encoder.out_dim, cluster.num_devices, config.placer, rng)
+    return EncoderPlacerPolicy(graph, cluster, encoder, placer, feature_extractor=fx)
+
+
 def build_mars_agent(
     graph: CompGraph,
     cluster: ClusterSpec,
@@ -194,15 +212,9 @@ def build_mars_agent(
     feature_extractor: Optional[FeatureExtractor] = None,
 ) -> EncoderPlacerPolicy:
     """Mars: GCN encoder + segment-level seq2seq placer."""
-    rng = new_rng(config.seed)
-    fx = feature_extractor or FeatureExtractor()
-    encoder = _make_encoder(
-        config.encoder.kind, fx.dim, config.encoder.hidden_dim, config.encoder.num_layers, rng
+    return _build_agent(
+        graph, cluster, config, config.encoder.kind, config.placer.kind, feature_extractor
     )
-    placer = _make_placer(
-        config.placer.kind, encoder.out_dim, cluster.num_devices, config.placer, rng
-    )
-    return EncoderPlacerPolicy(graph, cluster, encoder, placer, feature_extractor=fx)
 
 
 def build_encoder_placer_agent(
@@ -212,21 +224,7 @@ def build_encoder_placer_agent(
     feature_extractor: Optional[FeatureExtractor] = None,
 ) -> EncoderPlacerPolicy:
     """The GDP baseline [33]: GraphSAGE encoder + Transformer-XL placer."""
-    rng = new_rng(config.seed)
-    fx = feature_extractor or FeatureExtractor()
-    encoder = GraphSAGEEncoder(
-        fx.dim, hidden_dim=config.encoder.hidden_dim, num_layers=config.encoder.num_layers, rng=rng
-    )
-    placer = TransformerXLPlacer(
-        encoder.out_dim,
-        cluster.num_devices,
-        model_dim=config.placer.model_dim,
-        n_layers=config.placer.n_layers,
-        n_heads=config.placer.n_heads,
-        segment_size=config.placer.segment_size,
-        rng=rng,
-    )
-    return EncoderPlacerPolicy(graph, cluster, encoder, placer, feature_extractor=fx)
+    return _build_agent(graph, cluster, config, "sage", "transformer_xl", feature_extractor)
 
 
 def build_placer_study_agent(
@@ -237,10 +235,6 @@ def build_placer_study_agent(
     feature_extractor: Optional[FeatureExtractor] = None,
 ) -> EncoderPlacerPolicy:
     """Table 1 agents: a (pre-trainable) GCN encoder + the placer under study."""
-    rng = new_rng(config.seed)
-    fx = feature_extractor or FeatureExtractor()
-    encoder = _make_encoder(
-        config.encoder.kind, fx.dim, config.encoder.hidden_dim, config.encoder.num_layers, rng
+    return _build_agent(
+        graph, cluster, config, config.encoder.kind, placer_kind, feature_extractor
     )
-    placer = _make_placer(placer_kind, encoder.out_dim, cluster.num_devices, config.placer, rng)
-    return EncoderPlacerPolicy(graph, cluster, encoder, placer, feature_extractor=fx)

@@ -1,7 +1,9 @@
 """A from-scratch reverse-mode autodiff framework on NumPy.
 
-Implements exactly the neural building blocks the Mars agent needs: dense,
-LSTM, additive attention, Transformer-XL, GCN support (via sparse matmul in
+Implements exactly the neural building blocks the agents run: dense
+layers, the bidirectional LSTM sequence op, the parameters of the LSTM
+cell and additive attention whose raw-array kernels the segment placer's
+decoder runs, Transformer-XL, GraphSAGE support (via sparse matmul in
 :mod:`repro.nn.functional`), Adam, and gradient clipping.
 """
 
@@ -10,7 +12,6 @@ from repro.nn.tensor import (
     as_tensor,
     concat,
     stack,
-    where,
     maximum,
     minimum,
     no_grad,
@@ -24,7 +25,7 @@ from repro.nn.attention import BahdanauAttention
 from repro.nn.embedding import Embedding
 from repro.nn.norm import LayerNorm
 from repro.nn.transformer_xl import TransformerXL, TransformerXLLayer
-from repro.nn.optim import SGD, Adam, clip_grad_norm
+from repro.nn.optim import Adam, clip_grad_norm
 from repro.nn import functional
 
 __all__ = [
@@ -34,7 +35,6 @@ __all__ = [
     "is_grad_enabled",
     "concat",
     "stack",
-    "where",
     "maximum",
     "minimum",
     "Module",
@@ -51,7 +51,6 @@ __all__ = [
     "LayerNorm",
     "TransformerXL",
     "TransformerXLLayer",
-    "SGD",
     "Adam",
     "clip_grad_norm",
     "functional",

@@ -1,18 +1,18 @@
 """Composite differentiable operations built on :class:`repro.nn.Tensor`.
 
-These are the numerically careful pieces: softmax family via the
-log-sum-exp trick, sparse-dense matmul for GCN layers, dropout, and the
-losses used by DGI pre-training and PPO.
+These are the numerically careful pieces: the softmax family via the
+log-sum-exp trick, sparse-dense matmul for GraphSAGE layers, and the
+binary cross-entropy of DGI's discriminator.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.nn.tensor import Tensor, as_tensor
+from repro.nn.tensor import Tensor
 
 
 def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
@@ -40,16 +40,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Log-softmax along ``axis`` (stable via log-sum-exp)."""
     return x - logsumexp(x, axis=axis, keepdims=True)
-
-
-def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:
-    """Inverted dropout; identity when ``training`` is false or ``p == 0``."""
-    if not training or p <= 0.0:
-        return x
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    mask = (rng.random(x.shape) >= p) / (1.0 - p)
-    return x * Tensor(mask)
 
 
 def spmm(adj: sp.spmatrix, x: Tensor) -> Tensor:
@@ -82,32 +72,3 @@ def bce_with_logits(logits: Tensor, targets: Union[np.ndarray, Tensor]) -> Tenso
     abs_z = z.abs()
     loss = relu_z - z * Tensor(y) + ((-abs_z).exp() + 1.0).log()
     return loss.mean()
-
-
-def gather_log_probs(log_probs: Tensor, actions: np.ndarray) -> Tensor:
-    """Pick ``log_probs[..., actions]`` along the last axis.
-
-    ``log_probs`` has shape ``(..., n_actions)`` and ``actions`` the matching
-    leading shape; the result drops the action axis.
-    """
-    actions = np.asarray(actions, dtype=np.intp)
-    if actions.shape != log_probs.shape[:-1]:
-        raise ValueError(
-            f"actions shape {actions.shape} incompatible with log_probs "
-            f"shape {log_probs.shape}"
-        )
-    idx = tuple(np.indices(actions.shape)) + (actions,)
-    return log_probs[idx]
-
-
-def categorical_entropy(log_probs: Tensor, axis: int = -1) -> Tensor:
-    """Entropy of categorical distributions given log-probabilities."""
-    p = log_probs.exp()
-    return -(p * log_probs).sum(axis=axis)
-
-
-def mse(pred: Tensor, target: Union[np.ndarray, Tensor]) -> Tensor:
-    """Mean squared error against a constant target."""
-    t = as_tensor(target).detach()
-    diff = pred - t
-    return (diff * diff).mean()

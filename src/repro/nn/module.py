@@ -17,8 +17,8 @@ from repro.nn.tensor import Tensor
 class Parameter(Tensor):
     """A trainable tensor (always ``requires_grad=True``)."""
 
-    def __init__(self, data, name: str = ""):
-        super().__init__(data, requires_grad=True, name=name)
+    def __init__(self, data):
+        super().__init__(data, requires_grad=True)
 
 
 class Module:
@@ -27,7 +27,6 @@ class Module:
     def __init__(self):
         self._parameters: Dict[str, Parameter] = {}
         self._modules: Dict[str, "Module"] = {}
-        self.training = True
 
     # ------------------------------------------------------------------
     # Registration via attribute assignment
@@ -55,24 +54,8 @@ class Module:
     def parameters(self) -> List[Parameter]:
         return [p for _, p in self.named_parameters()]
 
-    def modules(self) -> Iterator["Module"]:
-        yield self
-        for module in self._modules.values():
-            yield from module.modules()
-
     def num_parameters(self) -> int:
         return int(sum(p.size for p in self.parameters()))
-
-    # ------------------------------------------------------------------
-    # Training state
-    # ------------------------------------------------------------------
-    def train(self, mode: bool = True) -> "Module":
-        for m in self.modules():
-            m.training = mode
-        return self
-
-    def eval(self) -> "Module":
-        return self.train(False)
 
     def zero_grad(self) -> None:
         for p in self.parameters():

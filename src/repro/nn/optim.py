@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 import numpy as np
 
@@ -40,58 +40,6 @@ class Optimizer:
 
     def step(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
-
-    def state_dict(self) -> dict:
-        """Internal moments/counters needed to resume training exactly.
-
-        Hyper-parameters (lr, betas, ...) are *not* included — they come
-        from the config the optimizer is rebuilt with.
-        """
-        return {}
-
-    def load_state_dict(self, state: dict) -> None:
-        if state:
-            raise ValueError(f"{type(self).__name__} has no state to load: {sorted(state)}")
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, params, lr: float = 0.01, momentum: float = 0.0):
-        super().__init__(params)
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity: Optional[List[np.ndarray]] = None
-
-    def step(self) -> None:
-        if self.momentum and self._velocity is None:
-            self._velocity = [np.zeros_like(p.data) for p in self.params]
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                continue
-            if self.momentum:
-                v = self._velocity[i]
-                v *= self.momentum
-                v -= self.lr * p.grad
-                p.data += v
-            else:
-                p.data -= self.lr * p.grad
-
-    def state_dict(self) -> dict:
-        if self._velocity is None:
-            return {}
-        return {"velocity": [v.copy() for v in self._velocity]}
-
-    def load_state_dict(self, state: dict) -> None:
-        velocity = state.get("velocity")
-        if velocity is None:
-            self._velocity = None
-            return
-        if len(velocity) != len(self.params):
-            raise ValueError(
-                f"velocity count {len(velocity)} != parameter count {len(self.params)}"
-            )
-        self._velocity = [np.asarray(v).copy() for v in velocity]
 
 
 class Adam(Optimizer):
@@ -134,6 +82,11 @@ class Adam(Optimizer):
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
     def state_dict(self) -> dict:
+        """The moments and step count needed to resume training exactly.
+
+        Hyper-parameters (lr, betas, ...) are *not* included — they come
+        from the config the optimizer is rebuilt with.
+        """
         return {
             "t": int(self.t),
             "m": [m.copy() for m in self._m],

@@ -9,16 +9,16 @@ The step's math lives once, in :func:`lstm_cell` and
 axes: the decoder's ``(B, ·)`` state or a stack of ``K`` directions'
 ``(K, B, ·)`` states with weights ``(K, H, 4H)``. A stacked recurrent
 matmul rounds each direction exactly as that direction's own product.
-Two ops loop them:
+Two ops loop them: :func:`lstm_sequence` here, and the segment placer's
+attention decoder.
 
-* :meth:`LSTMCell.step` is one step: two tape nodes, ``(h, c)``.
-* :func:`lstm_sequence` runs ``K`` LSTMs over one sequence in one time
-  loop, as one op: each step is one stacked cell over all directions,
-  and the backward is hand-written BPTT over all of them in one reverse
-  loop. The outputs ``(T, B, K·H)`` are one node, and each direction's
-  final ``h`` and ``c`` are two more that hand their gradients to it.
-  :meth:`LSTM.forward` is the ``K = 1`` case and :meth:`BiLSTM.forward`
-  the ``K = 2`` case, its second direction reversed.
+:func:`lstm_sequence` runs ``K`` LSTMs over one sequence in one time
+loop, as one op: each step is one stacked cell over all directions, and
+the backward is hand-written BPTT over all of them in one reverse loop.
+The outputs ``(T, B, K·H)`` are one node, and each direction's final
+``h`` and ``c`` are two more that hand their gradients to it.
+:meth:`BiLSTM.forward` is its ``K = 2`` case, the second direction
+reversed. :class:`LSTMCell` and :class:`LSTM` hold parameters only.
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ def lstm_cell_backward(
 
 
 class LSTMCell(Module):
-    """A single LSTM cell with fused gate weights.
+    """The parameters of one LSTM cell, with fused gate weights.
 
     Gate order inside the fused matrices is ``[input, forget, cell, output]``.
     The forget-gate bias is initialized to 1.0 (standard trick for gradient
@@ -128,7 +128,6 @@ class LSTMCell(Module):
     def __init__(self, input_size: int, hidden_size: int, rng=None):
         super().__init__()
         rng = new_rng(rng)
-        self.input_size = input_size
         self.hidden_size = hidden_size
         self.w_ih = Parameter(init.xavier_uniform(rng, input_size, 4 * hidden_size))
         self.w_hh = Parameter(init.orthogonal(rng, hidden_size, 4 * hidden_size))
@@ -139,51 +138,6 @@ class LSTMCell(Module):
     def init_state(self, batch: int) -> State:
         zeros = np.zeros((batch, self.hidden_size))
         return Tensor(zeros), Tensor(zeros)
-
-    def forward(self, x: Tensor, state: Optional[State] = None) -> State:
-        if state is None:
-            state = self.init_state(x.shape[0])
-        return self.step(x @ self.w_ih + self.bias, state)
-
-    def step(self, gates_x: Tensor, state: State) -> State:
-        """Advance one step given the precomputed input projection.
-
-        ``gates_x = x @ w_ih + bias`` can be computed for a whole sequence in
-        one fused matmul, which removes most of the per-timestep
-        Python/NumPy dispatch overhead. ``gates_x`` and the state broadcast
-        against each other over the batch axis.
-
-        Returns ``(h, c)`` as two tape nodes: ``c`` carries the backward of
-        the whole cell, and ``h``'s backward hands its gradient to ``c``'s.
-        """
-        h, c = state
-        w_hh = self.w_hh
-        h_data, c_data, cache = lstm_cell(gates_x.data, h.data, c.data, w_hh.data)
-        # h is created after c, so its backward runs first in the reverse walk.
-        d_h: list = []
-
-        def backward_c(dc: np.ndarray) -> None:
-            dh = d_h.pop() if d_h else None
-            dgates, dh_prev, dc_prev = lstm_cell_backward(dh, dc, cache, w_hh.data)
-            if gates_x.requires_grad:
-                gates_x._accumulate(_unbroadcast(dgates, gates_x.shape))
-            if c.requires_grad:
-                c._accumulate(dc_prev)
-            if h.requires_grad:
-                h._accumulate(dh_prev)
-            if w_hh.requires_grad:
-                dmm = _unbroadcast(dgates, (h.shape[0], dgates.shape[1]))
-                w_hh._accumulate(h.data.T @ dmm)
-
-        c_new = Tensor._make(c_data, (gates_x, h, c, w_hh), backward_c)
-
-        def backward_h(dh: np.ndarray) -> None:
-            d_h.append(dh)
-            if c_new.grad is None:
-                c_new.grad = np.zeros_like(c_data)
-
-        h_new = Tensor._make(h_data, (c_new,), backward_h)
-        return h_new, c_new
 
 
 def lstm_sequence(
@@ -287,26 +241,11 @@ def lstm_sequence(
 
 
 class LSTM(Module):
-    """Unidirectional LSTM over a time-major sequence ``(T, B, D)``."""
+    """One LSTM direction: the :class:`LSTMCell` a :class:`BiLSTM` runs."""
 
     def __init__(self, input_size: int, hidden_size: int, rng=None):
         super().__init__()
         self.cell = LSTMCell(input_size, hidden_size, rng=rng)
-        self.hidden_size = hidden_size
-
-    def forward(
-        self, x: Tensor, state: Optional[State] = None, reverse: bool = False
-    ) -> Tuple[Tensor, State]:
-        """Return ``(outputs (T,B,H), final_state)``.
-
-        With ``reverse`` the cell runs from the last time step to the first;
-        ``outputs`` stay aligned with ``x`` and the final state is the one
-        after step 0.
-        """
-        if state is None:
-            state = self.cell.init_state(x.shape[1])
-        out, (final,) = lstm_sequence(x, (self.cell,), (state,), (reverse,))
-        return out, final
 
 
 class BiLSTM(Module):

@@ -118,7 +118,7 @@ class Tensor:
         Whether gradients should flow to this tensor.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "_seq", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "_seq")
 
     def __init__(
         self,
@@ -126,7 +126,6 @@ class Tensor:
         requires_grad: bool = False,
         _parents: Sequence["Tensor"] = (),
         _backward: Optional[Callable[[np.ndarray], None]] = None,
-        name: str = "",
     ):
         if isinstance(data, Tensor):
             data = data.data
@@ -136,7 +135,6 @@ class Tensor:
         self._parents: Tuple[Tensor, ...] = tuple(_parents)
         self._backward = _backward
         self._seq = _next_seq()
-        self.name = name
 
     # ------------------------------------------------------------------
     # Introspection
@@ -162,10 +160,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def numpy(self) -> np.ndarray:
-        """The underlying value (a view, do not mutate in place)."""
-        return self.data
 
     def detach(self) -> "Tensor":
         return Tensor(self.data, requires_grad=False)
@@ -503,13 +497,6 @@ class Tensor:
 
         return Tensor._make(np.asarray(out_data), (self,), backward)
 
-    def gather_rows(self, indices: np.ndarray) -> "Tensor":
-        """Select rows (first axis) by integer index — embedding lookup."""
-        return self[np.asarray(indices, dtype=np.intp)]
-
-    def flatten(self) -> "Tensor":
-        return self.reshape(self.size)
-
     def broadcast_to(self, shape: Tuple[int, ...]) -> "Tensor":
         """Broadcast to ``shape``; the gradient sums over broadcast axes."""
         shape = tuple(shape)
@@ -608,21 +595,6 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                 t._accumulate(gi)
 
     return Tensor._make(out_data, tensors, backward)
-
-
-def where(condition: np.ndarray, a: ArrayLike, b: ArrayLike) -> Tensor:
-    """Elementwise select; ``condition`` is a plain boolean array."""
-    a, b = as_tensor(a), as_tensor(b)
-    cond = np.asarray(condition, dtype=bool)
-    out_data = np.where(cond, a.data, b.data)
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * cond, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * (~cond), b.shape))
-
-    return Tensor._make(out_data, (a, b), backward)
 
 
 def maximum(a: ArrayLike, b: ArrayLike) -> Tensor:

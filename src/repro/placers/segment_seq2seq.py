@@ -17,17 +17,19 @@ and the decoder over all segments is one op whose forward loops raw
 arrays through the shared LSTM-cell and attention helpers and whose
 backward is hand-written BPTT.
 
-Sampling and teacher-forced scoring share that op but not its loop.
-Sampling (``sample``, under ``no_grad``, keeping no caches) needs each
-step's logits to choose the next step's input, so it runs the cell, the
-attention and the head one step at a time. Scoring (``evaluate``) knows
-every choice up front, and the attention context feeds only the head,
-never the cell, so only the cell is sequential: the attention runs over
-blocks of steps whose ``(C, T, B, A)`` scores stay within
-``_BLOCK_ELEMENTS``, and the head over whole segments. The stacked
-products round each step as a lone step's do, so both paths give the
-same logits bit for bit. The backward runs the attention's gradient per
-forward call before a reverse loop that is the cell's alone.
+Sampling and teacher-forced scoring share the decoder's setup but not
+its loop. Sampling needs each step's logits to choose the next step's
+input, so it runs the cell, the attention and the head one step at a
+time; it keeps no caches and returns its logits as a leaf, since the
+agent samples under ``no_grad`` and differentiates only the scoring
+pass. Scoring (``evaluate``) knows every choice up front, and the
+attention context feeds only the head, never the cell, so only the cell
+is sequential: the attention runs over blocks of steps whose
+``(C, T, B, A)`` scores stay within ``_BLOCK_ELEMENTS``, and the head
+over whole segments. The stacked products round each step as a lone
+step's do, so both paths give the same logits bit for bit. The scoring
+op's backward runs the attention's gradient per forward call before a
+reverse loop that is the cell's alone.
 """
 
 from __future__ import annotations
@@ -156,20 +158,21 @@ class SegmentSeq2SeqPlacer(Placer):
         rng: Optional[np.random.Generator],
         greedy: bool,
     ) -> Tuple[Tensor, np.ndarray]:
-        """The attention decoder over every segment, as one op.
+        """The attention decoder over every segment.
 
         Each step embeds the previous choice and runs the LSTM cell; the
         cell's output attends over its segment's memory ``(s,1,H)``, and
         the head maps ``[h, context]`` to the step's logits. The decoder
         state carries across segments. Sampling (or argmax) runs the steps
-        one at a time, since each choice needs its step's logits. Teacher
-        forcing knows every choice up front, and the context feeds only
-        the head, so only the cell is sequential: per segment the action
-        projection is one stacked matmul, the cell loops alone, the
-        attention runs over blocks of steps and the head is one stacked
-        matmul. A stacked product makes the same BLAS call per step as a
-        lone step's, so both paths give the same bits. Returns the logits
-        ``(B,N,D)`` as one tape node, and the choices ``(B,N)``.
+        one at a time, since each choice needs its step's logits, and
+        returns the logits as a leaf. Teacher forcing knows every choice
+        up front, and the context feeds only the head, so only the cell is
+        sequential: per segment the action projection is one stacked
+        matmul, the cell loops alone, the attention runs over blocks of
+        steps and the head is one stacked matmul. A stacked product makes
+        the same BLAS call per step as a lone step's, so both paths give
+        the same bits. Returns the logits ``(B,N,D)``, as one tape node
+        when teacher-forced, and the choices ``(B,N)``.
         """
         H, D = self.hidden_size, self.num_devices
         cell, attn = self.decoder_cell, self.attention
@@ -178,7 +181,11 @@ class SegmentSeq2SeqPlacer(Placer):
         embed, w_head, b_head = self.action_embed.weight, self.head.weight, self.head.bias
         h0, c0 = state
         parents = (*mems, h0, c0, w_ih, bias, w_hh, w_m, w_q, b_q, v, embed, w_head, b_head)
-        keep = is_grad_enabled() and any(p.requires_grad for p in parents)
+        keep = (
+            actions is not None
+            and is_grad_enabled()
+            and any(p.requires_grad for p in parents)
+        )
 
         A = w_m.shape[1]
         w_enc, w_act = w_ih.data[:H], w_ih.data[H:]
@@ -221,16 +228,11 @@ class SegmentSeq2SeqPlacer(Placer):
                 for t in range(T):
                     act = embed.data[prev]  # (B, a)
                     gx = enc_gates[t] + act @ w_act
-                    acts = slab[j] if keep else None
-                    h, c, cell_cache = lstm_cell(gx, h, c, w_hh.data, acts)
-                    ctx, attn_cache = attention_step(m, keys, h[None], w_q.data, b_q.data, v.data)
+                    h, c, _ = lstm_cell(gx, h, c, w_hh.data)
+                    ctx, _ = attention_step(m, keys, h[None], w_q.data, b_q.data, v.data)
                     cat = np.concatenate([h, ctx[0]], axis=1)
                     out = cat @ w_head.data + b_head.data  # (B, D)
                     logits[:, j] = out
-                    if keep:
-                        cats[j] = cat
-                        cell_caches.append(cell_cache)
-                        attn_calls.append((j, j + 1, k, attn_cache))
                     prev = _choose(out, rng, greedy)
                     chosen[:, j] = prev
                     j += 1
@@ -256,8 +258,8 @@ class SegmentSeq2SeqPlacer(Placer):
                     attn_calls.append((j + lo, j + hi, k, attn_cache))
             logits[:, j : j + T] = (seg_cats @ w_head.data + b_head.data).transpose(1, 0, 2)
             j += T
-        if keep and actions is None:
-            prevs = np.concatenate((start, chosen.T[:-1]))
+        if actions is None:
+            return Tensor(logits), chosen
 
         def backward(g: np.ndarray) -> None:
             g = np.ascontiguousarray(g.transpose(1, 0, 2))  # step-major (N,B,D)

@@ -8,6 +8,8 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.nn import Tensor, stack
+from repro.nn.attention import attention_step, attention_step_backward
+from repro.nn.rnn import lstm_sequence
 from repro.sim.placement import Placement
 from repro.sim.scheduler import ScheduleResult, ScheduleTables, TransferRecord
 
@@ -41,8 +43,19 @@ def check_gradient(f, x0: np.ndarray, tol: float = 1e-5) -> float:
     return err
 
 
+def run_lstm(cell, x, state=None, reverse=False):
+    """One LSTM direction over ``x (T,B,D)``, the ``K = 1`` case of
+    :func:`lstm_sequence`: ``(outputs, final_state)``. A missing state
+    starts at zeros at the input's batch size."""
+    if state is None:
+        state = cell.init_state(x.shape[1])
+    out, (final,) = lstm_sequence(x, (cell,), (state,), (reverse,))
+    return out, final
+
+
 def composed_lstm_step(cell, gates_x, state):
-    """``LSTMCell.step`` written as a composition of tensor ops."""
+    """One LSTM step, :func:`repro.nn.rnn.lstm_cell`, written as a
+    composition of tensor ops."""
     h, c = state
     gates = gates_x + h @ cell.w_hh
     hs = cell.hidden_size
@@ -54,9 +67,8 @@ def composed_lstm_step(cell, gates_x, state):
     return o * c_new.tanh(), c_new
 
 
-def composed_lstm(lstm, x, state=None, reverse=False):
-    """``LSTM.forward`` as a loop of :func:`composed_lstm_step` nodes."""
-    cell = lstm.cell
+def composed_lstm(cell, x, state=None, reverse=False):
+    """:func:`run_lstm` as a loop of :func:`composed_lstm_step` nodes."""
     if state is None:
         state = cell.init_state(x.shape[1])
     flip = np.arange(x.shape[0] - 1, -1, -1)
@@ -71,9 +83,68 @@ def composed_lstm(lstm, x, state=None, reverse=False):
     return (out[flip] if reverse else out), state
 
 
+def attend(att, memory, query, tiled=False):
+    """``att``'s parameters through :func:`attention_step` on raw arrays,
+    as the placer's decoder runs them: the keys ``memory @ w_m`` of a
+    ``(T,1,M)`` memory, tiled to the query batch when ``tiled``, and one
+    query ``(B,Q)``. Returns ``(context (B,M), grads)``: ``grads(g)`` maps
+    the context's gradient to those of ``memory``, ``query`` and every
+    parameter by name, the keys' gradient folded into ``memory``'s and
+    ``w_memory.weight``'s as the decoder's backward folds it."""
+    w_m = att.w_memory.weight.data
+    w_q, b_q, v = att.w_query.weight.data, att.w_query.bias.data, att.v.data
+    keys = memory @ w_m
+    if tiled:
+        T, _, A = keys.shape
+        keys = np.ascontiguousarray(np.broadcast_to(keys, (T, query.shape[0], A)))
+    context, cache = attention_step(memory, keys, query[None], w_q, b_q, v)
+
+    def grads(g):
+        dmem, dkeys, dquery, dq, dv = attention_step_backward(g[None], cache, memory, keys, w_q, v)
+        dk = dkeys.sum(axis=1)  # (T,A): the tiled keys' batch
+        return {
+            "memory": dmem + (dk @ w_m.T)[:, None],
+            "query": dquery[0],
+            "w_memory.weight": memory[:, 0].T @ dk,
+            "w_query.weight": query.T @ dq[0],
+            "w_query.bias": dq[0].sum(axis=0),
+            "v": dv,
+        }
+
+    return context[0], grads
+
+
+def check_attention_gradients(att, memory, query, names, r=None, tiled=False, tol=1e-5):
+    """:func:`attend`'s gradients of ``(context * r).sum()`` (of
+    ``(context ** 2).sum()`` without ``r``) against central differences,
+    for each of ``names``: ``"memory"``, ``"query"`` or a parameter's."""
+
+    def loss(context):
+        return float((context**2).sum() if r is None else (context * r).sum())
+
+    context, grads = attend(att, memory, query, tiled)
+    auto = grads(2.0 * context if r is None else r)
+    arrays = dict(memory=memory, query=query)
+    arrays.update((n, p.data) for n, p in att.named_parameters())
+    eps = 1e-6
+    for name in names:
+        a = arrays[name]  # perturbed in place
+        num = np.zeros_like(a)
+        for i in np.ndindex(a.shape):
+            old = a[i]
+            a[i] = old + eps
+            plus = loss(attend(att, memory, query, tiled)[0])
+            a[i] = old - eps
+            minus = loss(attend(att, memory, query, tiled)[0])
+            a[i] = old
+            num[i] = (plus - minus) / (2 * eps)
+        err = float(np.abs(num - auto[name]).max())
+        assert err < tol, f"{name} gradient mismatch: max err {err}"
+
+
 def composed_attention(att, memory, query):
-    """``BahdanauAttention.forward`` as a composition of tensor ops."""
-    keys = att.project_memory(memory)
+    """:func:`attend`'s context as a composition of tensor ops."""
+    keys = att.w_memory(memory)
     s = (keys + att.w_query(query)).tanh()
     scores = s @ att.v
     e = (scores - Tensor(scores.data.max(axis=0, keepdims=True))).exp()

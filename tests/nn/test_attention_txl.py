@@ -6,79 +6,72 @@ import pytest
 from repro.nn import BahdanauAttention, Embedding, Tensor, TransformerXL
 from repro.nn.attention import attention_step, attention_step_backward
 from repro.nn.transformer_xl import RelativeMultiHeadAttention
-from tests.helpers import check_gradient
+from tests.helpers import attend, check_attention_gradients, composed_attention
 
 rng = np.random.default_rng(13)
 
 
 class TestBahdanauAttention:
+    """The attention kernel on ``BahdanauAttention``'s parameters, as the
+    placer's decoder runs it: a ``(T,1,M)`` memory and a ``(B,Q)`` query."""
+
     def test_context_shape(self):
         att = BahdanauAttention(6, 4, 5, rng=0)
-        ctx = att(Tensor(rng.standard_normal((7, 3, 6))), Tensor(rng.standard_normal((3, 4))))
+        ctx, _ = attend(att, rng.standard_normal((7, 1, 6)), rng.standard_normal((3, 4)))
         assert ctx.shape == (3, 6)
 
     def test_context_is_convex_combination(self):
         """With identical memory vectors, context equals that vector."""
         att = BahdanauAttention(4, 4, 4, rng=1)
         v = rng.standard_normal(4)
-        mem = Tensor(np.tile(v, (5, 2, 1)))
-        ctx = att(mem, Tensor(rng.standard_normal((2, 4))))
-        assert np.allclose(ctx.data, v, atol=1e-9)
+        ctx, _ = attend(att, np.tile(v, (5, 1, 1)), rng.standard_normal((2, 4)))
+        assert np.allclose(ctx, v, atol=1e-9)
 
     def test_peaked_attention_selects_matching_key(self):
         att = BahdanauAttention(3, 3, 8, rng=2)
-        mem = Tensor(rng.standard_normal((4, 1, 3)))
-        q = Tensor(rng.standard_normal((1, 3)))
-        ctx = att(mem, q)
+        mem = rng.standard_normal((4, 1, 3))
+        ctx, _ = attend(att, mem, rng.standard_normal((1, 3)))
         # Context lies within the convex hull of memory slots.
-        assert ctx.data.min() >= mem.data.min() - 1e-9
-        assert ctx.data.max() <= mem.data.max() + 1e-9
+        assert ctx.min() >= mem.min() - 1e-9
+        assert ctx.max() <= mem.max() + 1e-9
 
     def test_gradcheck(self):
         att = BahdanauAttention(3, 2, 4, rng=3)
-        q = Tensor(rng.standard_normal((1, 2)))
-        check_gradient(lambda m: (att(m, q) ** 2).sum(), rng.standard_normal((4, 1, 3)), tol=1e-4)
+        q = rng.standard_normal((1, 2))
+        check_attention_gradients(att, rng.standard_normal((4, 1, 3)), q, ["memory"], tol=1e-4)
 
     def test_memory_batch_broadcasts_to_query_batch(self):
         att = BahdanauAttention(6, 4, 5, rng=4)
-        ctx = att(Tensor(rng.standard_normal((7, 1, 6))), Tensor(rng.standard_normal((9, 4))))
+        ctx, _ = attend(att, rng.standard_normal((7, 1, 6)), rng.standard_normal((9, 4)))
         assert ctx.shape == (9, 6)
 
 
-def composed_attention(att, memory, query):
-    """``BahdanauAttention.forward`` written as a composition of tensor ops."""
-    from repro.nn.functional import softmax
-
-    keys = att.w_memory(memory)
-    scores = (keys + att.w_query(query)).tanh() @ att.v
-    weights = softmax(scores, axis=0)
-    return (memory * weights.reshape(weights.shape[0], weights.shape[1], 1)).sum(axis=0)
-
-
 class TestFusedAttention:
-    """The fused step against the composed reference: the same forward
-    bits, gradients equal up to summation order."""
+    """The attention kernels against the composed reference: the same
+    forward bits, gradients equal up to summation order, with the keys at
+    the memory's batch of 1 or tiled to the query batch."""
 
-    @pytest.mark.parametrize("mem_batch,query_batch", [(1, 6), (6, 6), (6, 1), (1, 1)])
-    def test_matches_composed_reference(self, mem_batch, query_batch):
+    @pytest.mark.parametrize("keys_batch,query_batch", [(1, 6), (6, 6), (1, 1)])
+    def test_matches_composed_reference(self, keys_batch, query_batch):
         att = BahdanauAttention(5, 4, 3, rng=5)
-        mem0 = rng.standard_normal((7, mem_batch, 5))
+        mem0 = rng.standard_normal((7, 1, 5))
         q0 = rng.standard_normal((query_batch, 4)) * 3.0
-        r = rng.standard_normal((max(mem_batch, query_batch), 5))
-        results = []
-        for attend in (lambda m, q: att(m, q), lambda m, q: composed_attention(att, m, q)):
-            memory = Tensor(mem0, requires_grad=True)
-            query = Tensor(q0, requires_grad=True)
-            att.zero_grad()
-            ctx = attend(memory, query)
-            (ctx * r).sum().backward()
-            grads = [memory.grad, query.grad] + [p.grad for p in att.parameters()]
-            results.append((ctx.data, grads))
-        (ctx_a, grads_a), (ctx_b, grads_b) = results
-        assert np.array_equal(ctx_a, ctx_b)
-        for a, b in zip(grads_a, grads_b):
-            assert a.shape == b.shape
-            assert np.allclose(a, b, rtol=1e-10, atol=1e-14)
+        r = rng.standard_normal((query_batch, 5))
+        ctx, grads = attend(att, mem0, q0, tiled=keys_batch > 1)
+        fused = grads(r)
+
+        memory = Tensor(mem0, requires_grad=True)
+        query = Tensor(q0, requires_grad=True)
+        att.zero_grad()
+        ref = composed_attention(att, memory, query)
+        (ref * r).sum().backward()
+        assert np.array_equal(ctx, ref.data)
+        ref_grads = dict(memory=memory.grad, query=query.grad)
+        ref_grads.update((n, p.grad) for n, p in att.named_parameters())
+        for name, b in ref_grads.items():
+            a = fused[name]
+            assert a.shape == b.shape, name
+            assert np.allclose(a, b, rtol=1e-10, atol=1e-14), name
 
 
 def _attention_inputs(steps, batch, n_queries, M=6, Q=4, A=5):
@@ -170,6 +163,16 @@ class TestStackedAttention:
                 vals.append(loss(flat.reshape(base.shape)))
             num[i] = (vals[0] - vals[1]) / (2 * eps)
         assert np.abs(num.reshape(base.shape) - auto).max() < 1e-6
+
+    def test_rejects_memory_batch(self):
+        """A memory with a batch axis other than 1 raises instead of being
+        read at row 0."""
+        x = _attention_inputs(steps=4, batch=3, n_queries=2)
+        x["memory"] = rng.standard_normal((4, 3, 6))
+        with pytest.raises(ValueError, match="memory"):
+            attention_step(**x)
+        with pytest.raises(ValueError, match="memory"):
+            attention_step(**dict(x, memory=x["memory"][:, 0]))
 
 
 class TestEmbedding:

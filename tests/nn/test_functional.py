@@ -1,4 +1,5 @@
-"""Tests for composite differentiable ops (softmax family, spmm, losses)."""
+"""Tests for composite differentiable ops (softmax family, spmm, the BCE
+loss, and the log-prob gather and entropy of :func:`logits_to_choice`)."""
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import scipy.sparse as sp
 
 from repro.nn import Tensor
 from repro.nn import functional as F
+from repro.placers.base import logits_to_choice
 from tests.helpers import check_gradient
 
 rng = np.random.default_rng(7)
@@ -49,7 +51,7 @@ class TestSoftmaxFamily:
     def test_log_softmax_gradient(self):
         acts = np.array([0, 2, 1])
         check_gradient(
-            lambda x: F.gather_log_probs(F.log_softmax(x, axis=-1), acts).sum(),
+            lambda x: F.log_softmax(x, axis=-1)[np.arange(3), acts].sum(),
             rng.standard_normal((3, 4)),
         )
 
@@ -87,49 +89,23 @@ class TestLosses:
         y = np.array([1.0, 0.0, 1.0, 0.0])
         check_gradient(lambda x: F.bce_with_logits(x, y), rng.standard_normal(4))
 
-    def test_mse(self):
-        pred = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        loss = F.mse(pred, np.array([0.0, 0.0]))
-        assert loss.item() == pytest.approx(2.5)
-        loss.backward()
-        assert np.allclose(pred.grad, [1.0, 2.0])
-
 
 class TestGatherAndEntropy:
-    def test_gather_log_probs_shape_check(self):
-        lp = F.log_softmax(Tensor(rng.standard_normal((2, 3, 4))))
-        with pytest.raises(ValueError):
-            F.gather_log_probs(lp, np.zeros((2, 2), dtype=int))
+    """The chosen actions' log-probs and the entropy, as every placer
+    scores its logits."""
 
     def test_gather_log_probs_values(self):
-        lp = F.log_softmax(Tensor(rng.standard_normal((2, 3))))
+        logits = Tensor(rng.standard_normal((2, 3)))
         acts = np.array([2, 0])
-        out = F.gather_log_probs(lp, acts)
+        _, out, _ = logits_to_choice(logits, None, acts)
         assert out.shape == (2,)
-        assert out.data[0] == lp.data[0, 2]
+        assert out.data[0] == F.log_softmax(logits).data[0, 2]
 
     def test_entropy_uniform_is_log_k(self):
-        logits = Tensor(np.zeros((2, 8)))
-        ent = F.categorical_entropy(F.log_softmax(logits))
+        _, _, ent = logits_to_choice(Tensor(np.zeros((2, 8))), None, np.zeros(2, dtype=int))
         assert np.allclose(ent.data, np.log(8))
 
     def test_entropy_onehot_is_zero(self):
         logits = Tensor(np.array([[100.0, 0.0, 0.0]]))
-        ent = F.categorical_entropy(F.log_softmax(logits))
+        _, _, ent = logits_to_choice(logits, None, np.zeros(1, dtype=int))
         assert ent.data[0] == pytest.approx(0.0, abs=1e-6)
-
-
-class TestDropout:
-    def test_identity_when_eval(self):
-        x = Tensor(np.ones((4, 4)))
-        out = F.dropout(x, 0.5, np.random.default_rng(0), training=False)
-        assert np.array_equal(out.data, x.data)
-
-    def test_scaling_preserves_expectation(self):
-        x = Tensor(np.ones((200, 200)))
-        out = F.dropout(x, 0.3, np.random.default_rng(0), training=True)
-        assert out.data.mean() == pytest.approx(1.0, abs=0.02)
-
-    def test_invalid_probability(self):
-        with pytest.raises(ValueError):
-            F.dropout(Tensor(np.ones(3)), 1.0, np.random.default_rng(0))

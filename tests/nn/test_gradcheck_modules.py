@@ -15,7 +15,6 @@ from repro.gnn.sage import SAGELayer, row_normalized_adjacency
 from repro.nn import (
     BahdanauAttention,
     BiLSTM,
-    LSTM,
     LSTMCell,
     LayerNorm,
     Linear,
@@ -24,7 +23,13 @@ from repro.nn import (
     Tensor,
     TransformerXLLayer,
 )
-from tests.helpers import check_gradient, numerical_gradient
+from tests.helpers import (
+    attend,
+    check_attention_gradients,
+    check_gradient,
+    numerical_gradient,
+    run_lstm,
+)
 
 rng = np.random.default_rng(99)
 
@@ -85,32 +90,32 @@ class TestLinearFamily:
 class TestRecurrent:
     def test_lstm_cell_weight_grad(self):
         cell = LSTMCell(2, 3, rng=3)
-        x = Tensor(rng.standard_normal((2, 2)))
+        x = Tensor(rng.standard_normal((1, 2, 2)))
 
         def loss():
-            h, c = cell(x)
+            _, (h, c) = run_lstm(cell, x)
             return (h * h + c * c).sum()
 
         check_param_gradient(cell, cell.bias, loss)
 
     def test_lstm_input_grad(self):
-        lstm = LSTM(2, 3, rng=4)
+        cell = LSTMCell(2, 3, rng=4)
 
         def f(x):
-            out, _ = lstm(x)
+            out, _ = run_lstm(cell, x)
             return (out * out).sum()
 
         check_gradient(f, rng.standard_normal((4, 1, 2)), tol=1e-4)
 
     def test_lstm_recurrent_weight_grad(self):
-        lstm = LSTM(2, 2, rng=5)
+        cell = LSTMCell(2, 2, rng=5)
         x = Tensor(rng.standard_normal((3, 1, 2)))
 
         def loss():
-            out, _ = lstm(x)
+            out, _ = run_lstm(cell, x)
             return (out * out).sum()
 
-        check_param_gradient(lstm, lstm.cell.w_hh, loss)
+        check_param_gradient(cell, cell.w_hh, loss)
 
     def test_bilstm_input_grad(self):
         bi = BiLSTM(2, 4, rng=6)
@@ -139,9 +144,10 @@ def check_input_gradients(loss_fn, arrays, tol=1e-5):
 
 
 class TestFusedLSTMStep:
-    """``LSTMCell.step`` on the shapes the placer feeds it: a batch-1
-    state against batch-B gates (the first decoder step fans one encoder
-    state out to B samples), and losses on ``h`` only, ``c`` only, or both."""
+    """One step of the sequence op on the shapes the placer's decoder
+    feeds the step kernel: a batch-1 state against a batch-B input (the
+    first decoder step fans one encoder state out to B samples), and
+    losses on ``h`` only, ``c`` only, or both."""
 
     B, H = 3, 2
     LOSSES = {
@@ -151,31 +157,29 @@ class TestFusedLSTMStep:
     }
 
     def _case(self, state_batch):
-        cell = LSTMCell(1, self.H, rng=20)
-        gates = rng.standard_normal((self.B, 4 * self.H))
+        cell = LSTMCell(4, self.H, rng=20)
+        x = rng.standard_normal((1, self.B, 4))
         h = rng.standard_normal((state_batch, self.H))
         c = rng.standard_normal((state_batch, self.H))
         rh, rc = rng.standard_normal((2, self.B, self.H))
-        return cell, gates, h, c, rh, rc
+        return cell, x, h, c, rh, rc
 
     @pytest.mark.parametrize("target", list(LOSSES))
     @pytest.mark.parametrize("state_batch", [1, B])
     def test_input_and_state_grads(self, target, state_batch):
-        cell, gates, h, c, rh, rc = self._case(state_batch)
+        cell, x, h, c, rh, rc = self._case(state_batch)
         loss = self.LOSSES[target]
         check_input_gradients(
-            lambda gx, h0, c0: loss(*cell.step(gx, (h0, c0)), rh, rc), [gates, h, c]
+            lambda x, h0, c0: loss(*run_lstm(cell, x, (h0, c0))[1], rh, rc), [x, h, c]
         )
 
     @pytest.mark.parametrize("target", list(LOSSES))
     @pytest.mark.parametrize("state_batch", [1, B])
     def test_w_hh_grad(self, target, state_batch):
-        cell, gates, h, c, rh, rc = self._case(state_batch)
+        cell, x, h, c, rh, rc = self._case(state_batch)
         loss = self.LOSSES[target]
-        state = (Tensor(h), Tensor(c))
-        check_param_gradient(
-            cell, cell.w_hh, lambda: loss(*cell.step(Tensor(gates), state), rh, rc)
-        )
+        x, state = Tensor(x), (Tensor(h), Tensor(c))
+        check_param_gradient(cell, cell.w_hh, lambda: loss(*run_lstm(cell, x, state)[1], rh, rc))
 
     def test_two_steps_chain_h_and_c(self):
         """The second step consumes both outputs of the first."""
@@ -185,30 +189,32 @@ class TestFusedLSTMStep:
         c = rng.standard_normal((1, 3))
 
         def loss(x, h0, c0):
-            state = cell(x[0], (h0, c0))
-            h2, c2 = cell(x[1], state)
+            _, (h2, c2) = run_lstm(cell, x, (h0, c0))
             return (h2 * h2).sum() + c2.sum()
 
         check_input_gradients(loss, [x, h, c])
 
 
 class TestAttention:
+    """The attention kernels' gradients, with the keys projected from the
+    memory as the placer's decoder projects them, against central
+    differences."""
+
     def test_attention_memory_grad(self):
         att = BahdanauAttention(3, 2, 4, rng=7)
-        q = Tensor(rng.standard_normal((1, 2)))
-        check_gradient(lambda m: (att(m, q) ** 2).sum(), rng.standard_normal((4, 1, 3)), tol=1e-4)
+        q = rng.standard_normal((1, 2))
+        check_attention_gradients(att, rng.standard_normal((4, 1, 3)), q, ["memory"], tol=1e-4)
 
     def test_attention_query_grad(self):
         att = BahdanauAttention(3, 2, 4, rng=8)
-        mem = Tensor(rng.standard_normal((4, 1, 3)))
-        check_gradient(lambda q: (att(mem, q) ** 2).sum(), rng.standard_normal((1, 2)), tol=1e-4)
+        mem = rng.standard_normal((4, 1, 3))
+        check_attention_gradients(att, mem, rng.standard_normal((1, 2)), ["query"], tol=1e-4)
 
     def test_attention_v_param_grad(self):
         att = BahdanauAttention(3, 2, 4, rng=9)
-        mem = Tensor(rng.standard_normal((4, 1, 3)))
-        q = Tensor(rng.standard_normal((1, 2)))
-        check_param_gradient(att, att.v, lambda: (att(mem, q) ** 2).sum())
-
+        mem = rng.standard_normal((4, 1, 3))
+        q = rng.standard_normal((1, 2))
+        check_attention_gradients(att, mem, q, ["v"], tol=1e-4)
 
     def _batched_case(self):
         """Batch-1 memory against a batch-B query, as in the placer decoder."""
@@ -220,44 +226,31 @@ class TestAttention:
 
     def test_batch1_memory_batched_query_input_grads(self):
         att, mem, q, r = self._batched_case()
-        check_input_gradients(lambda m, q: (att(m, q) * r).sum(), [mem, q])
+        check_attention_gradients(att, mem, q, ["memory", "query"], r=r)
 
     def test_precomputed_keys_input_grads(self):
+        """Keys tiled to the query batch, as the decoder precomputes them."""
         att, mem, q, r = self._batched_case()
-        check_input_gradients(
-            lambda m, q: (att(m, q, keys=att.project_memory(m)) * r).sum(), [mem, q]
-        )
+        check_attention_gradients(att, mem, q, ["memory", "query"], r=r, tiled=True)
 
     @pytest.mark.parametrize("param", ["w_query.weight", "w_query.bias", "v", "w_memory.weight"])
     @pytest.mark.parametrize("precomputed", [False, True])
     def test_batched_param_grads(self, param, precomputed):
         att, mem, q, r = self._batched_case()
-        mem, q = Tensor(mem), Tensor(q)
-        p = dict(att.named_parameters())[param]
-
-        def loss():
-            keys = att.project_memory(mem) if precomputed else None
-            return (att(mem, q, keys=keys) * r).sum()
-
-        check_param_gradient(att, p, loss)
+        check_attention_gradients(att, mem, q, [param], r=r, tiled=precomputed, tol=1e-4)
 
     def test_precomputed_keys_match_computed(self):
-        """Same context bits and same gradients, keys given or not."""
+        """Keys tiled to the query batch give the bits of keys broadcast
+        from the memory's batch; only the keys' own gradient, summed over
+        the batch after its scaling rather than before, may round apart."""
         att, mem, q, r = self._batched_case()
-        results = []
-        for precomputed in (False, True):
-            m = Tensor(mem, requires_grad=True)
-            query = Tensor(q, requires_grad=True)
-            att.zero_grad()
-            keys = att.project_memory(m) if precomputed else None
-            ctx = att(m, query, keys=keys)
-            (ctx * r).sum().backward()
-            grads = [m.grad, query.grad] + [p.grad for p in att.parameters()]
-            results.append((ctx.data, grads))
-        (ctx_a, grads_a), (ctx_b, grads_b) = results
+        (ctx_a, grads_a), (ctx_b, grads_b) = [attend(att, mem, q, tiled) for tiled in (False, True)]
         assert np.array_equal(ctx_a, ctx_b)
-        for ga, gb in zip(grads_a, grads_b):
-            assert np.array_equal(ga, gb)
+        grads_a, grads_b = grads_a(r), grads_b(r)
+        for name in ("query", "w_query.weight", "w_query.bias", "v"):
+            assert np.array_equal(grads_a[name], grads_b[name]), name
+        for name in ("memory", "w_memory.weight"):
+            assert np.allclose(grads_a[name], grads_b[name], rtol=1e-12, atol=0), name
 
 
 class TestGraphEncoders:

@@ -39,13 +39,6 @@ class TestModuleRegistry:
         with pytest.raises(ValueError):
             a.load_state_dict(state)
 
-    def test_train_eval_propagates(self):
-        mlp = MLP([2, 2, 2], rng=0)
-        mlp.eval()
-        assert all(not m.training for m in mlp.modules())
-        mlp.train()
-        assert all(m.training for m in mlp.modules())
-
     def test_zero_grad_clears(self):
         lin = Linear(3, 2, rng=0)
         lin(Tensor(np.ones((1, 3)))).sum().backward()

@@ -3,41 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.nn import Adam, Linear, SGD, Tensor, clip_grad_norm
+from repro.nn import Adam, Linear, Tensor, clip_grad_norm
 from repro.nn.module import Parameter
-from repro.nn import functional as F
 
 rng = np.random.default_rng(3)
 
 
 def quadratic_loss(p: Parameter) -> Tensor:
     return ((p - 3.0) ** 2).sum()
-
-
-class TestSGD:
-    def test_single_step_direction(self):
-        p = Parameter(np.array([0.0]))
-        opt = SGD([p], lr=0.1)
-        quadratic_loss(p).backward()
-        opt.step()
-        assert p.data[0] == pytest.approx(0.6)
-
-    def test_momentum_accelerates(self):
-        histories = {}
-        for momentum in (0.0, 0.9):
-            p = Parameter(np.array([0.0]))
-            opt = SGD([p], lr=0.05, momentum=momentum)
-            for _ in range(10):
-                opt.zero_grad()
-                quadratic_loss(p).backward()
-                opt.step()
-            histories[momentum] = p.data[0]
-        assert histories[0.9] > histories[0.0]
-
-    def test_skips_params_without_grad(self):
-        p = Parameter(np.array([1.0]))
-        SGD([p], lr=0.1).step()
-        assert p.data[0] == 1.0
 
 
 class TestAdam:
@@ -77,7 +50,8 @@ class TestAdam:
         opt = Adam(lin.parameters(), lr=0.05)
         for _ in range(300):
             opt.zero_grad()
-            loss = F.mse(lin(Tensor(x)), y)
+            diff = lin(Tensor(x)) - Tensor(y)
+            loss = (diff * diff).mean()
             loss.backward()
             opt.step()
         assert loss.item() < 1e-3

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.nn import BiLSTM, LSTM, LSTMCell, Tensor, concat
+from repro.nn import BiLSTM, LSTMCell, Tensor, concat, no_grad
 from repro.nn.attention import attention_step
-from repro.nn.rnn import lstm_cell, lstm_cell_backward
+from repro.nn.rnn import lstm_cell, lstm_cell_backward, lstm_sequence
 from repro.nn.tensor import stable_sigmoid
-from tests.helpers import check_gradient, composed_lstm, composed_lstm_step as composed_step
+from tests.helpers import check_gradient, composed_lstm, run_lstm
 
 rng = np.random.default_rng(5)
 
@@ -15,7 +15,7 @@ rng = np.random.default_rng(5)
 class TestLSTMCell:
     def test_state_shapes(self):
         cell = LSTMCell(4, 6, rng=0)
-        h, c = cell(Tensor(rng.standard_normal((3, 4))))
+        _, (h, c) = run_lstm(cell, Tensor(rng.standard_normal((1, 3, 4))))
         assert h.shape == (3, 6) and c.shape == (3, 6)
 
     def test_forget_bias_initialized_to_one(self):
@@ -24,18 +24,20 @@ class TestLSTMCell:
         assert np.allclose(cell.bias.data[:6], 0.0)
 
     def test_step_matches_forward(self):
+        """The step kernel on the input projection is one step of the
+        sequence op."""
         cell = LSTMCell(4, 6, rng=0)
-        x = Tensor(rng.standard_normal((2, 4)))
-        state = cell.init_state(2)
-        h1, c1 = cell(x, state)
-        h2, c2 = cell.step(x @ cell.w_ih + cell.bias, state)
-        assert np.allclose(h1.data, h2.data) and np.allclose(c1.data, c2.data)
+        x = rng.standard_normal((2, 4))
+        h0, c0 = rng.standard_normal((2, 2, 6))
+        _, (h1, c1) = run_lstm(cell, Tensor(x[None]), (Tensor(h0), Tensor(c0)))
+        h2, c2, _ = lstm_cell(x @ cell.w_ih.data + cell.bias.data, h0, c0, cell.w_hh.data)
+        assert np.allclose(h1.data, h2) and np.allclose(c1.data, c2)
 
     def test_gradcheck_through_cell(self):
         cell = LSTMCell(3, 4, rng=1)
 
         def f(x):
-            h, c = cell(x)
+            _, (h, c) = run_lstm(cell, x.reshape(1, 2, 3))
             return (h * h + c).sum()
 
         check_gradient(f, rng.standard_normal((2, 3)))
@@ -43,30 +45,30 @@ class TestLSTMCell:
     def test_state_broadcasting_batch1_input(self):
         """Input batch 1 with state batch B broadcasts — used by placers."""
         cell = LSTMCell(3, 4, rng=1)
-        x = Tensor(rng.standard_normal((1, 3)))
+        x = Tensor(rng.standard_normal((1, 1, 3)))
         state = (Tensor(rng.standard_normal((5, 4))), Tensor(np.zeros((5, 4))))
-        h, c = cell(x, state)
+        _, (h, c) = run_lstm(cell, x, state)
         assert h.shape == (5, 4)
 
 
 class TestFusedStep:
-    """The fused step against the composed reference: the same forward bits,
-    gradients equal up to summation order."""
+    """One step of the sequence op against the composed step: the same
+    forward bits, gradients equal up to summation order."""
 
     B, H = 4, 5
 
-    def _run(self, step, cell, arrays, target):
-        gates, h0, c0, rh, rc = arrays
-        leaves = [Tensor(a, requires_grad=True) for a in (gates, h0, c0)]
+    def _run(self, forward, cell, arrays, target):
+        x0, h0, c0, rh, rc = arrays
+        leaves = [Tensor(a, requires_grad=True) for a in (x0, h0, c0)]
         cell.zero_grad()
-        h, c = step(cell, leaves[0], (leaves[1], leaves[2]))
+        _, (h, c) = forward(cell, leaves[0], (leaves[1], leaves[2]))
         loss = {
             "h": lambda: (h * rh).sum(),
             "c": lambda: (c * rc).sum(),
             "both": lambda: (h * rh).sum() + (c * rc).sum(),
         }[target]()
         loss.backward()
-        grads = [t.grad for t in leaves] + [cell.w_hh.grad]
+        grads = [t.grad for t in leaves] + [p.grad for p in cell.parameters()]
         return (h.data, c.data), grads
 
     @pytest.mark.parametrize("target", ["h", "c", "both"])
@@ -74,44 +76,32 @@ class TestFusedStep:
     def test_matches_composed_reference(self, target, state_batch):
         cell = LSTMCell(3, self.H, rng=7)
         arrays = (
-            rng.standard_normal((self.B, 4 * self.H)) * 3.0,  # both sigmoid branches
+            rng.standard_normal((1, self.B, 3)) * 3.0,  # both sigmoid branches
             rng.standard_normal((state_batch, self.H)),
             rng.standard_normal((state_batch, self.H)),
             rng.standard_normal((self.B, self.H)),
             rng.standard_normal((self.B, self.H)),
         )
-        fused_out, fused_grads = self._run(LSTMCell.step, cell, arrays, target)
-        ref_out, ref_grads = self._run(composed_step, cell, arrays, target)
+        fused_out, fused_grads = self._run(run_lstm, cell, arrays, target)
+        ref_out, ref_grads = self._run(composed_lstm, cell, arrays, target)
         for a, b in zip(fused_out, ref_out):
             assert np.array_equal(a, b)
         for a, b in zip(fused_grads, ref_grads):
             assert a.shape == b.shape
             assert np.allclose(a, b, rtol=1e-10, atol=1e-14)
 
-    def test_two_nodes_per_step(self):
-        cell = LSTMCell(3, self.H, rng=8)
-        gx = Tensor(rng.standard_normal((2, 4 * self.H)), requires_grad=True)
-        h, c = cell.step(gx, cell.init_state(2))
-        assert h._parents == (c,)
-        assert c._parents == (gx, cell.w_hh)
-
     def test_sequence_matches_composed_reference(self):
         """A whole LSTM over time, both outputs feeding the next step."""
-        lstm = LSTM(3, 4, rng=9)
+        cell = LSTMCell(3, 4, rng=9)
         x0 = rng.standard_normal((6, 2, 3))
         results = []
-        for step in (LSTMCell.step, composed_step):
+        for forward in (run_lstm, composed_lstm):
             x = Tensor(x0, requires_grad=True)
-            lstm.zero_grad()
-            gates_x = x @ lstm.cell.w_ih + lstm.cell.bias
-            state = lstm.cell.init_state(2)
-            outs = []
-            for t in range(x0.shape[0]):
-                state = step(lstm.cell, gates_x[t], state)
-                outs.append(state[0])
-            loss = sum((o * o).sum() for o in outs) + state[1].sum()
+            cell.zero_grad()
+            out, (_, c) = forward(cell, x)
+            loss = (out * out).sum() + c.sum()
             loss.backward()
-            results.append((loss.data, [x.grad] + [p.grad for p in lstm.parameters()]))
+            results.append((loss.data, [x.grad] + [p.grad for p in cell.parameters()]))
         (loss_a, grads_a), (loss_b, grads_b) = results
         assert loss_a == loss_b
         for a, b in zip(grads_a, grads_b):
@@ -119,11 +109,11 @@ class TestFusedStep:
 
 
 class TestSequenceOp:
-    """``LSTM.forward`` as one op against a loop of composed steps: the
-    same forward bits, gradients equal up to summation order, on the
-    encoder's shapes (forward and reversed, a carried state, a state batch
-    that broadcasts against the input's) and for losses on the outputs,
-    the final ``h`` and the final ``c``."""
+    """:func:`lstm_sequence` with one direction against a loop of
+    composed steps: the same forward bits, gradients equal up to summation
+    order, on the encoder's shapes (forward and reversed, a carried state,
+    a state batch that broadcasts against the input's) and for losses on
+    the outputs, the final ``h`` and the final ``c``."""
 
     T, B, D, H = 5, 3, 2, 4
     LOSSES = {
@@ -146,23 +136,26 @@ class TestSequenceOp:
             ),
         )
 
-    def _run(self, forward, lstm, arrays, target, reverse):
+    def _run(self, fused, cell, arrays, target, reverse):
         x0, h0, c0, r = arrays
-        leaves = [Tensor(a, requires_grad=True) for a in (x0, h0, c0)]
-        lstm.zero_grad()
-        out, (h, c) = forward(lstm, leaves[0], (leaves[1], leaves[2]), reverse=reverse)
+        x, h0, c0 = [Tensor(a, requires_grad=True) for a in (x0, h0, c0)]
+        cell.zero_grad()
+        if fused:
+            out, ((h, c),) = lstm_sequence(x, (cell,), ((h0, c0),), (reverse,))
+        else:
+            out, (h, c) = composed_lstm(cell, x, (h0, c0), reverse=reverse)
         self.LOSSES[target](out, h, c, r).backward()
-        grads = [t.grad for t in leaves] + [p.grad for p in lstm.parameters()]
+        grads = [t.grad for t in (x, h0, c0)] + [p.grad for p in cell.parameters()]
         return (out.data, h.data, c.data), grads
 
     @pytest.mark.parametrize("target", list(LOSSES))
     @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("x_batch,state_batch", [(1, 1), (B, B), (B, 1), (1, B)])
     def test_matches_composed_reference(self, target, reverse, x_batch, state_batch):
-        lstm = LSTM(self.D, self.H, rng=10)
+        cell = LSTMCell(self.D, self.H, rng=10)
         arrays = self._arrays(x_batch, state_batch)
-        fused_out, fused_grads = self._run(LSTM.forward, lstm, arrays, target, reverse)
-        ref_out, ref_grads = self._run(composed_lstm, lstm, arrays, target, reverse)
+        fused_out, fused_grads = self._run(True, cell, arrays, target, reverse)
+        ref_out, ref_grads = self._run(False, cell, arrays, target, reverse)
         for a, b in zip(fused_out, ref_out):
             assert np.array_equal(a, b)
         for a, b in zip(fused_grads, ref_grads):
@@ -170,79 +163,78 @@ class TestSequenceOp:
             assert np.allclose(a, b, rtol=1e-10, atol=1e-14)
 
     def test_three_nodes_per_sequence(self):
-        lstm = LSTM(self.D, self.H, rng=11)
+        cell = LSTMCell(self.D, self.H, rng=11)
         x = Tensor(rng.standard_normal((self.T, 2, self.D)), requires_grad=True)
-        out, (h, c) = lstm(x)
+        out, ((h, c),) = lstm_sequence(x, (cell,), (cell.init_state(2),), (False,))
         assert h._parents == (out,) and c._parents == (out,)
-        assert out._parents == (x, lstm.cell.w_ih, lstm.cell.bias, lstm.cell.w_hh)
+        assert out._parents == (x, cell.w_ih, cell.bias, cell.w_hh)
 
     def test_final_c_alone_reaches_input(self):
         """A loss on the final cell state only still runs the sequence's
         backward (its outputs get no gradient of their own)."""
-        lstm = LSTM(self.D, self.H, rng=12)
+        cell = LSTMCell(self.D, self.H, rng=12)
 
         def f(x):
-            _, (_, c) = lstm(x, reverse=True)
+            _, ((_, c),) = lstm_sequence(x, (cell,), (cell.init_state(1),), (True,))
             return (c * c).sum()
 
         check_gradient(f, rng.standard_normal((self.T, 1, self.D)), tol=1e-4)
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_gradcheck_state_inputs(self, reverse):
-        lstm = LSTM(self.D, self.H, rng=13)
+        cell = LSTMCell(self.D, self.H, rng=13)
         x = Tensor(rng.standard_normal((self.T, 1, self.D)))
         c0 = Tensor(rng.standard_normal((1, self.H)))
         r = rng.standard_normal((self.T, 1, self.H))
 
         def f(h0):
-            out, (h, c) = lstm(x, (h0, c0), reverse=reverse)
+            out, ((h, c),) = lstm_sequence(x, (cell,), ((h0, c0),), (reverse,))
             return (out * r).sum() + (h * c).sum()
 
         check_gradient(f, rng.standard_normal((1, self.H)), tol=1e-4)
 
     def test_no_grad_builds_no_tape(self):
-        from repro.nn import no_grad
-
-        lstm = LSTM(self.D, self.H, rng=14)
+        cell = LSTMCell(self.D, self.H, rng=14)
         x = Tensor(rng.standard_normal((self.T, 1, self.D)), requires_grad=True)
+        state = cell.init_state(1)
         with no_grad():
-            out, (h, c) = lstm(x)
+            out, ((h, c),) = lstm_sequence(x, (cell,), (state,), (False,))
         assert not (out.requires_grad or h.requires_grad or c.requires_grad)
-        assert np.array_equal(out.data, lstm(x)[0].data)
+        assert np.array_equal(out.data, lstm_sequence(x, (cell,), (state,), (False,))[0].data)
 
 
 class TestLSTM:
     def test_output_shapes(self):
-        lstm = LSTM(4, 6, rng=0)
-        out, (h, c) = lstm(Tensor(rng.standard_normal((7, 2, 4))))
+        cell = LSTMCell(4, 6, rng=0)
+        out, (h, c) = run_lstm(cell, Tensor(rng.standard_normal((7, 2, 4))))
         assert out.shape == (7, 2, 6)
         assert h.shape == (2, 6)
 
     def test_final_state_is_last_output(self):
-        lstm = LSTM(4, 6, rng=0)
-        out, (h, _) = lstm(Tensor(rng.standard_normal((5, 2, 4))))
+        cell = LSTMCell(4, 6, rng=0)
+        out, (h, _) = run_lstm(cell, Tensor(rng.standard_normal((5, 2, 4))))
         assert np.allclose(out.data[-1], h.data)
 
     def test_state_carrying_equals_contiguous_run(self):
-        lstm = LSTM(3, 5, rng=2)
+        cell = LSTMCell(3, 5, rng=2)
         x = Tensor(rng.standard_normal((8, 2, 3)))
-        full, _ = lstm(x)
-        first, state = lstm(x[:4])
-        second, _ = lstm(x[np.arange(4, 8)], state)
+        full, _ = run_lstm(cell, x)
+        first, state = run_lstm(cell, x[:4])
+        second, _ = run_lstm(cell, x[np.arange(4, 8)], state)
         assert np.allclose(full.data[4:], second.data, atol=1e-12)
 
     def test_gradient_flows_to_input(self):
-        lstm = LSTM(3, 4, rng=3)
+        cell = LSTMCell(3, 4, rng=3)
         x = Tensor(rng.standard_normal((6, 2, 3)), requires_grad=True)
-        out, _ = lstm(x)
+        out, _ = run_lstm(cell, x)
         (out * out).sum().backward()
         assert x.grad is not None and np.abs(x.grad).sum() > 0
 
     def test_gradcheck_small(self):
-        lstm = LSTM(2, 3, rng=4)
+        cell = LSTMCell(2, 3, rng=4)
 
         def f(x):
-            out, _ = lstm(x)
+            out, _ = run_lstm(cell, x)
             return (out * out).sum()
 
         check_gradient(f, rng.standard_normal((3, 1, 2)), tol=1e-4)
@@ -289,8 +281,8 @@ class TestBiLSTM:
 
 def composed_bilstm(bi, x, states):
     """``BiLSTM.forward`` as its two directions, each a loop of composed steps."""
-    out_f, fwd = composed_lstm(bi.fwd, x, states[0])
-    out_b, bwd = composed_lstm(bi.bwd, x, states[1], reverse=True)
+    out_f, fwd = composed_lstm(bi.fwd.cell, x, states[0])
+    out_b, bwd = composed_lstm(bi.bwd.cell, x, states[1], reverse=True)
     return concat([out_f, out_b], axis=2), (fwd, bwd)
 
 

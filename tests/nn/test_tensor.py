@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, concat, stack, where, maximum, minimum, no_grad, is_grad_enabled
+from repro.nn import Tensor, concat, stack, maximum, minimum, no_grad, is_grad_enabled
 from tests.helpers import check_gradient
 
 rng = np.random.default_rng(42)
@@ -194,18 +194,8 @@ class TestShapeOps:
         y.sum().backward()
         assert np.array_equal(x.grad, [2.0, 1.0])
 
-    def test_gather_rows(self):
-        x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-        out = x.gather_rows(np.array([2, 0]))
-        assert out.shape == (2, 3)
-        out.sum().backward()
-        assert x.grad[1].sum() == 0.0
-
     def test_broadcast_to(self):
         check_gradient(lambda x: (x.broadcast_to((4, 3)) ** 2).sum(), rng.standard_normal((1, 3)))
-
-    def test_flatten(self):
-        assert Tensor(np.zeros((2, 3))).flatten().shape == (6,)
 
 
 class TestCombinators:
@@ -218,11 +208,6 @@ class TestCombinators:
         a0 = rng.standard_normal((3,))
         b = Tensor(rng.standard_normal((3,)))
         check_gradient(lambda a: (stack([a, b], axis=0) ** 2).sum(), a0)
-
-    def test_where(self):
-        cond = np.array([True, False, True])
-        b = Tensor(np.zeros(3))
-        check_gradient(lambda x: where(cond, x, b).sum(), rng.standard_normal(3))
 
     def test_maximum_minimum(self):
         b = Tensor(np.zeros(5))

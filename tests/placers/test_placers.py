@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Tensor
+from repro.nn import Tensor, no_grad
 from repro.placers import (
     MLPGrouper,
     MLPPlacer,
@@ -62,7 +62,10 @@ class TestPlacerContract:
         assert np.array_equal(a.actions, b.actions)
 
     def test_gradients_reach_parameters(self, name, placer, reps):
-        out = placer.run(reps, n_samples=2, rng=np.random.default_rng(4))
+        """The teacher-forced pass a policy update differentiates."""
+        with no_grad():
+            sampled = placer.run(reps, n_samples=2, rng=np.random.default_rng(4))
+        out = placer.run(reps, actions=sampled.actions)
         loss = -(out.log_probs.mean()) - 0.01 * out.entropy.mean()
         placer.zero_grad()
         loss.backward()

@@ -51,8 +51,8 @@ def composed_logits(placer, reps, actions):
     logits = []
     for seg in placer._segments(n_ops):
         x = seq[seg]
-        out_f, fwd_state = composed_lstm(placer.encoder.fwd, x, fwd_state)
-        out_b, bwd_state = composed_lstm(placer.encoder.bwd, x, None, reverse=True)
+        out_f, fwd_state = composed_lstm(placer.encoder.fwd.cell, x, fwd_state)
+        out_b, bwd_state = composed_lstm(placer.encoder.bwd.cell, x, None, reverse=True)
         mem = concat([out_f, out_b], axis=2)
         if dec_state is None:
             h0, c0 = BiLSTM.merge_state((fwd_state, bwd_state))
@@ -192,15 +192,18 @@ def test_sample_then_evaluate_bit_identical_small_blocks(monkeypatch, budget):
 
 
 def test_sampling_with_grad_matches_no_grad():
-    """Keeping caches for a backward changes no value or choice."""
+    """Sampling builds no decoder tape with grad enabled either: its
+    outputs need no gradient, and its choices and values have the bits
+    of sampling under ``no_grad``."""
     placer = make_placer(2, seed=6)
     reps = Tensor(rng.standard_normal((5, IN_DIM)))
     with no_grad():
         a = placer.run(reps, n_samples=3, rng=np.random.default_rng(8))
     b = placer.run(reps, n_samples=3, rng=np.random.default_rng(8))
-    assert b.log_probs.requires_grad and not a.log_probs.requires_grad
+    assert not (b.log_probs.requires_grad or b.entropy.requires_grad)
     assert np.array_equal(a.actions, b.actions)
     assert np.array_equal(a.log_probs.data, b.log_probs.data)
+    assert np.array_equal(a.entropy.data, b.entropy.data)
 
 
 @pytest.mark.parametrize("bad", [-1, N_DEV, N_DEV + 1])

@@ -4,9 +4,8 @@ import logging
 import os
 
 import numpy as np
-import pytest
 
-from repro.utils import get_logger, new_rng, spawn_rng
+from repro.utils import get_logger, new_rng
 from repro.utils.rng import hash_seed
 from repro.utils.serialization import load_state_dict, save_state_dict
 
@@ -18,15 +17,6 @@ class TestRng:
     def test_new_rng_passthrough(self):
         g = np.random.default_rng(0)
         assert new_rng(g) is g
-
-    def test_spawn_independent_streams(self):
-        children = spawn_rng(new_rng(0), 3)
-        values = [c.random() for c in children]
-        assert len(set(values)) == 3
-
-    def test_spawn_requires_positive(self):
-        with pytest.raises(ValueError):
-            spawn_rng(new_rng(0), 0)
 
     def test_hash_seed_stable_and_distinct(self):
         assert hash_seed(1, "a") == hash_seed(1, "a")
