@@ -1,8 +1,9 @@
 """Benchmarks for the placement service (``repro.serve``).
 
 Times the request paths a deployment actually sees — cache hit, greedy
-miss (one argmax decode + one simulation), refined miss (greedy +
-``budget`` sampled candidates through ``evaluate_batch``) and a greedy
+miss (one argmax decode + one simulation), refined miss (one decode of
+``budget + 1`` rows, ``budget`` samples and the greedy candidate, all
+measured through ``evaluate_batch``) and a greedy
 miss on a never-seen graph (a new fingerprint on every call, so the
 registry binds the graph and the service builds its environment) — the
 two registry layers under a never-seen graph (``policy_load``: one
@@ -20,8 +21,9 @@ client-perceived latency. Two entry points:
   runner that times the same paths with ``time.perf_counter`` and writes
   ``benchmarks/BENCH_serve.json``, the machine-readable record the
   cross-PR perf trajectory accumulates (docs/performance.md).
-  ``--smoke`` runs a shrunken herd load with correctness asserts and no
-  JSON write (wired into ``make bench-smoke``).
+  ``--smoke`` checks that a refined miss evaluates ``budget + 1``
+  candidates from one decode, then runs a shrunken herd load with
+  correctness asserts and no JSON write (wired into ``make bench-smoke``).
 """
 
 import json
@@ -50,6 +52,7 @@ from repro.serve import (
     ServiceOverloaded,
 )
 from repro.sim import ClusterSpec
+from repro.telemetry import Telemetry, use_telemetry
 from repro.workloads import build_resnet50, build_vgg16
 
 CLUSTER = ClusterSpec.default()
@@ -139,6 +142,36 @@ def _dup_graph(index: int, length: int):
         prev = node
     g.add_node(OpNode("loss", "CrossEntropy", (1,), flops=64), inputs=[prev])
     return g
+
+
+def check_refined_miss_decodes_once(budget: int = 8) -> None:
+    """A refined miss reports ``budget + 1`` evaluated candidates, the
+    greedy one included, from a single ``placers.decode`` section."""
+    graph = _dup_graph(0, 6)
+    cfg = fast_profile(seed=0)
+    tel = Telemetry()
+    with tempfile.TemporaryDirectory(prefix="serve-decode-") as ckpt_dir:
+        agent, _ = build_agent("mars_no_pretrain", graph, CLUSTER, cfg, None)
+        save_agent(
+            os.path.join(ckpt_dir, "mars__dup"), agent, "mars",
+            workload=graph.name, config=cfg,
+        )
+        service = PlacementService(PolicyRegistry(ckpt_dir), telemetry=tel)
+        try:
+            with use_telemetry(tel):
+                response = service.handle(
+                    PlacementRequest(graph=graph_to_dict(graph), budget=budget, use_cache=False)
+                )
+        finally:
+            service.close()
+    decodes = sum(
+        hist["count"]
+        for name, hist in tel.metrics.snapshot()["histograms"].items()
+        if name == "profile.placers.decode" or name.endswith("/placers.decode")
+    )
+    assert response.candidates_evaluated == budget + 1, response.candidates_evaluated
+    assert decodes == 1, f"a budget={budget} refined miss ran {decodes} decodes"
+    print(f"refined miss: {response.candidates_evaluated} candidates from {decodes} decode")
 
 
 def _percentile(values, pct: float) -> float:
@@ -242,11 +275,12 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="quick correctness pass of the herd comparison, no JSON",
+        help="quick correctness pass of the refined miss and the herd load, no JSON",
     )
     args = parser.parse_args(argv)
 
     if args.smoke:
+        check_refined_miss_decodes_once()
         run_duplicate_heavy(smoke=True)
         print("serve bench smoke OK")
         return 0

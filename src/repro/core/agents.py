@@ -95,7 +95,7 @@ class EncoderPlacerPolicy(PolicyAgent):
             return reps.detach()
         return self.encoder(self.features, self.adj)
 
-    def sample(self, n_samples: int, rng, greedy: bool = False) -> AgentRollout:
+    def sample(self, n_samples: int, rng, greedy: int = 0) -> AgentRollout:
         rng = new_rng(rng)
         with no_grad():
             with span("gnn.encode"):

@@ -115,5 +115,5 @@ def load_agent(
 def greedy_placement(agent: PolicyAgent, env) -> np.ndarray:
     """The policy's argmax placement, resolved against the environment's
     constraints. Useful for deploying a trained agent without sampling."""
-    rollout = agent.sample(1, np.random.default_rng(0), greedy=True)
+    rollout = agent.sample(1, np.random.default_rng(0), greedy=1)
     return env.resolve(rollout.placements[0]).devices

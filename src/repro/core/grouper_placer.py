@@ -79,7 +79,7 @@ class GrouperPlacerAgent(PolicyAgent):
     def _placements_from(self, groups: np.ndarray, devices: np.ndarray) -> np.ndarray:
         return np.take_along_axis(devices, groups, axis=1)
 
-    def sample(self, n_samples: int, rng, greedy: bool = False) -> AgentRollout:
+    def sample(self, n_samples: int, rng, greedy: int = 0) -> AgentRollout:
         rng = new_rng(rng)
         with no_grad():
             feats = Tensor(self.features)
@@ -89,8 +89,11 @@ class GrouperPlacerAgent(PolicyAgent):
             embeddings = MLPGrouper.group_embeddings(self.features, groups, self.num_groups)
             dev_rows: List[np.ndarray] = []
             d_logp_rows: List[np.ndarray] = []
+            n_sampled = n_samples - greedy
             for b in range(n_samples):
-                out = self.placer.run(Tensor(embeddings[b]), n_samples=1, rng=rng, greedy=greedy)
+                out = self.placer.run(
+                    Tensor(embeddings[b]), n_samples=1, rng=rng, greedy=int(b >= n_sampled)
+                )
                 dev_rows.append(out.actions[0])
                 d_logp_rows.append(out.log_probs.data[0])
         devices = np.stack(dev_rows)

@@ -35,7 +35,7 @@ class MLPGrouper(Module):
         n_samples: int = 1,
         actions: Optional[np.ndarray] = None,
         rng: Optional[np.random.Generator] = None,
-        greedy: bool = False,
+        greedy: int = 0,
     ):
         """Sample (or score) group assignments; returns ``(groups, logp, ent)``
         with ``groups`` of shape ``(B, num_ops)``."""

@@ -50,7 +50,13 @@ from repro.nn import (
 from repro.nn.attention import attention_step, attention_step_backward
 from repro.nn.rnn import lstm_cell, lstm_cell_backward
 from repro.nn.tensor import _unbroadcast
-from repro.placers.base import Placer, PlacerOutput, logits_to_choice, sample_categorical
+from repro.placers.base import (
+    Placer,
+    PlacerOutput,
+    check_greedy,
+    logits_to_choice,
+    sample_categorical,
+)
 from repro.utils.rng import new_rng
 
 # The most float64 elements that one block of teacher-forced attention
@@ -58,16 +64,19 @@ from repro.utils.rng import new_rng
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def _choose(logits: np.ndarray, rng: Optional[np.random.Generator], greedy: bool) -> np.ndarray:
-    """Sample (or argmax) device indices from raw per-sample logits."""
-    if greedy:
-        return np.argmax(logits, axis=-1).astype(np.int64)
-    if rng is None:
-        raise ValueError("sampling requires an rng")
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    probs = np.exp(shifted)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    return sample_categorical(probs, rng)
+def _choose(logits: np.ndarray, rng: Optional[np.random.Generator], n: int) -> np.ndarray:
+    """Device indices from raw per-sample logits: the first ``n`` rows
+    sample, the rest take the argmax."""
+    choices = np.empty(logits.shape[0], dtype=np.int64)
+    choices[n:] = np.argmax(logits[n:], axis=-1)
+    if n:
+        if rng is None:
+            raise ValueError("sampling requires an rng")
+        shifted = logits[:n] - logits[:n].max(axis=-1, keepdims=True)
+        probs = np.exp(shifted)
+        probs /= probs.sum(axis=-1, keepdims=True)
+        choices[:n] = sample_categorical(probs, rng)
+    return choices
 
 
 class SegmentSeq2SeqPlacer(Placer):
@@ -111,7 +120,7 @@ class SegmentSeq2SeqPlacer(Placer):
         n_samples: int = 1,
         actions: Optional[np.ndarray] = None,
         rng: Optional[np.random.Generator] = None,
-        greedy: bool = False,
+        greedy: int = 0,
     ) -> PlacerOutput:
         n_ops = reps.shape[0]
         B = n_samples
@@ -122,9 +131,10 @@ class SegmentSeq2SeqPlacer(Placer):
                 raise ValueError(f"actions shape {actions.shape} != ({B}, {n_ops})")
             if actions.size and (actions.min() < 0 or actions.max() >= self.num_devices):
                 raise ValueError(f"actions must be device indices in [0, {self.num_devices})")
+        n_sampled = check_greedy(greedy, B) if actions is None else 0
 
         mems, state = self._encode(reps)
-        logits, chosen = self._decode(mems, state, B, actions, rng, greedy)
+        logits, chosen = self._decode(mems, state, B, actions, rng, n_sampled)
         # Score every op in one stacked softmax.
         _, logp, ent = logits_to_choice(logits, None, actions=chosen)
         return PlacerOutput(actions=chosen, log_probs=logp, entropy=ent)
@@ -156,16 +166,17 @@ class SegmentSeq2SeqPlacer(Placer):
         B: int,
         actions: Optional[np.ndarray],
         rng: Optional[np.random.Generator],
-        greedy: bool,
+        n_sampled: int,
     ) -> Tuple[Tensor, np.ndarray]:
         """The attention decoder over every segment.
 
         Each step embeds the previous choice and runs the LSTM cell; the
         cell's output attends over its segment's memory ``(s,1,H)``, and
         the head maps ``[h, context]`` to the step's logits. The decoder
-        state carries across segments. Sampling (or argmax) runs the steps
-        one at a time, since each choice needs its step's logits, and
-        returns the logits as a leaf. Teacher forcing knows every choice
+        state carries across segments. Sampling runs the steps one at a
+        time, since each choice needs its step's logits, and returns the
+        logits as a leaf; the first ``n_sampled`` rows sample, the rest
+        take the argmax. Teacher forcing knows every choice
         up front, and the context feeds only the head, so only the cell is
         sequential: per segment the action projection is one stacked
         matmul, the cell loops alone, the attention runs over blocks of
@@ -233,7 +244,7 @@ class SegmentSeq2SeqPlacer(Placer):
                     cat = np.concatenate([h, ctx[0]], axis=1)
                     out = cat @ w_head.data + b_head.data  # (B, D)
                     logits[:, j] = out
-                    prev = _choose(out, rng, greedy)
+                    prev = _choose(out, rng, n_sampled)
                     chosen[:, j] = prev
                     j += 1
                 continue

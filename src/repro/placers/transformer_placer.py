@@ -52,7 +52,7 @@ class TransformerXLPlacer(Placer):
         n_samples: int = 1,
         actions: Optional[np.ndarray] = None,
         rng: Optional[np.random.Generator] = None,
-        greedy: bool = False,
+        greedy: int = 0,
     ) -> PlacerOutput:
         n_ops = reps.shape[0]
         B = n_samples if actions is None else actions.shape[0]

@@ -91,7 +91,10 @@ class PolicyAgent(Module):
                 f"cluster has {cluster.num_devices}"
             )
 
-    def sample(self, n_samples: int, rng, greedy: bool = False) -> AgentRollout:
+    def sample(self, n_samples: int, rng, greedy: int = 0) -> AgentRollout:
+        """Draw ``n_samples`` placements without gradients. The last
+        ``greedy`` rows are argmax decodes; the leading rows are the
+        placements ``sample(n_samples - greedy, rng)`` draws."""
         raise NotImplementedError  # pragma: no cover
 
     def evaluate(self, internal: Dict[str, np.ndarray]) -> Tuple[Tensor, Tensor]:

@@ -13,8 +13,9 @@ Two paths:
 * **greedy fast path** (``budget=0``) — one argmax decode of the policy,
   resolved against the environment's constraints; milliseconds once the
   agent is built.
-* **bounded refinement** (``budget=N``) — additionally samples ``N``
-  placements from the policy and measures greedy + samples through
+* **bounded refinement** (``budget=N``) — one decode of ``N + 1`` rows:
+  ``N`` placements sampled from the policy and the greedy one as the
+  last row, all measured through
   :meth:`~repro.sim.env.PlacementEnv.evaluate_batch`, returning the best
   valid candidate. This buys back most of the gap to a full search at a
   tiny, *bounded* cost — the request decides how much inference time it
@@ -437,20 +438,16 @@ class PlacementService:
             ) from exc
         env = self._env_for(graph, cluster, env_key)
 
+        # One decode of budget + 1 rows: the budget's samples, then the
+        # greedy candidate as the last row. Sampling is deterministic per
+        # fingerprint, so the same request re-computed after a cache
+        # eviction returns the same placement.
+        rng = np.random.default_rng(int(fingerprint[:16], 16) ^ request.budget)
         with loaded.lock:
-            greedy = loaded.agent.sample(1, np.random.default_rng(0), greedy=True)
-            candidates = [env.resolve(greedy.placements[0]).devices]
-            if request.budget > 0:
-                # Deterministic per-fingerprint sampling: the same request
-                # re-computed after a cache eviction returns the same
-                # placement.
-                rng = np.random.default_rng(
-                    int(fingerprint[:16], 16) ^ request.budget
-                )
-                rollout = loaded.agent.sample(request.budget, rng)
-                candidates.extend(
-                    env.resolve(actions).devices for actions in rollout.placements
-                )
+            rollout = loaded.agent.sample(request.budget + 1, rng, greedy=1)
+        # The greedy candidate goes first, so it wins ties.
+        placements = np.roll(rollout.placements, 1, axis=0)
+        candidates = [env.resolve(actions).devices for actions in placements]
 
         results = env.evaluate_batch(candidates)
         best_index = 0

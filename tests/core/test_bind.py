@@ -26,7 +26,7 @@ def setting():
 
 def _rollouts(agent):
     return [
-        agent.sample(1, np.random.default_rng(0), greedy=True),
+        agent.sample(1, np.random.default_rng(0), greedy=1),
         agent.sample(16, np.random.default_rng(11)),
     ]
 

@@ -86,8 +86,8 @@ class TestCheckpoint:
         path = str(tmp_path / "agent")
         save_agent(path, agent, "mars", config=cfg)
         restored, _ = load_agent(path, graph, cluster)  # config=None
-        a = agent.sample(1, np.random.default_rng(0), greedy=True)
-        b = restored.sample(1, np.random.default_rng(0), greedy=True)
+        a = agent.sample(1, np.random.default_rng(0), greedy=1)
+        b = restored.sample(1, np.random.default_rng(0), greedy=1)
         assert np.array_equal(a.placements, b.placements)
 
     def test_load_without_config_or_echo_is_a_clear_error(self, setting, tmp_path):

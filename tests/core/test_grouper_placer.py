@@ -53,6 +53,21 @@ class TestGrouperPlacerAgent:
         assert all(p.grad is not None for p in agent.grouper.parameters())
         assert all(p.grad is not None for p in agent.placer.parameters())
 
+    def test_greedy_row_trails_the_samples(self, agent_setup):
+        """``sample(n + 1, greedy=1)``: the leading rows are
+        ``sample(n)``'s and draw the same uniforms, the last is the
+        argmax decode."""
+        _, _, agent = agent_setup
+        r_mixed, r_sampled = np.random.default_rng(4), np.random.default_rng(4)
+        mixed = agent.sample(5, r_mixed, greedy=1)
+        sampled = agent.sample(4, r_sampled)
+        greedy = agent.sample(1, None, greedy=1)
+        assert np.array_equal(mixed.placements[:4], sampled.placements)
+        for key in ("groups", "devices"):
+            assert np.array_equal(mixed.internal[key][:4], sampled.internal[key])
+        assert r_mixed.random() == r_sampled.random()
+        assert np.array_equal(mixed.placements[4], greedy.placements[0])
+
     def test_num_groups_clamped_to_graph(self):
         from repro.graph import CompGraph, OpNode
 

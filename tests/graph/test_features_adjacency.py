@@ -11,7 +11,7 @@ from repro.graph import (
 )
 from repro.graph.features import CANONICAL_OP_TYPES, SHAPE_RANK
 from repro.workloads import WORKLOADS, get_workload
-from tests.helpers import reference_features, tiny_graph
+from tests.helpers import reference_adjacency, reference_features, tiny_graph
 
 
 class TestVocabulary:
@@ -141,3 +141,36 @@ class TestAdjacency:
         a = normalized_adjacency(g).toarray()
         # Both nodes have degree 2 after self-loops: entries 1/2.
         assert np.allclose(a, [[0.5, 0.5], [0.5, 0.5]])
+
+
+class TestAdjacencyMatchesReference:
+    """The direct CSR build reproduces the composed SciPy build
+    (``tests/helpers.py::reference_adjacency``) bit for bit."""
+
+    GRAPHS = [(name, {}) for name in sorted(WORKLOADS)] + [
+        (name, {"scale": 0.25, "batch_size": 32})
+        for name in ("vgg16", "resnet50", "inception_v3")
+    ]
+
+    @pytest.mark.parametrize("name,kwargs", GRAPHS, ids=lambda p: p if isinstance(p, str) else "")
+    def test_every_builtin_workload(self, name, kwargs):
+        graph = get_workload(name, **kwargs)
+        for undirected in (True, False):
+            for build, normalized in ((adjacency_matrix, False), (normalized_adjacency, True)):
+                got = build(graph, undirected=undirected)
+                want = reference_adjacency(graph, undirected, normalized)
+                assert got.shape == want.shape
+                assert np.array_equal(got.indptr, want.indptr)
+                assert np.array_equal(got.indices, want.indices)
+                assert got.data.tobytes() == want.data.tobytes()
+
+    def test_graphs_without_edges(self):
+        from repro.graph import CompGraph, OpNode
+
+        lonely = CompGraph("lonely")
+        lonely.add_node(OpNode("a", "Input"))
+        lonely.add_node(OpNode("b", "Input"))
+        for graph in (CompGraph(), lonely):
+            for build, normalized in ((adjacency_matrix, False), (normalized_adjacency, True)):
+                got = build(graph).toarray()
+                assert got.tobytes() == reference_adjacency(graph, normalized=normalized).toarray().tobytes()

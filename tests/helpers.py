@@ -406,3 +406,26 @@ def reference_features(extractor, graph) -> np.ndarray:
             x[i, col] = len(graph.predecessors(i)) / 8.0
             x[i, col + 1] = len(graph.successors(i)) / 8.0
     return x
+
+
+def reference_adjacency(graph, undirected=True, normalized=False):
+    """``adjacency_matrix`` (or, with ``normalized``,
+    ``normalized_adjacency``) composed from SciPy operations, as it used
+    to be built. The direct CSR build must reproduce it bit for bit."""
+    import scipy.sparse as sp
+
+    n = graph.num_nodes
+    rows, cols = [], []
+    for u, v in graph.edges():
+        rows.append(u)
+        cols.append(v)
+        if undirected:
+            rows.append(v)
+            cols.append(u)
+    a = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)).tocsr()
+    a.data[:] = 1.0  # collapse duplicate entries from bidirectional pairs
+    if not normalized:
+        return a
+    a_hat = a + sp.identity(n, format="csr")
+    d = sp.diags(1.0 / np.sqrt(np.asarray(a_hat.sum(axis=1)).ravel()))
+    return (d @ a_hat @ d).tocsr()

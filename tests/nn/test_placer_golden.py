@@ -44,7 +44,7 @@ def _hexes(array: np.ndarray) -> list:
     return [float(x).hex() for x in np.asarray(array).ravel()]
 
 
-def _decode(agent, n_samples: int, seed: int, greedy: bool) -> dict:
+def _decode(agent, n_samples: int, seed: int, greedy: int) -> dict:
     # The body of ``EncoderPlacerPolicy.sample``, keeping the entropy too.
     with no_grad():
         reps = agent.node_representations()
@@ -87,8 +87,8 @@ def _grad_sketch(agent) -> dict:
 def digest(workload: str) -> dict:
     graph = get_workload(workload, scale=0.25)
     agent = build_mars_agent(graph, ClusterSpec.default(), fast_profile(seed=0))
-    greedy = _decode(agent, 1, seed=0, greedy=True)
-    sampled = _decode(agent, N_SAMPLES, seed=1, greedy=False)
+    greedy = _decode(agent, 1, seed=0, greedy=1)
+    sampled = _decode(agent, N_SAMPLES, seed=1, greedy=0)
     actions = np.asarray(sampled["actions"], dtype=np.int64)
     old_logp = np.array([float.fromhex(h) for h in sampled["log_probs"]]).reshape(
         actions.shape

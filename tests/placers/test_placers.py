@@ -57,9 +57,32 @@ class TestPlacerContract:
         assert np.allclose(out.log_probs.data, scored.log_probs.data, atol=1e-10)
 
     def test_greedy_is_deterministic(self, name, placer, reps):
-        a = placer.run(reps, n_samples=1, greedy=True, rng=np.random.default_rng(0))
-        b = placer.run(reps, n_samples=1, greedy=True, rng=np.random.default_rng(9))
+        a = placer.run(reps, n_samples=1, greedy=1, rng=np.random.default_rng(0))
+        b = placer.run(reps, n_samples=1, greedy=1, rng=np.random.default_rng(9))
         assert np.array_equal(a.actions, b.actions)
+
+    @pytest.mark.parametrize("n,k", [(3, 1), (6, 2), (3, 3)])
+    def test_greedy_rows_trail_the_sampled_rows(self, name, placer, reps, n, k):
+        """The leading ``n - k`` rows of a batch with ``k`` greedy rows
+        are the samples of a batch of ``n - k``: same actions, same
+        log-prob bits, same draws from the rng. ``n - k`` is even: an
+        odd batch's attention scores go through a BLAS gemv that rounds
+        its last row apart from the others, so appending a row to one
+        can move that row's last bits."""
+        r_mixed, r_sampled = np.random.default_rng(6), np.random.default_rng(6)
+        mixed = placer.run(reps, n_samples=n, rng=r_mixed, greedy=k)
+        greedy = placer.run(reps, n_samples=1, greedy=1)
+        if n > k:
+            sampled = placer.run(reps, n_samples=n - k, rng=r_sampled)
+            assert np.array_equal(mixed.actions[: n - k], sampled.actions)
+            assert np.array_equal(mixed.log_probs.data[: n - k], sampled.log_probs.data)
+        assert r_mixed.random() == r_sampled.random()
+        assert np.array_equal(mixed.actions[n - k :], np.repeat(greedy.actions, k, axis=0))
+
+    @pytest.mark.parametrize("k", [-1, 3])
+    def test_greedy_count_out_of_range(self, name, placer, reps, k):
+        with pytest.raises(ValueError, match="greedy"):
+            placer.run(reps, n_samples=2, rng=np.random.default_rng(0), greedy=k)
 
     def test_gradients_reach_parameters(self, name, placer, reps):
         """The teacher-forced pass a policy update differentiates."""
@@ -73,8 +96,6 @@ class TestPlacerContract:
         assert all(grads)
 
     def test_actions_shape_validation(self, name, placer, reps):
-        if not isinstance(placer, SegmentSeq2SeqPlacer):
-            pytest.skip("only the seq2seq placer validates explicitly")
         with pytest.raises(ValueError):
             placer.run(reps, actions=np.zeros((2, 3), dtype=int))
 

@@ -167,7 +167,7 @@ def test_gradcheck_decoder_parameters(n_ops, segment_size):
 def _assert_sample_then_evaluate_bit_identical():
     placer = make_placer(3, seed=4)
     reps = Tensor(rng.standard_normal((7, IN_DIM)))
-    for greedy in (False, True):
+    for greedy in (0, 1, 4):
         with no_grad():
             sampled = placer.run(reps, n_samples=4, rng=np.random.default_rng(5), greedy=greedy)
         scored = placer.run(reps, actions=sampled.actions)

@@ -23,7 +23,7 @@ class BanditAgent(PolicyAgent):
     def _dist(self, batch):
         return log_softmax(self.logits.reshape(1, -1).broadcast_to((batch, self.num_devices)), axis=-1)
 
-    def sample(self, n_samples, rng, greedy=False):
+    def sample(self, n_samples, rng, greedy=0):
         rng = new_rng(rng)
         probs = np.exp(self._dist(1).data[0])
         actions = rng.choice(self.num_devices, size=(n_samples, 1), p=probs / probs.sum())

@@ -93,8 +93,8 @@ class TestLoad:
         registry = PolicyRegistry(ckpt_dir)
         graph = tiny_graph()
         loaded = registry.load(registry.get("mars__tiny"), graph, cluster)
-        a = loaded.agent.sample(1, np.random.default_rng(0), greedy=True)
-        b = loaded.agent.sample(1, np.random.default_rng(0), greedy=True)
+        a = loaded.agent.sample(1, np.random.default_rng(0), greedy=1)
+        b = loaded.agent.sample(1, np.random.default_rng(0), greedy=1)
         assert np.array_equal(a.placements, b.placements)
 
     def test_transfer_load_onto_other_graph(self, serve_setup):
@@ -102,7 +102,7 @@ class TestLoad:
         registry = PolicyRegistry(ckpt_dir)
         other = chain_graph("other", length=7)
         loaded = registry.load(registry.get("mars__tiny"), other, cluster)
-        rollout = loaded.agent.sample(1, np.random.default_rng(0), greedy=True)
+        rollout = loaded.agent.sample(1, np.random.default_rng(0), greedy=1)
         assert rollout.placements.shape[1] == other.num_nodes
 
     def test_agent_cache_bounded(self, serve_setup):
@@ -286,7 +286,7 @@ class TestParameterCache:
         assert all(x.agent.placer is loaded[0].agent.placer for x in loaded)
         assert all(x.lock is loaded[0].lock for x in loaded)
         for x, g in zip(loaded, graphs):
-            rollout = x.agent.sample(1, np.random.default_rng(0), greedy=True)
+            rollout = x.agent.sample(1, np.random.default_rng(0), greedy=1)
             assert rollout.placements.shape == (1, g.num_nodes)
 
     def test_each_policy_has_its_own_parameters(self, serve_setup, npz_reads):

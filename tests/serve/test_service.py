@@ -2,8 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from repro.core import greedy_placement, load_agent
 from repro.graph import graph_to_dict
 from repro.serve import (
     BadRequest,
@@ -13,7 +15,14 @@ from repro.serve import (
     PolicyRegistry,
     ServeConfig,
 )
-from repro.telemetry import Telemetry, read_events, start_run, validate_event
+from repro.sim import PlacementEnv
+from repro.telemetry import (
+    Telemetry,
+    read_events,
+    start_run,
+    use_telemetry,
+    validate_event,
+)
 from tests.helpers import tiny_graph
 from tests.serve.conftest import chain_graph
 
@@ -98,6 +107,50 @@ class TestHappyPath:
             tiny_request(policy_id="mars__chain", use_cache=False)
         )
         assert response.policy_id == "mars__chain"  # transfer serve
+
+
+class TestRefinementDecode:
+    """A ``budget=N`` miss decodes the policy once, over ``N + 1`` rows:
+    the N samples, then the greedy candidate."""
+
+    BUDGET = 4
+
+    def test_one_decode_of_budget_plus_one_rows(self, serve_setup, monkeypatch):
+        ckpt_dir, cluster, _ = serve_setup
+        evaluated = []
+        real = PlacementEnv.evaluate_batch
+
+        def recording(env, candidates):
+            evaluated.append([np.array(c) for c in candidates])
+            return real(env, candidates)
+
+        monkeypatch.setattr(PlacementEnv, "evaluate_batch", recording)
+        tel = Telemetry()
+        svc = PlacementService(PolicyRegistry(ckpt_dir), telemetry=tel)
+        try:
+            with use_telemetry(tel):
+                response = svc.handle(tiny_request(budget=self.BUDGET, use_cache=False))
+        finally:
+            svc.close()
+
+        histograms = tel.metrics.snapshot()["histograms"]
+        calls = {"gnn.encode": 0, "placers.decode": 0}
+        for name, hist in histograms.items():
+            leaf = name.rsplit("/", 1)[-1].replace("profile.", "")
+            if name.startswith("profile.") and leaf in calls:
+                calls[leaf] += hist["count"]
+        assert calls == {"gnn.encode": 1, "placers.decode": 1}
+
+        assert response.candidates_evaluated == self.BUDGET + 1
+        (candidates,) = evaluated
+        graph = tiny_graph()
+        agent, _ = load_agent(svc.registry.get("mars__tiny").path, graph, cluster)
+        env = PlacementEnv(graph, cluster)
+        assert np.array_equal(candidates[0], greedy_placement(agent, env))
+        rng = np.random.default_rng(int(response.fingerprint[:16], 16) ^ self.BUDGET)
+        sampled = agent.sample(self.BUDGET, rng).placements
+        for candidate, actions in zip(candidates[1:], sampled):
+            assert np.array_equal(candidate, env.resolve(actions).devices)
 
 
 class TestErrors:
