@@ -14,12 +14,15 @@ and one layer inside them:
   op sequence, forward alone (building the tape, as ``evaluate`` does)
   and forward plus ``backward()`` of a fixed linear loss on its outputs;
 
-and the step that runs before any of them:
+and the steps around them:
 
 * **DGI pre-training** — seconds per iteration of ``pretrain_encoder``
-  (corrupt, encode both views, score, BCE, backward, clip, Adam) on the
-  same graph and encoder, median over rounds of
-  :data:`DGI_ITERATIONS` iterations each.
+  (corrupt, encode both views in one pass, score, BCE, backward, clip,
+  Adam) on the same graph and encoder, median over rounds of
+  :data:`DGI_ITERATIONS` iterations each;
+* **Adam step** — one ``Adam.step`` over every agent parameter, with the
+  gradients of a ``backward``, median over rounds of
+  :data:`ADAM_STEPS` steps each.
 
 It also counts the tape nodes (``Tensor._make`` calls) one ``evaluate``
 and one DGI iteration build: the cost is interpreter overhead per node,
@@ -31,13 +34,21 @@ the timed rounds: ``tape_mb``, the bytes one ``evaluate`` of the
 10-sample rollout holds, and ``update_peak_mb``, the traced peak of one
 PPO update (the profile's 2 passes) on a 20-sample buffer.
 
+Each profile is one row of the record: ``fast_profile`` with every
+figure above, then ``paper_profile`` (Section 4.2 widths: GCN 256,
+placer 512, segments of 128) with the passes, the DGI iteration and the
+Adam step, over :data:`PAPER_ROUNDS` rounds (a pass there takes
+seconds).
+
 Run it directly; results land in ``benchmarks/BENCH_autograd.json``::
 
     PYTHONPATH=src python benchmarks/bench_autograd.py
     PYTHONPATH=src python benchmarks/bench_autograd.py --rounds 3 --json /tmp/a.json
 
-``--smoke`` runs every pass once with no timings and no JSON write, and
-prints both memory figures (``make bench-smoke``).
+``--smoke`` runs every ``fast_profile`` pass once with no timings and no
+JSON write, checks that a DGI iteration builds
+:data:`DGI_NODES_PER_ITERATION` tape nodes, and prints both memory
+figures (``make bench-smoke``).
 """
 
 from __future__ import annotations
@@ -53,16 +64,20 @@ import tracemalloc
 
 import numpy as np
 
-from repro.config import fast_profile
+from repro.config import fast_profile, paper_profile
 from repro.core import build_mars_agent
 from repro.gnn import DGI, pretrain_encoder
-from repro.nn import Tensor, no_grad
+from repro.nn import Adam, Tensor, no_grad
 from repro.rl.ppo import PPOUpdater
 from repro.sim import ClusterSpec
 from repro.workloads import get_workload
 
 JSON_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_autograd.json")
 DGI_ITERATIONS = 30
+#: One encoder pass over both DGI views plus the objective.
+DGI_NODES_PER_ITERATION = 2
+ADAM_STEPS = 10
+PAPER_ROUNDS = 3
 
 
 def count_nodes(fn) -> int:
@@ -91,6 +106,46 @@ def time_pretraining(agent, rounds: int, iterations: int) -> list:
         pretrain_encoder(agent.encoder, agent.features, agent.adj, iterations=iterations, seed=r)
         per_iter.append((time.perf_counter() - t0) / iterations)
     return per_iter
+
+
+def time_adam(agent, rounds: int) -> list:
+    """Seconds per ``Adam.step`` over the agent's parameters, per round.
+
+    The gradients are one ``backward`` of a teacher-forced rollout's
+    loss; the steps move the agent's weights."""
+    rollout = agent.sample(2, np.random.default_rng(0))
+    agent.zero_grad()
+    logp, entropy = agent.evaluate(rollout.internal)
+    (-(logp.mean()) - 0.01 * entropy.mean()).backward()
+    opt = Adam(agent.parameters(), lr=1e-4)
+    opt.step()  # allocate the moments outside the timings
+    per_step = []
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        for _ in range(ADAM_STEPS):
+            opt.step()
+        per_step.append((time.perf_counter() - t0) / ADAM_STEPS)
+    return per_step
+
+
+def time_passes(agent, rollout, rounds: int) -> tuple:
+    """Seconds of the forward (``evaluate`` + loss), ``backward`` and
+    ``sample(10)`` passes, one list each, one entry per round."""
+    forward, backward, sample = [], [], []
+    for r in range(rounds):
+        t0 = time.perf_counter()
+        logp, entropy = agent.evaluate(rollout.internal)
+        loss = -(logp.mean()) - 0.01 * entropy.mean()
+        t1 = time.perf_counter()
+        agent.zero_grad()
+        loss.backward()
+        t2 = time.perf_counter()
+        agent.sample(10, np.random.default_rng(r))
+        t3 = time.perf_counter()
+        forward.append(t1 - t0)
+        backward.append(t2 - t1)
+        sample.append(t3 - t2)
+    return forward, backward, sample
 
 
 def time_encoder(agent, rounds: int) -> tuple:
@@ -137,9 +192,8 @@ def measure_memory(agent, config, rollout) -> tuple:
     return tape_bytes / 2**20, update_bytes / 2**20
 
 
-def run(args) -> int:
-    graph = get_workload("inception_v3")
-    config = fast_profile(seed=0)
+def build(graph, config) -> tuple:
+    """``(agent, rollout, nodes per evaluate, nodes per DGI iteration)``."""
     agent = build_mars_agent(graph, ClusterSpec.default(), config)
     rollout = agent.sample(10, np.random.default_rng(0))
     nodes = count_nodes(lambda: agent.evaluate(rollout.internal))
@@ -147,7 +201,42 @@ def run(args) -> int:
     dgi_nodes = count_nodes(
         lambda: dgi.loss(agent.features, agent.adj, np.random.default_rng(0))
     )
+    return agent, rollout, nodes, dgi_nodes
+
+
+def profile_row(name: str, graph, agent, rollout, nodes, dgi_nodes, rounds) -> dict:
+    """The figures every profile's row records."""
+    forward, backward, sample = time_passes(agent, rollout, rounds)
+    dgi_iter = time_pretraining(agent, rounds, DGI_ITERATIONS)
+    adam = time_adam(agent, rounds)
+    return {
+        "profile": name,
+        "workload": "inception_v3",
+        "ops": graph.num_nodes,
+        "rounds": rounds,
+        "nodes_per_pass": nodes,
+        "nodes_per_op": nodes / graph.num_nodes,
+        "forward_median_s": statistics.median(forward),
+        "backward_median_s": statistics.median(backward),
+        "sample10_median_s": statistics.median(sample),
+        "dgi_iterations_per_round": DGI_ITERATIONS,
+        "dgi_nodes_per_iteration": dgi_nodes,
+        "dgi_iteration_median_s": statistics.median(dgi_iter),
+        "adam_steps_per_round": ADAM_STEPS,
+        "adam_step_median_s": statistics.median(adam),
+    }
+
+
+def run(args) -> int:
+    graph = get_workload("inception_v3")
+    config = fast_profile(seed=0)
+    agent, rollout, nodes, dgi_nodes = build(graph, config)
     if args.smoke:
+        if dgi_nodes != DGI_NODES_PER_ITERATION:
+            raise SystemExit(
+                f"bench-autograd smoke FAILED: a DGI iteration builds {dgi_nodes} "
+                f"tape nodes, expected {DGI_NODES_PER_ITERATION}"
+            )
         agent.zero_grad()
         logp, entropy = agent.evaluate(rollout.internal)
         (-(logp.mean()) - 0.01 * entropy.mean()).backward()
@@ -159,53 +248,32 @@ def run(args) -> int:
               f"update_peak_mb {update_mb:.2f})")
         return 0
 
-    forward, backward, sample = [], [], []
-    for r in range(args.rounds):
-        t0 = time.perf_counter()
-        logp, entropy = agent.evaluate(rollout.internal)
-        loss = -(logp.mean()) - 0.01 * entropy.mean()
-        t1 = time.perf_counter()
-        agent.zero_grad()
-        loss.backward()
-        t2 = time.perf_counter()
-        agent.sample(10, np.random.default_rng(r))
-        t3 = time.perf_counter()
-        forward.append(t1 - t0)
-        backward.append(t2 - t1)
-        sample.append(t3 - t2)
+    fast = profile_row("fast_profile", graph, agent, rollout, nodes, dgi_nodes, args.rounds)
     encoder_fwd, encoder_fwd_bwd = time_encoder(agent, args.rounds)
-    dgi_iter = time_pretraining(agent, args.rounds, DGI_ITERATIONS)
     tape_mb, update_mb = measure_memory(agent, config, rollout)
+    fast.update({
+        "encoder_forward_median_s": statistics.median(encoder_fwd),
+        "encoder_forward_backward_median_s": statistics.median(encoder_fwd_bwd),
+        "tape_mb": tape_mb,
+        "update_peak_mb": update_mb,
+    })
+    del agent, rollout
+    paper = profile_row("paper_profile", graph, *build(graph, paper_profile()), PAPER_ROUNDS)
 
     doc = {
         "benchmark": "autograd",
-        "workload": "inception_v3",
-        "ops": graph.num_nodes,
-        "rounds": args.rounds,
-        "nodes_per_pass": nodes,
-        "nodes_per_op": nodes / graph.num_nodes,
-        "forward_median_s": statistics.median(forward),
-        "backward_median_s": statistics.median(backward),
-        "sample10_median_s": statistics.median(sample),
-        "encoder_forward_median_s": statistics.median(encoder_fwd),
-        "encoder_forward_backward_median_s": statistics.median(encoder_fwd_bwd),
-        "dgi_iterations_per_round": DGI_ITERATIONS,
-        "dgi_nodes_per_iteration": dgi_nodes,
-        "dgi_iteration_median_s": statistics.median(dgi_iter),
-        "tape_mb": tape_mb,
-        "update_peak_mb": update_mb,
+        "rows": [fast, paper],
         "host": {
             "nproc": len(os.sched_getaffinity(0)),
             "python": platform.python_version(),
             "numpy": np.__version__,
         },
     }
-    for key in ("nodes_per_pass", "nodes_per_op", "forward_median_s",
-                "backward_median_s", "sample10_median_s",
-                "encoder_forward_median_s", "encoder_forward_backward_median_s",
-                "dgi_nodes_per_iteration", "dgi_iteration_median_s",
-                "tape_mb", "update_peak_mb"):
-        print(f"{key:>33}: {doc[key]:.4g}")
+    for row in doc["rows"]:
+        print(row["profile"])
+        for key, value in row.items():
+            if isinstance(value, float) or key.endswith("_per_iteration"):
+                print(f"{key:>35}: {value:.4g}")
     with open(args.json, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

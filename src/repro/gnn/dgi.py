@@ -14,12 +14,12 @@ The self-supervised objective Mars pre-trains its encoder with:
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
+from repro.gnn.gcn import GCNEncoder, stack_views, view_matmul
 from repro.nn import Module, Parameter, Tensor, no_grad
 from repro.nn import init as nn_init
 from repro.nn.tensor import stable_sigmoid
@@ -33,25 +33,36 @@ def node_permutation(x: np.ndarray, rng) -> np.ndarray:
     return x[perm]
 
 
-def dgi_objective(h_pos: Tensor, h_neg: Tensor, w: Tensor) -> Tensor:
+def two_view_adjacency(adj: sp.spmatrix) -> Tuple[sp.csr_matrix, sp.csr_matrix]:
+    """``(diag(adj, adj), its transpose)`` as CSR: the adjacency one encoder
+    pass over both DGI views runs on, and the one its backward takes."""
+    pair = stack_views(adj, 2)
+    return pair, pair.T.tocsr()
+
+
+def dgi_objective(h: Tensor, w: Tensor) -> Tensor:
     """Readout, bilinear discriminator and BCE (Eqs. 4-6) as one tape node.
 
-    ``h_pos``/``h_neg`` are the clean and corrupted node representations
-    and ``w`` the discriminator matrix. The value is the mean BCE of the
-    logits ``[h_pos W s; h_neg W s]`` against labels ``[1; 0]``, with
-    ``s = σ(mean_i h_pos_i)``. Forward and backward keep the NumPy
-    expressions of the composed ops (:meth:`DGI.readout`,
+    ``h`` stacks the clean node representations over the corrupted ones
+    (``2n`` rows) and ``w`` is the discriminator matrix. The value is the
+    mean BCE of the logits ``[h_pos W s; h_neg W s]`` against labels
+    ``[1; 0]``, with ``s = σ(mean_i h_pos_i)``. Forward and backward keep
+    the NumPy expressions of the composed ops (:meth:`DGI.readout`,
     :meth:`DGI.discriminator_logits`, ``concat`` and
-    :func:`~repro.nn.functional.bce_with_logits`) and their per-tensor
-    accumulation order, so both are bit-identical to that tape.
+    :func:`~repro.nn.functional.bce_with_logits`) on each view and their
+    per-tensor accumulation order, so both are bit-identical to that tape
+    over two separate encoder passes. Each view keeps its own logit
+    product ``hw @ s``: a matrix-vector product's rounding of a row can
+    depend on the row count.
     """
-    hp, hn, wd = h_pos.data, h_neg.data, w.data
-    n = len(hp)
+    hd, wd = h.data, w.data
+    n = len(hd) // 2
+    hp, hn = hd[:n], hd[n:]
     s = stable_sigmoid(hp.sum(axis=0) * (1.0 / n))
-    hw_pos = hp @ wd
-    hw_neg = hn @ wd
+    hw = view_matmul(hd, wd, 2)
+    hw_pos, hw_neg = hw[:n], hw[n:]
     z = np.concatenate([hw_pos @ s, hw_neg @ s])
-    y = np.concatenate([np.ones(n), np.zeros(len(hn))])
+    y = np.concatenate([np.ones(n), np.zeros(n)])
     e = np.exp(-np.abs(z))
     e1 = e + 1.0
     inv = 1.0 / z.size
@@ -64,24 +75,23 @@ def dgi_objective(h_pos: Tensor, h_neg: Tensor, w: Tensor) -> Tensor:
         dz += (-((gz / e1) * e)) * np.sign(z)
         dz += gz * (z > 0)
         g_pos, g_neg = dz[:n], dz[n:]
-        g_hw_pos = np.multiply.outer(g_pos, s)
-        g_hw_neg = np.multiply.outer(g_neg, s)
+        g_hw = np.multiply.outer(dz, s)
+        g_hw_pos, g_hw_neg = g_hw[:n], g_hw[n:]
         # The negative view's logits were created last, so their share of
-        # the summary's and ``w``'s gradients comes first; ``h_pos`` gets
-        # its logits' share before the readout's.
+        # the summary's and ``w``'s gradients comes first; the clean view
+        # gets its logits' share before the readout's.
         ds = (hw_neg * np.expand_dims(g_neg, -1)).sum(axis=(0,))
         ds += (hw_pos * np.expand_dims(g_pos, -1)).sum(axis=(0,))
-        if h_neg.requires_grad:
-            h_neg._accumulate(g_hw_neg @ wd.T)
         if w.requires_grad:
             w._accumulate(hn.T @ g_hw_neg)
             w._accumulate(hp.T @ g_hw_pos)
-        if h_pos.requires_grad:
-            h_pos._accumulate(g_hw_pos @ wd.T)
+        if h.requires_grad:
+            gh = view_matmul(g_hw, wd.T, 2)
             g_mean = ds * s * (1.0 - s) * (1.0 / n)
-            h_pos._accumulate(np.broadcast_to(np.expand_dims(g_mean, 0), hp.shape))
+            gh[:n] += np.expand_dims(g_mean, 0)
+            h._accumulate(gh)
 
-    return Tensor._make(np.asarray(loss), (h_pos, h_neg, w), backward)
+    return Tensor._make(np.asarray(loss), (h, w), backward)
 
 
 class DGI(Module):
@@ -102,27 +112,38 @@ class DGI(Module):
         """Raw bilinear scores ``hᵀ W s`` (the sigmoid lives in the loss)."""
         return h @ self.w_disc @ summary
 
+    def encode_views(
+        self, x: np.ndarray, adj: sp.spmatrix, rng, views_adj: Optional[tuple] = None
+    ) -> Tensor:
+        """The clean and a corrupted view's node representations, stacked
+        (``2n`` rows), from one encoder pass over both.
+
+        ``views_adj`` is :func:`two_view_adjacency` of ``adj``; it is built
+        here when not given.
+        """
+        x_neg = node_permutation(x, rng)
+        pair, pair_t = two_view_adjacency(adj) if views_adj is None else views_adj
+        xs = np.concatenate((x, x_neg))
+        if isinstance(self.encoder, GCNEncoder):
+            return self.encoder(xs, pair, adj_t=pair_t, views=2)
+        return self.encoder(xs, pair)
+
     def loss(
-        self, x: np.ndarray, adj: sp.spmatrix, rng, adj_t: Optional[sp.spmatrix] = None
+        self, x: np.ndarray, adj: sp.spmatrix, rng, views_adj: Optional[tuple] = None
     ) -> Tensor:
         """One contrastive step: corrupt, encode both views, score, BCE.
 
-        With a GCN encoder this is 3 tape nodes: the two encoder passes and
-        :func:`dgi_objective`. ``adj_t`` (``adj``'s transpose as CSR) is
-        handed to such an encoder so its backward need not build it.
+        With a GCN encoder this is 2 tape nodes: the stacked encoder pass
+        and :func:`dgi_objective`. ``views_adj`` as in :meth:`encode_views`.
         """
-        x_neg = node_permutation(x, rng)
-        encode = self.encoder if adj_t is None else partial(self.encoder, adj_t=adj_t)
-        h_pos = encode(x, adj)
-        h_neg = encode(x_neg, adj)
-        return dgi_objective(h_pos, h_neg, self.w_disc)
+        return dgi_objective(self.encode_views(x, adj, rng, views_adj), self.w_disc)
 
     def accuracy(self, x: np.ndarray, adj: sp.spmatrix, rng) -> float:
         """Discriminator accuracy on a fresh corruption (diagnostics)."""
-        x_neg = node_permutation(x, rng)
         with no_grad():
-            h_pos = self.encoder(x, adj)
-            h_neg = self.encoder(x_neg, adj)
+            h = self.encode_views(x, adj, rng)
+            n = len(x)
+            h_pos, h_neg = h[:n], h[n:]
             summary = self.readout(h_pos)
             pos = self.discriminator_logits(h_pos, summary).data > 0
             neg = self.discriminator_logits(h_neg, summary).data <= 0

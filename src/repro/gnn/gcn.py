@@ -10,6 +10,11 @@ node (:meth:`GCNEncoder.forward`) and so is a single layer
 (:meth:`GCNLayer.forward`). The helpers round exactly as the composed
 ``Linear`` → ``spmm`` → ``PReLU`` ops do (they only drop pairs of
 negations), so values and gradients are bit-identical to theirs.
+
+The op also runs several inputs over the same graph as one pass (DGI's
+clean and corrupted views): their rows are stacked, the adjacency is
+:func:`stack_views`'s block diagonal, and every row and every
+per-input gradient rounds as in a pass of its own.
 """
 
 from __future__ import annotations
@@ -25,20 +30,79 @@ from repro.nn.tensor import _unbroadcast, as_tensor, is_grad_enabled
 from repro.utils.rng import new_rng
 
 
+def stack_views(adj: sp.spmatrix, views: int) -> sp.csr_matrix:
+    """``diag(adj, ..., adj)`` with ``views`` blocks, as CSR.
+
+    Each row keeps ``adj``'s entries in their stored order, so a sparse
+    product with it rounds every row as the product with ``adj`` does.
+    """
+    adj = adj.tocsr()
+    n, nnz = adj.shape[0], adj.nnz
+    shift = np.arange(views)[:, None]
+    indices = (adj.indices + n * shift).ravel().astype(adj.indices.dtype)
+    indptr = np.concatenate(([0], (adj.indptr[1:] + nnz * shift).ravel()))
+    return sp.csr_matrix(
+        (np.tile(adj.data, views), indices, indptr.astype(adj.indptr.dtype)),
+        shape=(views * n, views * n),
+    )
+
+
+def _view_blocks(a: np.ndarray, views: int) -> List[np.ndarray]:
+    """``a``'s ``views`` equal row blocks, as views of ``a``."""
+    n = len(a) // views
+    return [a[k * n : (k + 1) * n] for k in range(views)]
+
+
+def view_matmul(a: np.ndarray, b: np.ndarray, views: int = 1) -> np.ndarray:
+    """``a @ b`` for ``views`` equal row blocks stacked in ``a``: one product
+    per block, written into one output.
+
+    BLAS may round a row differently at another row count (a product with
+    one row goes to gemv, and gemm's edge blocks depend on the count), so
+    stacking rows into one product would not keep each block's bits.
+    """
+    if views == 1:
+        return a @ b
+    out = np.empty((len(a), b.shape[1]))
+    for block, dst in zip(_view_blocks(a, views), _view_blocks(out, views)):
+        np.matmul(block, b, out=dst)
+    return out
+
+
 def gcn_layer(
-    h: np.ndarray, W: np.ndarray, b: np.ndarray, slope: np.ndarray, adj: sp.spmatrix
+    h: np.ndarray,
+    W: np.ndarray,
+    b: np.ndarray,
+    slope: np.ndarray,
+    adj: sp.spmatrix,
+    views: int = 1,
 ) -> Tuple[np.ndarray, tuple]:
     """One GCN layer on raw arrays: ``(PReLU(adj @ (h @ W + b)), cache)``.
 
-    ``cache`` is what :func:`gcn_layer_backward` needs.
+    ``h`` stacks ``views`` inputs and ``adj`` is then their block-diagonal
+    adjacency. ``cache`` is what :func:`gcn_layer_backward` needs.
     """
-    a = adj @ (h @ W + b)
+    z = view_matmul(h, W, views)
+    z += b
+    out, masks = prelu(adj @ z, slope)
+    return out, (h,) + masks
+
+
+def prelu(a: np.ndarray, slope: np.ndarray) -> Tuple[np.ndarray, tuple]:
+    """``relu(a) + (-relu(-a)) * slope``, written over ``a``, and the
+    ``(pos, neg_mask, neg)`` arrays its backward takes.
+
+    The negative part ``neg`` is ``-0.0`` wherever ``a`` is not negative.
+    ``maximum``/``minimum`` against a zero of the right sign give the bits
+    of the masked selects the composed ops make for every input but NaN,
+    which they keep where a select gave a zero.
+    """
     pos = a > 0
     neg_mask = a < 0
-    # PReLU as ``relu(a) + (-relu(-a)) * slope``: the negative part is
-    # ``-0.0`` wherever ``a`` is not negative.
-    neg = np.where(neg_mask, a, -0.0)
-    return np.where(pos, a, 0.0) + neg * slope, (h, pos, neg_mask, neg)
+    neg = np.minimum(a, -0.0)
+    out = np.maximum(a, 0.0, out=a)
+    out += neg * slope
+    return out, (pos, neg_mask, neg)
 
 
 def gcn_layer_backward(
@@ -48,19 +112,29 @@ def gcn_layer_backward(
     slope: np.ndarray,
     adj_t: sp.spmatrix,
     need_dh: bool = True,
-) -> Tuple[Optional[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
-    """Backward of :func:`gcn_layer`: ``(dh, dW, db, dslope)``.
+    views: int = 1,
+) -> Tuple[Optional[np.ndarray], list, list, list]:
+    """Backward of :func:`gcn_layer`: ``(dh, dWs, dbs, dslopes)``.
 
     ``g`` is the gradient of the layer's output and ``adj_t`` is ``adj``'s
-    transpose as CSR. ``dh`` is ``None`` unless ``need_dh``.
+    transpose as CSR. ``dh`` is ``None`` unless ``need_dh``. The weight,
+    bias and slope gradients come one per view, each its view's own
+    product or reduction.
     """
     h, pos, neg_mask, neg = cache
-    dslope = _unbroadcast(g * neg, slope.shape)
-    da = (g * slope) * neg_mask
+    g_neg = g * neg
+    da = g * slope
+    da *= neg_mask
     da += g * pos
     dz = adj_t @ da
-    dh = dz @ W.T if need_dh else None
-    return dh, h.T @ dz, dz.sum(axis=0), dslope
+    dh = view_matmul(dz, W.T, views) if need_dh else None
+    blocks = zip(_view_blocks(h, views), _view_blocks(dz, views), _view_blocks(g_neg, views))
+    dws, dbs, dslopes = [], [], []
+    for hv, dzv, gv in blocks:
+        dws.append(hv.T @ dzv)
+        dbs.append(dzv.sum(axis=0))
+        dslopes.append(_unbroadcast(gv, slope.shape))
+    return dh, dws, dbs, dslopes
 
 
 def gcn_op(
@@ -68,12 +142,19 @@ def gcn_op(
     layers: Sequence["GCNLayer"],
     adj: sp.spmatrix,
     adj_t: Optional[sp.spmatrix] = None,
+    views: int = 1,
 ) -> Tensor:
     """``layers`` applied in turn to ``x`` as one tape node.
 
     The backward walks the layers in reverse and feeds every layer's
     weight, bias and slope, and ``x`` when it requires grad. ``adj_t`` is
     ``adj``'s transpose as CSR; without it the backward builds it once.
+
+    With ``views > 1``, ``x`` stacks that many equal row blocks and
+    ``adj`` is :func:`stack_views` of the graph's adjacency: the values
+    are those of one pass per block, and each parameter takes one
+    gradient per block, the last block's first, as the tape adds those of
+    separate passes made in block order.
     """
     params = [(l.linear.weight, l.linear.bias, l.act.slope) for l in layers]
     parents = (x,) + tuple(p for triple in params for p in triple)
@@ -81,7 +162,7 @@ def gcn_op(
     h = x.data
     caches = []
     for w, b, slope in params:
-        h, cache = gcn_layer(h, w.data, b.data, slope.data, adj)
+        h, cache = gcn_layer(h, w.data, b.data, slope.data, adj, views)
         if keep:
             caches.append(cache)
 
@@ -90,12 +171,13 @@ def gcn_op(
         for i in range(len(params) - 1, -1, -1):
             w, b, slope = params[i]
             need_dh = i > 0 or x.requires_grad
-            g, dw, db, dslope = gcn_layer_backward(
-                g, caches[i], w.data, slope.data, at, need_dh
+            g, dws, dbs, dslopes = gcn_layer_backward(
+                g, caches[i], w.data, slope.data, at, need_dh, views
             )
-            for p, d in ((slope, dslope), (b, db), (w, dw)):
-                if p.requires_grad:
-                    p._accumulate(d)
+            for v in range(views - 1, -1, -1):
+                for p, d in ((slope, dslopes[v]), (b, dbs[v]), (w, dws[v])):
+                    if p.requires_grad:
+                        p._accumulate(d)
         if x.requires_grad:
             x._accumulate(g)
 
@@ -139,6 +221,8 @@ class GCNEncoder(Module):
         x: Union[np.ndarray, Tensor],
         adj: sp.spmatrix,
         adj_t: Optional[sp.spmatrix] = None,
+        views: int = 1,
     ) -> Tensor:
-        """One tape node for the whole pass; ``adj_t`` as in :func:`gcn_op`."""
-        return gcn_op(as_tensor(x), self.layers, adj, adj_t)
+        """One tape node for the whole pass; ``adj_t`` and ``views`` as in
+        :func:`gcn_op`."""
+        return gcn_op(as_tensor(x), self.layers, adj, adj_t, views)

@@ -13,8 +13,7 @@ from typing import Dict, List, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from repro.gnn.dgi import DGI
-from repro.gnn.gcn import GCNEncoder
+from repro.gnn.dgi import DGI, two_view_adjacency
 from repro.nn import Adam, Module, clip_grad_norm
 from repro.telemetry import Telemetry, get_telemetry
 from repro.telemetry.tracing import span
@@ -58,8 +57,9 @@ def pretrain_encoder(
     """
     rng = new_rng(seed)
     tel = telemetry or get_telemetry()
-    # Every iteration's GCN backward shares one transpose of the adjacency.
-    adj_t = adj.T.tocsr() if isinstance(encoder, GCNEncoder) else None
+    # Every iteration encodes both views in one pass over the same
+    # block-diagonal adjacency, and its backward takes the same transpose.
+    views_adj = two_view_adjacency(adj)
     dgi = DGI(encoder, rng=rng)
     opt = Adam(dgi.parameters(), lr=lr)
     result = PretrainResult(best_loss=float("inf"), best_iteration=-1)
@@ -67,7 +67,7 @@ def pretrain_encoder(
     for it in range(iterations):
         with span("pretrain.step", telemetry=tel):
             opt.zero_grad()
-            loss = dgi.loss(x, adj, rng, adj_t=adj_t)
+            loss = dgi.loss(x, adj, rng, views_adj=views_adj)
             loss.backward()
             clip_grad_norm(dgi.parameters(), grad_clip)
             opt.step()

@@ -13,11 +13,6 @@ def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape=No
     return rng.uniform(-limit, limit, size=shape)
 
 
-def uniform(rng: np.random.Generator, shape, scale: float = 0.1) -> np.ndarray:
-    """Uniform in ``[-scale, scale]`` — the classic seq2seq LSTM init."""
-    return rng.uniform(-scale, scale, size=shape)
-
-
 def orthogonal(rng: np.random.Generator, rows: int, cols: int, gain: float = 1.0) -> np.ndarray:
     """Orthogonal init (used for recurrent kernels)."""
     a = rng.standard_normal((max(rows, cols), min(rows, cols)))
@@ -26,7 +21,3 @@ def orthogonal(rng: np.random.Generator, rows: int, cols: int, gain: float = 1.0
     if rows < cols:
         q = q.T
     return gain * q[:rows, :cols]
-
-
-def zeros(shape) -> np.ndarray:
-    return np.zeros(shape)

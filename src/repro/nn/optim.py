@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable, List, Optional
 
 import numpy as np
 
@@ -24,6 +24,19 @@ def clip_grad_norm(params: Iterable[Parameter], max_norm: float) -> float:
         for p in params:
             p.grad *= scale
     return total
+
+
+def _scratch_pairs(params: List[Parameter]) -> List[tuple]:
+    """Two views per parameter into one pair of flat buffers, each shaped
+    and laid out (C or Fortran order) like the parameter, so the
+    elementwise passes walk both in the same order."""
+    flat = np.empty((2, max(p.data.size for p in params)))
+    pairs = []
+    for p in params:
+        fortran = p.data.flags.f_contiguous and not p.data.flags.c_contiguous
+        order = "F" if fortran else "C"
+        pairs.append(tuple(buf[: p.data.size].reshape(p.data.shape, order=order) for buf in flat))
+    return pairs
 
 
 class Optimizer:
@@ -61,25 +74,42 @@ class Adam(Optimizer):
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
+        self._scratch: Optional[List[tuple]] = None
 
     def step(self) -> None:
+        """One Adam update, written through two scratch buffers.
+
+        The arithmetic is ``m = β1·m + (1-β1)·g``, ``v = β2·v +
+        (1-β2)·g²`` and ``p -= (lr·m̂) / (√v̂ + ε)``, operation by operation
+        as the allocating expressions round it; the buffers, one pair as
+        large as the largest parameter, only spare the temporaries.
+        """
         self.t += 1
         b1t = 1.0 - self.beta1**self.t
         b2t = 1.0 - self.beta2**self.t
-        for i, p in enumerate(self.params):
+        if self._scratch is None:
+            self._scratch = _scratch_pairs(self.params)
+        for p, m, v, (a, b) in zip(self.params, self._m, self._v, self._scratch):
             if p.grad is None:
                 continue
             g = p.grad
             if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            m, v = self._m[i], self._v[i]
+                g = np.multiply(p.data, self.weight_decay, a)
+                g += p.grad
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(g, 1.0 - self.beta1, b)
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            m_hat = m / b1t
-            v_hat = v / b2t
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            np.multiply(g, g, b)
+            b *= 1.0 - self.beta2
+            v += b
+            # b = √v̂ + ε, then a = (lr·m̂) / b.
+            np.divide(v, b2t, b)
+            np.sqrt(b, b)
+            b += self.eps
+            np.divide(m, b1t, a)
+            a *= self.lr
+            a /= b
+            p.data -= a
 
     def state_dict(self) -> dict:
         """The moments and step count needed to resume training exactly.

@@ -469,15 +469,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
-    @property
-    def T(self) -> "Tensor":
-        return self.transpose()
-
-    def swapaxes(self, a: int, b: int) -> "Tensor":
-        axes = list(range(self.ndim))
-        axes[a], axes[b] = axes[b], axes[a]
-        return self.transpose(*axes)
-
     def __getitem__(self, index) -> "Tensor":
         out_data = self.data[index]
 

@@ -164,20 +164,48 @@ def composed_gcn(layers, x, adj):
 
 
 def composed_dgi_loss(dgi, x, adj, rng):
-    """``DGI.loss`` with a GCN encoder, written as a composition of tensor ops."""
-    from repro.gnn import node_permutation
+    """``DGI.loss`` written as a composition of tensor ops, with one encoder
+    pass per view (a GCN encoder's as :func:`composed_gcn`)."""
+    from repro.gnn import GCNEncoder, node_permutation
     from repro.nn import concat
     from repro.nn.functional import bce_with_logits
 
+    def encode(view):
+        if isinstance(dgi.encoder, GCNEncoder):
+            return composed_gcn(dgi.encoder.layers, view, adj)
+        return dgi.encoder(view, adj)
+
     x_neg = node_permutation(x, rng)
-    h_pos = composed_gcn(dgi.encoder.layers, x, adj)
-    h_neg = composed_gcn(dgi.encoder.layers, x_neg, adj)
+    h_pos = encode(x)
+    h_neg = encode(x_neg)
     summary = dgi.readout(h_pos)
     logits_pos = dgi.discriminator_logits(h_pos, summary)
     logits_neg = dgi.discriminator_logits(h_neg, summary)
     logits = concat([logits_pos, logits_neg], axis=0)
     labels = np.concatenate([np.ones(len(h_pos)), np.zeros(len(h_neg))])
     return bce_with_logits(logits, labels)
+
+
+def reference_adam_step(opt) -> None:
+    """``Adam.step`` as it was written with allocating expressions, on
+    ``opt``'s own state; the in-place step must keep its bits."""
+    opt.t += 1
+    b1t = 1.0 - opt.beta1**opt.t
+    b2t = 1.0 - opt.beta2**opt.t
+    for i, p in enumerate(opt.params):
+        if p.grad is None:
+            continue
+        g = p.grad
+        if opt.weight_decay:
+            g = g + opt.weight_decay * p.data
+        m, v = opt._m[i], opt._v[i]
+        m *= opt.beta1
+        m += (1.0 - opt.beta1) * g
+        v *= opt.beta2
+        v += (1.0 - opt.beta2) * (g * g)
+        m_hat = m / b1t
+        v_hat = v / b2t
+        p.data -= opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
 
 
 def tiny_graph():

@@ -43,12 +43,3 @@ class TestOrthogonal:
     def test_gain_scales(self):
         q = init.orthogonal(rng, 6, 6, gain=3.0)
         assert np.allclose(q @ q.T, 9.0 * np.eye(6), atol=1e-9)
-
-
-class TestUniformZeros:
-    def test_uniform_range(self):
-        w = init.uniform(rng, (100,), scale=0.2)
-        assert np.abs(w).max() <= 0.2
-
-    def test_zeros(self):
-        assert np.array_equal(init.zeros((3, 2)), np.zeros((3, 2)))

@@ -5,6 +5,7 @@ import pytest
 
 from repro.nn import Adam, Linear, Tensor, clip_grad_norm
 from repro.nn.module import Parameter
+from tests.helpers import reference_adam_step
 
 rng = np.random.default_rng(3)
 
@@ -37,6 +38,36 @@ class TestAdam:
         (p * Tensor(np.zeros(1))).sum().backward()  # zero task gradient
         opt.step()
         assert p.data[0] < 5.0
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_in_place_step_keeps_reference_bits(self, weight_decay):
+        """Several steps against the allocating step: parameters, moments
+        and state dict bit-equal, a parameter with no gradient untouched,
+        a Fortran-ordered one (as ``init.orthogonal`` returns) included."""
+        shapes = [(7, 5), (5,), (), (3, 4, 2), (6,)]
+        init = [rng.standard_normal(s) * 3.0 for s in shapes]
+        init.append(np.asfortranarray(rng.standard_normal((4, 9))))
+        runs = []
+        for step in (Adam.step, reference_adam_step):
+            params = [Parameter(x.copy(order="K")) for x in init]
+            opt = Adam(params, lr=0.01, weight_decay=weight_decay)
+            grad_rng = np.random.default_rng(4)
+            for _ in range(5):
+                for i, p in enumerate(params):
+                    scale = 10.0 ** grad_rng.integers(-6, 3)
+                    p.grad = grad_rng.standard_normal(p.shape) * scale
+                params[3].grad = None
+                step(opt)
+            runs.append((params, opt.state_dict()))
+        (got, got_state), (want, want_state) = runs
+        assert got[-1].data.flags.f_contiguous and not got[-1].data.flags.c_contiguous
+        assert np.array_equal(got[3].data, init[3])
+        for a, b in zip(got, want):
+            assert a.data.tobytes() == b.data.tobytes()
+        assert got_state["t"] == want_state["t"] == 5
+        for key in ("m", "v"):
+            for a, b in zip(got_state[key], want_state[key]):
+                assert a.tobytes() == b.tobytes()
 
     def test_empty_params_raises(self):
         with pytest.raises(ValueError):

@@ -39,7 +39,7 @@ class TestShapeEdges:
         assert np.allclose(x.mean(axis=(0, 2)).data, x.data.mean(axis=(0, 2)))
 
     def test_transpose_reverses_by_default(self):
-        assert Tensor(np.zeros((2, 3, 4))).T.shape == (4, 3, 2)
+        assert Tensor(np.zeros((2, 3, 4))).transpose().shape == (4, 3, 2)
 
 
 class TestNumericalEdges:
