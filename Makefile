@@ -1,9 +1,9 @@
-.PHONY: install test lint-docs lint-defaults bench bench-smoke report-smoke serve-smoke resume-smoke e2e-smoke experiments examples clean
+.PHONY: install test lint-docs lint-defaults lint-callers bench bench-smoke report-smoke serve-smoke resume-smoke e2e-smoke experiments examples clean
 
 install:
 	pip install -e .
 
-test: lint-docs lint-defaults bench-smoke report-smoke serve-smoke resume-smoke e2e-smoke
+test: lint-docs lint-defaults lint-callers bench-smoke report-smoke serve-smoke resume-smoke e2e-smoke
 	pytest tests/
 
 lint-docs:
@@ -14,6 +14,13 @@ lint-docs:
 # call — the annealing.py aliasing bug class).
 lint-defaults:
 	python tools/lint_defaults.py
+
+# AST lint: every public `def`/`class` under src/ is referenced from src/,
+# benchmarks/, examples/ or tools/, or named in README.md or docs/ (code
+# only a test runs belongs in the tests); tools/lint_callers.py keeps the
+# allow-list of deliberate exceptions.
+lint-callers:
+	python tools/lint_callers.py
 
 bench:
 	pytest benchmarks/ --benchmark-only

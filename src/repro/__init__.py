@@ -27,7 +27,6 @@ from repro.core import (
     gpu_only_placement,
     human_expert_placement,
     optimize_placement,
-    partitioner_placement,
     transfer_agent,
 )
 from repro.graph import CompGraph, FeatureExtractor, OpNode
@@ -60,7 +59,6 @@ __all__ = [
     "gpu_only_placement",
     "human_expert_placement",
     "optimize_placement",
-    "partitioner_placement",
     "transfer_agent",
     "CompGraph",
     "FeatureExtractor",

@@ -17,7 +17,7 @@ from typing import Optional
 from repro.rl.ppo import PPOConfig
 from repro.rl.reward import RewardConfig
 from repro.rl.trainer import TrainerConfig
-from repro.sim.batch import BatchEvalConfig
+from repro.sim.env import BatchEvalConfig
 from repro.telemetry import HealthConfig
 
 

@@ -5,7 +5,7 @@
 * :func:`build_encoder_placer_agent` — GraphSAGE + Transformer-XL (GDP [33]);
 * :class:`GrouperPlacerAgent` — MLP grouper + seq2seq placer (Hierarchical
   Planner [20]);
-* static baselines — Human Expert, GPU-Only, and a classical partitioner;
+* static baselines — Human Expert, GPU-Only, and a balanced topological chain;
 * :func:`optimize_placement` — the end-to-end search entry point;
 * generalization utilities for Table 3.
 """
@@ -21,7 +21,6 @@ from repro.core.baselines import (
     gpu_only_placement,
     human_expert_placement,
     balanced_chain_placement,
-    partitioner_placement,
 )
 from repro.core.search import optimize_placement, OptimizationResult
 from repro.core.runstate import (
@@ -48,7 +47,6 @@ __all__ = [
     "gpu_only_placement",
     "human_expert_placement",
     "balanced_chain_placement",
-    "partitioner_placement",
     "optimize_placement",
     "OptimizationResult",
     "RunStateManager",

@@ -6,10 +6,8 @@
   implementations: single-GPU for the vision models (TF-Slim), per-layer
   round-robin for GNMT (Google NMT), and no model parallelism for BERT
   (which therefore OOMs, as in the paper's Table 2).
-* **Classical partitioner** — a Scotch-like balanced min-cut baseline
-  (recursive Kernighan–Lin bisection over the op graph), included because
-  the paper discusses why such solvers underperform: they optimize a static
-  proxy (cut size under load balance) rather than measured step time.
+* **Balanced chain** — contiguous topological chunks balanced by compute
+  time, one per GPU: a non-learned heuristic for comparison.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.graph import CompGraph, topological_groups
+from repro.graph import CompGraph
 from repro.sim.cluster import ClusterSpec
 from repro.sim.costmodel import CostModel
 from repro.sim.placement import Placement, resolve_placement
@@ -32,7 +30,6 @@ def gpu_only_placement(graph: CompGraph, cluster: ClusterSpec, gpu: int = 0) -> 
 
 
 _LAYER_RE = re.compile(r"(?:^|/)(?:enc|dec)/l(\d+)/")
-_BLOCK_RE = re.compile(r"(?:^|/)layer(\d+)/")
 
 
 def human_expert_placement(graph: CompGraph, cluster: ClusterSpec) -> Placement:
@@ -94,45 +91,4 @@ def balanced_chain_placement(graph: CompGraph, cluster: ClusterSpec, k: Optional
     actions = np.empty(graph.num_nodes, dtype=np.int64)
     for position, op in enumerate(order):
         actions[op] = gpus[chunk_of_position[position]]
-    return resolve_placement(actions, graph, cluster)
-
-
-def partitioner_placement(
-    graph: CompGraph, cluster: ClusterSpec, k: Optional[int] = None, seed: int = 0
-) -> Placement:
-    """Scotch-style balanced min-cut partitioning via recursive bisection.
-
-    Uses networkx's Kernighan–Lin bisection on the undirected op graph,
-    recursively, until ``k`` parts exist; parts are then mapped to GPUs.
-    """
-    import networkx as nx
-
-    gpus = cluster.gpu_indices
-    k = k or len(gpus)
-    k = min(k, len(gpus))
-    g = graph.to_networkx().to_undirected()
-    parts = [set(g.nodes)]
-    while len(parts) < k:
-        # Split the currently largest part.
-        parts.sort(key=len, reverse=True)
-        biggest = parts.pop(0)
-        if len(biggest) < 2:
-            parts.append(biggest)
-            break
-        sub = g.subgraph(biggest)
-        a, b = nx.algorithms.community.kernighan_lin_bisection(sub, seed=seed)
-        parts.extend([set(a), set(b)])
-    actions = np.zeros(graph.num_nodes, dtype=np.int64)
-    for j, part in enumerate(parts):
-        for node in part:
-            actions[node] = gpus[j % len(gpus)]
-    return resolve_placement(actions, graph, cluster)
-
-
-def round_robin_groups_placement(graph: CompGraph, cluster: ClusterSpec, n_groups: int) -> Placement:
-    """Topological grouping, groups dealt round-robin over GPUs (a weak
-    scattering baseline, useful in tests and ablations)."""
-    gpus = cluster.gpu_indices
-    groups = topological_groups(graph, n_groups)
-    actions = np.array([gpus[g % len(gpus)] for g in groups], dtype=np.int64)
     return resolve_placement(actions, graph, cluster)

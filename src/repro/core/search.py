@@ -151,7 +151,7 @@ def optimize_placement(
             graph,
             cluster,
             protocol=protocol,
-            batch=getattr(config, "eval_batch", None),
+            batch=config.eval_batch,
         )
         snapshot = None
         if resume and snapshot_dir:
@@ -188,7 +188,7 @@ def optimize_placement(
                     config.trainer,
                     iterations=max(0, config.trainer.iterations - done),
                 ),
-                health=getattr(config, "health", None),
+                health=config.health,
             )
             trainer.load_state_dict(snapshot["trainer"])
             env.load_state_dict(snapshot["env"])
@@ -216,13 +216,13 @@ def optimize_placement(
             )
             history = SearchHistory(pretrain_clock=pretrain_clock)
             trainer = JointTrainer(
-                agent, env, config.trainer, health=getattr(config, "health", None)
+                agent, env, config.trainer, health=config.health
             )
         run_state = None
         if snapshot_dir:
             run_state = RunStateManager(
                 snapshot_dir,
-                getattr(config, "snapshot", None),
+                config.snapshot,
                 agent_kind=agent_kind,
                 workload=graph.name,
                 mars_config=config,

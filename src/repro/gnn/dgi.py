@@ -48,8 +48,8 @@ def dgi_objective(h: Tensor, w: Tensor) -> Tensor:
     mean BCE of the logits ``[h_pos W s; h_neg W s]`` against labels
     ``[1; 0]``, with ``s = σ(mean_i h_pos_i)``. Forward and backward keep
     the NumPy expressions of the composed ops (:meth:`DGI.readout`,
-    :meth:`DGI.discriminator_logits`, ``concat`` and
-    :func:`~repro.nn.functional.bce_with_logits`) on each view and their
+    :meth:`DGI.discriminator_logits`, ``concat`` and the stable BCE
+    ``max(z,0) - z*y + log(1 + exp(-|z|))``) on each view and their
     per-tensor accumulation order, so both are bit-identical to that tape
     over two separate encoder passes. Each view keeps its own logit
     product ``hw @ s``: a matrix-vector product's rounding of a row can

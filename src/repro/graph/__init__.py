@@ -10,7 +10,6 @@ from repro.graph.node import OpNode
 from repro.graph.graph import CompGraph
 from repro.graph.features import FeatureExtractor, OpTypeVocabulary
 from repro.graph.adjacency import normalized_adjacency, adjacency_matrix
-from repro.graph.partition import topological_groups, group_contiguous
 from repro.graph.io import (
     save_graph,
     load_graph,
@@ -31,6 +30,4 @@ __all__ = [
     "OpTypeVocabulary",
     "normalized_adjacency",
     "adjacency_matrix",
-    "topological_groups",
-    "group_contiguous",
 ]

@@ -16,7 +16,7 @@ workloads, which the generalization experiments (Table 3) require.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,15 +66,6 @@ class OpTypeVocabulary:
         self._types: List[str] = list(dict.fromkeys(types))
         self._index = {t: i for i, t in enumerate(self._types)}
 
-    @classmethod
-    def from_graphs(cls, graphs: Iterable[CompGraph]) -> "OpTypeVocabulary":
-        seen: List[str] = []
-        for g in graphs:
-            for node in g.nodes:
-                if node.op_type not in seen:
-                    seen.append(node.op_type)
-        return cls(seen)
-
     def __len__(self) -> int:
         return len(self._types) + 1  # +1 for <UNK>
 
@@ -84,11 +75,6 @@ class OpTypeVocabulary:
 
     def index(self, op_type: str) -> int:
         return self._index.get(op_type, self.unk_index)
-
-    def one_hot(self, op_type: str) -> np.ndarray:
-        vec = np.zeros(len(self))
-        vec[self.index(op_type)] = 1.0
-        return vec
 
 
 class FeatureExtractor:

@@ -86,9 +86,6 @@ class CompGraph:
     def in_degrees(self) -> np.ndarray:
         return np.array([len(p) for p in self._pred], dtype=np.int64)
 
-    def out_degrees(self) -> np.ndarray:
-        return np.array([len(s) for s in self._succ], dtype=np.int64)
-
     # ------------------------------------------------------------------
     # Topology
     # ------------------------------------------------------------------
@@ -133,13 +130,6 @@ class CompGraph:
     def total_activation_bytes(self) -> float:
         return float(sum(n.activation_bytes for n in self.nodes))
 
-    def colocation_groups(self) -> Dict[str, List[int]]:
-        groups: Dict[str, List[int]] = {}
-        for i, node in enumerate(self.nodes):
-            if node.colocation_group is not None:
-                groups.setdefault(node.colocation_group, []).append(i)
-        return groups
-
     # ------------------------------------------------------------------
     # Identity
     # ------------------------------------------------------------------
@@ -163,19 +153,6 @@ class CompGraph:
         from repro.graph.io import document_fingerprint, graph_to_dict
 
         return document_fingerprint(graph_to_dict(self))[0]
-
-    # ------------------------------------------------------------------
-    # Interop
-    # ------------------------------------------------------------------
-    def to_networkx(self):
-        """Export to a ``networkx.DiGraph`` for analysis/visualization."""
-        import networkx as nx
-
-        g = nx.DiGraph(name=self.name)
-        for i, node in enumerate(self.nodes):
-            g.add_node(i, name=node.name, op_type=node.op_type, flops=node.flops)
-        g.add_edges_from(self.edges())
-        return g
 
     def summary(self) -> str:
         gflops = self.total_flops() / 1e9

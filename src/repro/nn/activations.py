@@ -12,17 +12,14 @@ class PReLU(Module):
     """Parametric ReLU (He et al., 2015): ``max(0, x) + a * min(0, x)``.
 
     ``a`` is a learnable per-module scalar, initialized to 0.25 as in the
-    original paper. Mars uses PReLU after each GCN layer (Eq. 1).
+    original paper. Mars uses PReLU after each GCN layer (Eq. 1). The
+    module holds the slope; the fused GCN layer op
+    (:mod:`repro.gnn.gcn`) applies it.
     """
 
     def __init__(self, init_slope: float = 0.25):
         super().__init__()
         self.slope = Parameter(np.asarray(init_slope))
-
-    def forward(self, x: Tensor) -> Tensor:
-        pos = x.relu()
-        neg = (-((-x).relu())) * self.slope
-        return pos + neg
 
 
 def apply_activation(x: Tensor, name: str) -> Tensor:

@@ -1,16 +1,14 @@
-"""Embedding table (index lookup with gradient scatter)."""
+"""Embedding table."""
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.nn.module import Module, Parameter
-from repro.nn.tensor import Tensor
 from repro.utils.rng import new_rng
 
 
 class Embedding(Module):
-    """Lookup table ``(num_embeddings, dim)``; input is an integer array."""
+    """Lookup table ``(num_embeddings, dim)``. The module holds the table;
+    the segment placer's fused decoder kernels read its rows directly."""
 
     def __init__(self, num_embeddings: int, dim: int, rng=None, scale: float = 0.1):
         super().__init__()
@@ -18,9 +16,3 @@ class Embedding(Module):
         self.num_embeddings = num_embeddings
         self.dim = dim
         self.weight = Parameter(rng.uniform(-scale, scale, size=(num_embeddings, dim)))
-
-    def forward(self, indices: np.ndarray) -> Tensor:
-        indices = np.asarray(indices, dtype=np.intp)
-        if indices.size and (indices.min() < 0 or indices.max() >= self.num_embeddings):
-            raise IndexError("embedding index out of range")
-        return self.weight[indices]

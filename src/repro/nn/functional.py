@@ -1,13 +1,10 @@
 """Composite differentiable operations built on :class:`repro.nn.Tensor`.
 
 These are the numerically careful pieces: the softmax family via the
-log-sum-exp trick, sparse-dense matmul for GraphSAGE layers, and the
-binary cross-entropy of DGI's discriminator.
+log-sum-exp trick and sparse-dense matmul for GraphSAGE layers.
 """
 
 from __future__ import annotations
-
-from typing import Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -58,17 +55,3 @@ def spmm(adj: sp.spmatrix, x: Tensor) -> Tensor:
             x._accumulate(adj.T.tocsr() @ g)
 
     return Tensor._make(np.asarray(out_data), (x,), backward)
-
-
-def bce_with_logits(logits: Tensor, targets: Union[np.ndarray, Tensor]) -> Tensor:
-    """Mean binary cross-entropy on raw scores.
-
-    Stable formulation ``max(z,0) - z*y + log(1 + exp(-|z|))`` — this is the
-    Jensen-Shannon style objective used by Deep Graph Infomax (Eq. 6).
-    """
-    y = targets.data if isinstance(targets, Tensor) else np.asarray(targets, dtype=float)
-    z = logits
-    relu_z = z.relu()
-    abs_z = z.abs()
-    loss = relu_z - z * Tensor(y) + ((-abs_z).exp() + 1.0).log()
-    return loss.mean()

@@ -207,7 +207,10 @@ class JointTrainer:
         merged, advs = self.buffer.merged()
         with span("rl.update", telemetry=tel):
             stats = self.updater.update(merged, advs)
-        pass_batch = max(1, merged.batch_size // max(getattr(cfg.ppo, "minibatches", 1), 1))
+        if cfg.algorithm == "ppo":
+            pass_batch = max(1, merged.batch_size // max(cfg.ppo.minibatches, 1))
+        else:  # REINFORCE: one pass over the whole merged batch
+            pass_batch = merged.batch_size
         agent_seconds = stats.passes * (
             self.agent.update_flops(pass_batch) / AGENT_DEVICE_FLOPS
             + AGENT_PASS_OVERHEAD

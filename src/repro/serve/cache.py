@@ -188,16 +188,6 @@ class FingerprintCache:
                 future.set_result(value)
         self._drop(dropped)
 
-    def put(self, key: Hashable, value: Any) -> None:
-        """Store ``value`` as the key's resolved entry (restarting its TTL)."""
-        future: Future = Future()
-        future.set_result(value)
-        with self._lock:
-            self._entries[key] = (future, self._clock())
-            self._entries.move_to_end(key)
-            dropped = self._evict()
-        self._drop(dropped)
-
     def clear(self) -> int:
         """Drop every entry, pending ones included (registry hot reload);
         returns the number of resolved entries dropped."""

@@ -26,8 +26,7 @@ from repro.sim.attribution import (
     coalesce_intervals,
 )
 from repro.sim.measurement import MeasurementProtocol, MeasurementResult
-from repro.sim.batch import BatchEvalConfig, EvalOutcome, PureEvaluator
-from repro.sim.env import PlacementEnv
+from repro.sim.env import BatchEvalConfig, PlacementEnv
 
 __all__ = [
     "PathSegment",
@@ -36,8 +35,6 @@ __all__ = [
     "coalesce_intervals",
     "TransferRecord",
     "BatchEvalConfig",
-    "EvalOutcome",
-    "PureEvaluator",
     "ScheduleTables",
     "DeviceSpec",
     "ClusterSpec",

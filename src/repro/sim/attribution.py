@@ -98,8 +98,9 @@ class PlacementAttribution:
 
     @property
     def utilization(self) -> float:
-        """Mean busy fraction over the makespan — matches
-        :class:`repro.sim.batch.PureEvaluator`'s definition."""
+        """Mean busy fraction over the makespan — matches the
+        ``env.device_utilization`` that :class:`repro.sim.env.PlacementEnv`
+        records per measurement."""
         if self.makespan <= 0:
             return 0.0
         return float(np.mean(self.device_busy) / self.makespan)

@@ -12,29 +12,40 @@ measurement protocol behind the calls an agent needs:
 * :meth:`PlacementEnv.final_run` — the 1000-step evaluation of the best
   placement reported in the paper's tables.
 
-The per-placement result cache is a bounded LRU (re-measuring an evicted
-placement just costs one more simulated measurement, exactly as on a
-real machine), so long searches hold a fixed amount of memory.
+One measurement is a memory check, then (for a placement that fits) one
+scheduler pass, then the measurement protocol. The noise is a
+deterministic function of the placement, so the same placement always
+measures the same. The per-placement result cache is a bounded LRU
+(re-measuring an evicted placement just costs one more simulated
+measurement, exactly as on a real machine), so long searches hold a fixed
+amount of memory.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.graph import CompGraph
 from repro.sim.attribution import PlacementAttribution, attribute_schedule
-from repro.sim.batch import BatchEvalConfig, EvalOutcome, PureEvaluator
 from repro.sim.cluster import ClusterSpec
 from repro.sim.costmodel import CostModel
 from repro.sim.measurement import MeasurementProtocol, MeasurementResult
 from repro.sim.memory import MemoryModel
 from repro.sim.placement import Placement, PlacementConstraints
+from repro.sim.scheduler import ScheduleResult, Scheduler, ScheduleTables
 from repro.telemetry import Telemetry, get_telemetry
 from repro.telemetry.tracing import span
+
+
+@dataclass
+class BatchEvalConfig:
+    """Evaluation settings of a :class:`PlacementEnv`."""
+
+    cache_capacity: int = 8192  # LRU result cache (<=0: unbounded)
 
 
 @dataclass
@@ -74,12 +85,11 @@ class PlacementEnv:
         self.protocol = protocol or MeasurementProtocol()
         self.stats = EnvStats()
         # Precompute invariants; evaluating a placement is then O(V + E).
-        self._evaluator = PureEvaluator.build(
-            self.graph, self.cluster, self.cost_model, self.memory_model, self.protocol
-        )
-        self.scheduler = self._evaluator.scheduler
-        self._op_times = self._evaluator.op_times
-        self._tables = self._evaluator.tables
+        self.scheduler = Scheduler(self.cost_model)
+        op_times = self.cost_model.op_time_matrix(self.graph, self.cluster)
+        self._tables = ScheduleTables(self.graph, self.cluster, self.cost_model, op_times)
+        self._mem_per_op = self.memory_model.op_bytes_vector(self.graph)
+        self._capacity = np.array([d.memory for d in self.cluster.devices])
         self._constraints = PlacementConstraints(self.graph, self.cluster)
         # Bounded LRU result cache: one entry per unique placement, capped
         # so long searches hold constant memory (<=0 means unbounded).
@@ -107,8 +117,11 @@ class PlacementEnv:
         """Noise-free step time of a placement (no wall-clock charge)."""
         return self.scheduler.run_step(placement, tables=self._tables).makespan
 
-    def check_memory(self, placement: Placement):
-        return self._evaluator.memory_usage(placement)
+    def check_memory(self, placement: Placement) -> Tuple[np.ndarray, np.ndarray]:
+        """Bytes per device, and which devices that overcommits."""
+        usage = np.zeros(self.num_devices)
+        np.add.at(usage, placement.devices, self._mem_per_op)
+        return usage, usage > self._capacity
 
     # ------------------------------------------------------------------
     # Attribution (docs/observability.md §"Placement attribution")
@@ -261,8 +274,17 @@ class PlacementEnv:
                 sim_clock=float(self.stats.wall_clock),
             )
 
-    def _record_outcome(self, key: bytes, outcome: EvalOutcome, tel: Telemetry) -> None:
-        result = outcome.result
+    def _record_outcome(
+        self,
+        key: bytes,
+        result: MeasurementResult,
+        schedule: Optional[ScheduleResult],
+        usage: np.ndarray,
+        tel: Telemetry,
+    ) -> None:
+        """Cache and account one fresh measurement. ``schedule`` is the
+        step's schedule, or None for an OOM placement (``usage`` then
+        names the most-overcommitted device)."""
         self._cache_put(key, result, tel)
         self.stats.evaluations += 1
         self.stats.wall_clock += result.wall_clock
@@ -270,6 +292,16 @@ class PlacementEnv:
             self.stats.invalid += 1
         if result.truncated:
             self.stats.truncated += 1
+        if schedule is not None:
+            makespan = schedule.makespan
+            utilization = (
+                float(np.mean(schedule.device_busy) / makespan) if makespan > 0 else 0.0
+            )
+            comm_time = float(schedule.comm_time)
+            comm_bytes = float(schedule.comm_bytes)
+        else:
+            makespan = float("inf")
+            utilization = comm_time = comm_bytes = 0.0
 
         # Telemetry: makespan breakdown + OOM/cutoff accounting. The
         # schedule breakdown is a by-product of the measurement, so the
@@ -278,17 +310,18 @@ class PlacementEnv:
         tel.counter("env.evaluations").inc()
         tel.histogram("env.measure_wall_s").observe(result.wall_clock)
         if result.valid:
-            tel.histogram("env.makespan").observe(outcome.makespan)
-            tel.histogram("env.comm_time").observe(outcome.comm_time)
-            tel.histogram("env.comm_bytes").observe(outcome.comm_bytes)
-            tel.histogram("env.device_utilization").observe(outcome.utilization)
+            tel.histogram("env.makespan").observe(makespan)
+            tel.histogram("env.comm_time").observe(comm_time)
+            tel.histogram("env.comm_bytes").observe(comm_bytes)
+            tel.histogram("env.device_utilization").observe(utilization)
         else:
+            worst = int(np.argmax(usage - self._capacity))
             tel.counter("env.oom").inc()
             tel.emit(
                 "oom",
                 sim_clock=float(self.stats.wall_clock),
-                usage_gb=float(outcome.worst_usage / 2**30),
-                capacity_gb=float(outcome.worst_capacity / 2**30),
+                usage_gb=float(usage[worst]) / 2**30,
+                capacity_gb=float(self._capacity[worst]) / 2**30,
             )
         if result.truncated:
             tel.counter("env.cutoff").inc()
@@ -301,16 +334,16 @@ class PlacementEnv:
         if tel.writes_events:
             tel.emit(
                 "eval",
-                makespan=float(outcome.makespan),
+                makespan=float(makespan),
                 per_step_time=float(result.per_step_time),
                 valid=bool(result.valid),
                 truncated=bool(result.truncated),
                 cached=False,
                 wall_clock=float(result.wall_clock),
                 sim_clock=float(self.stats.wall_clock),
-                comm_time=float(outcome.comm_time),
-                comm_bytes=float(outcome.comm_bytes),
-                device_utilization=float(outcome.utilization),
+                comm_time=comm_time,
+                comm_bytes=comm_bytes,
+                device_utilization=utilization,
             )
 
     # ------------------------------------------------------------------
@@ -351,14 +384,21 @@ class PlacementEnv:
         self, placement: Placement, key: bytes, tel: Telemetry
     ) -> MeasurementResult:
         """The per-placement body of ``evaluate`` and ``evaluate_batch``:
-        cache lookup, else compute and record."""
+        cache lookup, else memory check → schedule → protocol, recorded.
+        ``hash(placement)`` seeds the protocol's deterministic noise."""
         cached = self._cache_get(key)
         if cached is not None:
             self._record_cache_hit(cached, tel)
             return cached
-        outcome = self._evaluator.compute(placement.devices, hash(placement))
-        self._record_outcome(key, outcome, tel)
-        return outcome.result
+        usage, oom = self.check_memory(placement)
+        schedule = None
+        makespan = float("inf")
+        if not oom.any():
+            schedule = self.scheduler.run_step(placement, tables=self._tables)
+            makespan = schedule.makespan
+        result = self.protocol.measure(makespan, schedule is not None, hash(placement))
+        self._record_outcome(key, result, schedule, usage, tel)
+        return result
 
     def final_run(self, actions: Sequence[int], steps: int = 1000) -> float:
         """Per-step runtime of the final placement over a long run."""

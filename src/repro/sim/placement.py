@@ -46,9 +46,6 @@ class Placement:
     def device_of(self, op_index: int) -> int:
         return int(self.devices[op_index])
 
-    def ops_on(self, device_index: int) -> np.ndarray:
-        return np.flatnonzero(self.devices == device_index)
-
     def num_cut_edges(self) -> int:
         """Edges crossing devices — proxy for communication volume."""
         return sum(
@@ -114,14 +111,3 @@ def resolve_placement(
     """Turn raw agent actions into a *feasible* placement (see
     :class:`PlacementConstraints`)."""
     return PlacementConstraints(graph, cluster).resolve(actions)
-
-
-def single_device_placement(
-    graph: CompGraph, cluster: ClusterSpec, device_index: Optional[int] = None
-) -> Placement:
-    """All GPU-compatible ops on one device ("GPU Only" baseline)."""
-    if device_index is None:
-        device_index = cluster.gpu_indices[0]
-    return resolve_placement(
-        np.full(graph.num_nodes, device_index), graph, cluster
-    )

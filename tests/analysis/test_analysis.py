@@ -7,13 +7,10 @@ from repro.analysis import (
     analyze_placement,
     critical_path,
     critical_path_ops,
-    curves_to_csv,
-    history_to_rows,
     render_attribution,
 )
 from repro.analysis.trace import placement_to_chrome_trace
 from repro.graph import CompGraph
-from repro.rl.trainer import SearchHistory, SearchRecord
 from repro.sim import ClusterSpec, Placement, Scheduler, attribute_schedule
 from repro.sim.placement import resolve_placement
 from repro.workloads import get_workload
@@ -199,23 +196,3 @@ class TestCriticalPath:
         cp, _ = critical_path(g, c, p)
         makespan = Scheduler().run_step(p).makespan
         assert cp <= makespan + 1e-12
-
-
-class TestExport:
-    def _history(self):
-        h = SearchHistory()
-        h.records.append(SearchRecord(0, 10, [1.0], [1.0], 0, 0, 1.0, -1.0, 100.0))
-        h.records.append(SearchRecord(1, 20, [0.5], [0.5], 1, 0, 0.5, -0.9, 200.0))
-        return h
-
-    def test_history_rows(self):
-        rows = history_to_rows(self._history())
-        assert len(rows) == 2
-        assert rows[1]["best_runtime"] == 0.5
-        assert rows[1]["sim_clock_hours"] == pytest.approx(200 / 3600)
-
-    def test_curves_csv(self, tmp_path):
-        path = str(tmp_path / "curves.csv")
-        text = curves_to_csv({"mars": ([10, 20], [0.5, 0.4])}, path)
-        assert "mars,10,0.5" in text
-        assert open(path).read() == text

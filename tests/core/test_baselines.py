@@ -7,8 +7,6 @@ from repro.core.baselines import (
     balanced_chain_placement,
     gpu_only_placement,
     human_expert_placement,
-    partitioner_placement,
-    round_robin_groups_placement,
 )
 from repro.sim import ClusterSpec, MemoryModel, PlacementEnv
 from repro.workloads import build_bert, build_gnmt, build_inception_v3
@@ -93,21 +91,6 @@ class TestChainAndPartitioner:
             loads[p.device_of(i)] += times[i, p.device_of(i)]
         gpu_loads = loads[cluster.gpu_indices]
         assert gpu_loads.max() < 2.5 * max(gpu_loads.mean(), 1e-9)
-
-    def test_partitioner_reduces_cut_vs_scatter(self, inception, cluster):
-        part = partitioner_placement(inception, cluster, k=4)
-        scatter = round_robin_groups_placement(inception, cluster, 40)
-        assert part.num_cut_edges() < scatter.num_cut_edges()
-
-    def test_partitioner_deterministic_given_seed(self, inception, cluster):
-        a = partitioner_placement(inception, cluster, seed=3)
-        b = partitioner_placement(inception, cluster, seed=3)
-        assert a == b
-
-    def test_round_robin_scatters(self, inception, cluster):
-        p = round_robin_groups_placement(inception, cluster, 12)
-        used = {p.device_of(i) for i in range(inception.num_nodes)}
-        assert len(used & set(cluster.gpu_indices)) == 4
 
     def test_balanced_chain_empty_graph(self, cluster):
         from repro.graph import CompGraph

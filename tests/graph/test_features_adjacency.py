@@ -24,15 +24,6 @@ class TestVocabulary:
         vocab = OpTypeVocabulary()
         assert vocab.index("SomethingNew") == vocab.unk_index
 
-    def test_one_hot(self):
-        vocab = OpTypeVocabulary(["A", "B"])
-        vec = vocab.one_hot("B")
-        assert vec.sum() == 1.0 and vec[1] == 1.0
-
-    def test_from_graphs(self):
-        vocab = OpTypeVocabulary.from_graphs([tiny_graph()])
-        assert vocab.index("MatMul") != vocab.unk_index
-
     def test_duplicate_types_deduped(self):
         vocab = OpTypeVocabulary(["A", "A", "B"])
         assert len(vocab) == 3  # A, B, <UNK>

@@ -153,13 +153,39 @@ def composed_attention(att, memory, query):
     return (memory * weights.reshape(T, B, 1)).sum(axis=0)
 
 
+def composed_prelu(act, x: Tensor) -> Tensor:
+    """A :class:`repro.nn.PReLU` module's ``max(0, x) + a * min(0, x)`` as
+    tensor ops on its slope ``a``."""
+    return x.relu() + (-((-x).relu())) * act.slope
+
+
+def composed_embedding(emb, indices) -> Tensor:
+    """Rows ``indices`` of a :class:`repro.nn.Embedding` table, as a tensor
+    op whose backward scatters into the table."""
+    indices = np.asarray(indices, dtype=np.intp)
+    if indices.size and (indices.min() < 0 or indices.max() >= emb.num_embeddings):
+        raise IndexError("embedding index out of range")
+    return emb.weight[indices]
+
+
+def bce_with_logits(logits: Tensor, targets) -> Tensor:
+    """Mean binary cross-entropy on raw scores, in the stable form
+    ``max(z,0) - z*y + log(1 + exp(-|z|))`` (DGI's Eq. 6)."""
+    y = targets.data if isinstance(targets, Tensor) else np.asarray(targets, dtype=float)
+    z = logits
+    relu_z = z.relu()
+    abs_z = z.abs()
+    loss = relu_z - z * Tensor(y) + ((-abs_z).exp() + 1.0).log()
+    return loss.mean()
+
+
 def composed_gcn(layers, x, adj):
     """``GCNEncoder.forward`` as ``Linear`` -> ``spmm`` -> ``PReLU`` per layer."""
     from repro.nn.functional import spmm
 
     h = x if isinstance(x, Tensor) else Tensor(x)
     for layer in layers:
-        h = layer.act(spmm(adj, layer.linear(h)))
+        h = composed_prelu(layer.act, spmm(adj, layer.linear(h)))
     return h
 
 
@@ -168,7 +194,6 @@ def composed_dgi_loss(dgi, x, adj, rng):
     pass per view (a GCN encoder's as :func:`composed_gcn`)."""
     from repro.gnn import GCNEncoder, node_permutation
     from repro.nn import concat
-    from repro.nn.functional import bce_with_logits
 
     def encode(view):
         if isinstance(dgi.encoder, GCNEncoder):

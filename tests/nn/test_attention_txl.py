@@ -6,7 +6,12 @@ import pytest
 from repro.nn import BahdanauAttention, Embedding, Tensor, TransformerXL
 from repro.nn.attention import attention_step, attention_step_backward
 from repro.nn.transformer_xl import RelativeMultiHeadAttention
-from tests.helpers import attend, check_attention_gradients, composed_attention
+from tests.helpers import (
+    attend,
+    check_attention_gradients,
+    composed_attention,
+    composed_embedding,
+)
 
 rng = np.random.default_rng(13)
 
@@ -178,18 +183,18 @@ class TestStackedAttention:
 class TestEmbedding:
     def test_lookup(self):
         emb = Embedding(10, 4, rng=0)
-        out = emb(np.array([1, 1, 3]))
+        out = composed_embedding(emb, np.array([1, 1, 3]))
         assert out.shape == (3, 4)
         assert np.allclose(out.data[0], out.data[1])
 
     def test_out_of_range_raises(self):
         emb = Embedding(5, 2, rng=0)
         with pytest.raises(IndexError):
-            emb(np.array([5]))
+            composed_embedding(emb, np.array([5]))
 
     def test_gradient_scatters_to_rows(self):
         emb = Embedding(6, 3, rng=0)
-        emb(np.array([2, 2])).sum().backward()
+        composed_embedding(emb, np.array([2, 2])).sum().backward()
         assert np.allclose(emb.weight.grad[2], 2.0)
         assert np.allclose(emb.weight.grad[0], 0.0)
 

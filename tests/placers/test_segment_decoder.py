@@ -22,6 +22,7 @@ from repro.placers.base import logits_to_choice
 from tests.helpers import (
     check_gradient,
     composed_attention,
+    composed_embedding,
     composed_lstm,
     composed_lstm_step,
 )
@@ -59,7 +60,7 @@ def composed_logits(placer, reps, actions):
             dec_state = (h0.broadcast_to((B, H)), c0.broadcast_to((B, H)))
         enc_gates = mem @ cell.w_ih[:H] + cell.bias
         for t in range(seg.stop - seg.start):
-            gates_x = enc_gates[t] + placer.action_embed(prev) @ cell.w_ih[H:]
+            gates_x = enc_gates[t] + composed_embedding(placer.action_embed, prev) @ cell.w_ih[H:]
             dec_state = composed_lstm_step(cell, gates_x, dec_state)
             h = dec_state[0]
             ctx = composed_attention(placer.attention, mem, h)

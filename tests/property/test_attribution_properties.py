@@ -80,7 +80,8 @@ def test_path_tiles_span(case):
 @given(dag_and_placement())
 @settings(max_examples=60, deadline=None)
 def test_busy_time_matches_evaluator_utilization(case):
-    """sum(busy) == utilization * makespan * D — the PureEvaluator identity."""
+    """sum(busy) == utilization * makespan * D — the identity behind the
+    env's `env.device_utilization`."""
     g, _, schedule, attr = attributed(case)
     expected_util = float(np.mean(schedule.device_busy) / schedule.makespan)
     assert attr.utilization == pytest.approx(expected_util)

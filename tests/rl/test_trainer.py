@@ -1,12 +1,14 @@
 """Tests for the joint training loop on a tiny workload."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.config import fast_profile
 from repro.core import build_mars_agent
 from repro.rl import JointTrainer, SearchHistory, TrainerConfig
-from repro.rl.trainer import SearchRecord
+from repro.rl.trainer import AGENT_DEVICE_FLOPS, AGENT_PASS_OVERHEAD, SearchRecord
 from repro.sim import ClusterSpec, PlacementEnv
 from repro.workloads import build_vgg16
 
@@ -50,8 +52,6 @@ class TestJointTrainer:
 
     def test_early_stop_samples(self, setup):
         graph, cluster, _, cfg, _ = setup
-        from dataclasses import replace
-
         env = PlacementEnv(graph, cluster)
         agent = build_mars_agent(graph, cluster, cfg)
         tc = replace(cfg.trainer, iterations=50, early_stop_samples=20)
@@ -68,20 +68,44 @@ class TestJointTrainer:
 
     def test_unknown_algorithm_rejected(self, setup):
         graph, cluster, env, cfg, agent = setup
-        from dataclasses import replace
-
         with pytest.raises(ValueError):
             JointTrainer(agent, env, replace(cfg.trainer, algorithm="sarsa"))
 
     def test_reinforce_algorithm_runs(self, setup):
         graph, cluster, _, cfg, _ = setup
-        from dataclasses import replace
-
         env = PlacementEnv(graph, cluster)
         agent = build_mars_agent(graph, cluster, cfg)
         tc = replace(cfg.trainer, algorithm="reinforce", iterations=2)
         history = JointTrainer(agent, env, tc).train()
         assert len(history.records) == 2
+
+    def test_reinforce_charges_its_whole_batch(self, setup):
+        """REINFORCE makes one pass over the whole merged batch, so the
+        simulated clock charges each pass the FLOPs of every sample (PPO's
+        minibatch split does not apply)."""
+        graph, cluster, _, cfg, _ = setup
+        env = PlacementEnv(graph, cluster)
+        agent = build_mars_agent(graph, cluster, cfg)
+        tc = replace(cfg.trainer, algorithm="reinforce", iterations=2)
+        trainer = JointTrainer(agent, env, tc)
+        updates = []
+        update = trainer.updater.update
+
+        def record(rollout, advantages):
+            stats = update(rollout, advantages)
+            updates.append((rollout.batch_size, stats.passes))
+            return stats
+
+        trainer.updater.update = record
+        history = trainer.train()
+        assert updates and cfg.trainer.ppo.minibatches > 1
+        agent_seconds = sum(
+            passes * (agent.update_flops(batch) / AGENT_DEVICE_FLOPS + AGENT_PASS_OVERHEAD)
+            for batch, passes in updates
+        )
+        assert history.sim_clock == pytest.approx(
+            env.stats.wall_clock + agent_seconds, rel=1e-12
+        )
 
 
 class TestSearchHistory:

@@ -24,6 +24,12 @@ def lookup(cache: FingerprintCache, key: str):
     return future.result()
 
 
+def seed(cache: FingerprintCache, key, value) -> None:
+    """Store ``value`` under ``key`` the way the service does: one miss
+    whose computation returns it."""
+    cache.get_or_compute(key, lambda: value)
+
+
 class TestFingerprintCache:
     def test_miss_then_hit(self):
         cache = FingerprintCache(capacity=4)
@@ -35,10 +41,10 @@ class TestFingerprintCache:
 
     def test_lru_eviction_order(self):
         cache = FingerprintCache(capacity=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
+        seed(cache, "a", 1)
+        seed(cache, "b", 2)
         assert lookup(cache, "a") == 1  # refresh a: b is now least-recent
-        cache.put("c", 3)
+        seed(cache, "c", 3)
         assert lookup(cache, "b") is None
         assert lookup(cache, "a") == 1 and lookup(cache, "c") == 3
         assert cache.stats.evictions == 1
@@ -47,7 +53,7 @@ class TestFingerprintCache:
     def test_ttl_expiry(self):
         clock = FakeClock()
         cache = FingerprintCache(capacity=4, ttl=10.0, clock=clock)
-        cache.put("k", 1)
+        seed(cache, "k", 1)
         clock.advance(9.9)
         assert lookup(cache, "k") == 1
         clock.advance(0.2)
@@ -58,23 +64,14 @@ class TestFingerprintCache:
     def test_no_ttl_never_expires(self):
         clock = FakeClock()
         cache = FingerprintCache(capacity=4, ttl=None, clock=clock)
-        cache.put("k", 1)
+        seed(cache, "k", 1)
         clock.advance(1e9)
         assert lookup(cache, "k") == 1
-
-    def test_put_overwrites_and_refreshes(self):
-        clock = FakeClock()
-        cache = FingerprintCache(capacity=4, ttl=10.0, clock=clock)
-        cache.put("k", 1)
-        clock.advance(8.0)
-        cache.put("k", 2)  # rewrite restarts the TTL
-        clock.advance(8.0)
-        assert lookup(cache, "k") == 2
 
     def test_clear_returns_count(self):
         cache = FingerprintCache(capacity=8)
         for i in range(3):
-            cache.put(str(i), i)
+            seed(cache, str(i), i)
         assert cache.clear() == 3
         assert len(cache) == 0
         assert lookup(cache, "0") is None
@@ -82,17 +79,17 @@ class TestFingerprintCache:
     def test_unbounded_capacity(self):
         cache = FingerprintCache(capacity=0)
         for i in range(100):
-            cache.put(str(i), i)
+            seed(cache, str(i), i)
         assert len(cache) == 100
         assert cache.stats.evictions == 0
 
     def test_stats_to_dict(self):
         cache = FingerprintCache(capacity=2)
-        cache.put("a", 1)
+        seed(cache, "a", 1)
         lookup(cache, "a")
         lookup(cache, "zz")
         doc = cache.stats.to_dict()
-        assert doc["hits"] == 1 and doc["misses"] == 1
+        assert doc["hits"] == 1 and doc["misses"] == 2  # seeding a is a miss
         assert set(doc) >= {
             "hits",
             "misses",
@@ -107,12 +104,12 @@ class TestFingerprintCache:
         clock = FakeClock()
         dropped = []
         cache = FingerprintCache(capacity=2, ttl=10.0, clock=clock, on_evict=dropped.append)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.put("c", 3)  # LRU drops a
+        seed(cache, "a", 1)
+        seed(cache, "b", 2)
+        seed(cache, "c", 3)  # LRU drops a
         clock.advance(11.0)
         assert lookup(cache, "b") is None  # TTL drops b
-        cache.put("d", 4)
+        seed(cache, "d", 4)
         assert cache.discard(lambda key: key == "d") == 1
         assert cache.clear() == 1  # c
         assert dropped == [1, 2, 4, 3]
@@ -124,8 +121,8 @@ class TestPendingEntries:
         cache = FingerprintCache(capacity=1, ttl=1.0, clock=clock)
         future, state = cache.claim("p")
         assert state == "miss"
-        cache.put("a", 1)
-        cache.put("b", 2)  # LRU pressure evicts a, never the pending entry
+        seed(cache, "a", 1)
+        seed(cache, "b", 2)  # LRU pressure evicts a, never the pending entry
         clock.advance(10.0)  # far past the TTL
         waiter, again = cache.claim("p")
         assert again == "coalesced" and waiter is future

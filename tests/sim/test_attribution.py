@@ -164,7 +164,7 @@ class TestEnvAttribution:
         placement = env.resolve(actions)
         assert attr.makespan == pytest.approx(env.makespan(placement))
         # Utilization definition matches the evaluator's.
-        schedule = env.scheduler.run_step(placement, env._op_times)
+        schedule = env.scheduler.run_step(placement)
         expected = float(np.mean(schedule.device_busy) / schedule.makespan)
         assert attr.utilization == pytest.approx(expected)
 

@@ -205,19 +205,3 @@ class TestBoundedCache:
         snap = tel.metrics.snapshot()
         assert snap["gauges"]["env.cache_size"]["value"] <= 3.0
         assert snap["counters"]["env.cache_evictions"]["value"] == env.stats.cache_evictions
-
-
-class TestBatchEvaluatorInternals:
-    def _evaluator(self, g):
-        env = PlacementEnv(g, CLUSTER)
-        return env._evaluator
-
-    def test_pure_evaluator_is_picklable(self):
-        import pickle
-
-        ev = self._evaluator(tiny_graph())
-        clone = pickle.loads(pickle.dumps(ev))
-        devices = np.zeros(tiny_graph().num_nodes, dtype=np.int64)
-        a = ev.compute(devices, 123)
-        b = clone.compute(devices, 123)
-        assert a.result == b.result and a.makespan == b.makespan

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core.baselines import gpu_only_placement
 from repro.sim import ClusterSpec, Placement, resolve_placement
-from repro.sim.placement import single_device_placement
 from tests.helpers import tiny_graph
 
 
@@ -30,11 +30,6 @@ class TestPlacement:
         b = Placement([0] * 6, g, c)
         assert a == b and hash(a) == hash(b)
         assert a != Placement([1] * 6, g, c)
-
-    def test_ops_on(self, setup):
-        g, c = setup
-        p = Placement([0, 0, 1, 1, 1, 2], g, c)
-        assert list(p.ops_on(1)) == [2, 3, 4]
 
     def test_num_cut_edges(self, setup):
         g, c = setup
@@ -74,8 +69,10 @@ class TestResolvePlacement:
             resolve_placement([0], g, c)
 
     def test_single_device_placement(self, setup):
+        """The GPU-Only baseline puts every op but the CPU-only ones on
+        GPU 0."""
         g, c = setup
-        p = single_device_placement(g, c)
+        p = gpu_only_placement(g, c)
         non_cpu_ops = [i for i, n in enumerate(g.nodes) if not n.cpu_only]
         assert all(p.device_of(i) == 0 for i in non_cpu_ops)
 
